@@ -19,8 +19,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import (
     ConfigInvalid,
@@ -49,7 +47,7 @@ def _add_common(parser):
     for name, typ in (
         ("method", str), ("group", str), ("generator", str), ("data", str),
         ("kernel", str), ("n", int), ("reps", int), ("m", int), ("B", int),
-        ("alpha", float), ("seed", int), ("threads", int),
+        ("alpha", float), ("seed", int),
         ("n-resamples", int), ("null-samples", int), ("burn-in", int),
     ):
         parser.add_argument(f"--{name}", type=typ, dest=name.replace("-", "_"))
@@ -66,7 +64,7 @@ def _load_config(args, allowed_methods=None):
     if not isinstance(raw, dict):
         raise ConfigInvalid("configuration must be a JSON object")
     for name in ("method", "group", "generator", "data", "kernel", "n", "reps",
-                 "m", "B", "alpha", "seed", "threads", "n_resamples",
+                 "m", "B", "alpha", "seed", "n_resamples",
                  "null_samples", "burn_in"):
         value = getattr(args, name, None)
         if value is not None:

@@ -14,7 +14,7 @@ independence are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +26,9 @@ from .errors import (
     SampleTooSmall,
     UnsupportedKind,
 )
-from .groups import act, inverse, maximal_invariant, representative_inversion, \
-    default_invariant_kind
-from .invariance import TestResult
-from .kernels import GaussianRBF, center, gram
+from .groups import default_invariant_kind, invariant_batch, tau_batch
+from .invariance import TestResult, _check_finite, pvalue_from_nulls
+from .kernels import GaussianRBF, _as_points, _rbf_exponent, center, gram
 
 
 @dataclass
@@ -79,9 +78,10 @@ def transform_responses(X, Y, spec, y_action="same", m_kind=None):
         Y = Y[:, None]
     if X.shape[0] != Y.shape[0]:
         raise BadParameters("X and Y must have one row per observation")
+    _check_finite(X, Y)
     if m_kind is None:
         m_kind = default_invariant_kind(spec)
-    M = np.stack([maximal_invariant(spec, m_kind, x) for x in X])
+    M = invariant_batch(spec, m_kind, X)
     if y_action == "trivial":
         Z = Y.copy()
     elif y_action == "same":
@@ -89,10 +89,7 @@ def transform_responses(X, Y, spec, y_action="same", m_kind=None):
             raise BadParameters(
                 "a shared group action needs responses of the covariate dimension"
             )
-        Z = np.stack(
-            [act(inverse(representative_inversion(spec, x)), y)
-             for x, y in zip(X, Y)]
-        )
+        Z = tau_batch(spec, X).apply_inverse(Y)
     else:
         raise UnsupportedKind(f"unknown response action {y_action!r}")
     return PairedDataset(X, Y, M, Z)
@@ -169,7 +166,7 @@ def kci_test_data(data, config, alpha=0.05, rng=None, seed=None):
         raise SampleTooSmall("need at least two observations")
     t_obs = kci_statistic(data, config)
     nulls = kci_null_samples(data, config, rng)
-    p = float(np.mean(t_obs <= nulls))
+    p = pvalue_from_nulls(t_obs, nulls)
     return TestResult(t_obs, p, nulls, alpha, p <= alpha, "kci", seed)
 
 
@@ -184,19 +181,10 @@ def kci_test(X, Y, spec, config, alpha=0.05, rng=None, y_action="same",
 # conditional permutation test
 
 
-def _log_gram(kernel, A, B=None):
+def _log_gram(kernel, A):
     if not isinstance(kernel, GaussianRBF):
         raise BadParameters("the density-ratio odds need strictly positive kernels")
-    from scipy.spatial.distance import cdist
-
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 1:
-        A = A[:, None]
-    B = A if B is None else np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
-    d2 = cdist(A, B, metric="sqeuclidean")
-    return -d2 / (2.0 * kernel.bandwidth**2)
+    return _rbf_exponent(_as_points(A), None, kernel.bandwidth)
 
 
 def _log_joint_sums(data, config):

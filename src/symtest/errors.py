@@ -23,10 +23,6 @@ class VariantMismatch(SymtestError):
     """Group elements of incompatible kinds were combined."""
 
 
-class NonCompactGroup(SymtestError):
-    """The requested group carries no uniform (Haar) probability measure."""
-
-
 class UnsupportedFamily(SymtestError):
     """The operation is not implemented for this group family."""
 
@@ -51,10 +47,6 @@ class SampleTooSmall(SymtestError):
     """Fewer observations than the statistic requires."""
 
 
-class EmptySample(SymtestError):
-    """An empty sample was supplied."""
-
-
 class AllPointsIdentical(SymtestError):
     """Median pairwise distance is zero, so no bandwidth can be derived."""
 
@@ -73,10 +65,6 @@ class BadProjectionCount(SymtestError):
 
 class BadParameters(SymtestError):
     """Parameter values outside their admissible range."""
-
-
-class SingularSolve(SymtestError):
-    """A linear solve met an effectively singular matrix."""
 
 
 class DegenerateDensity(SymtestError):

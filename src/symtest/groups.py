@@ -11,7 +11,10 @@ groups, and the trivial group.  For each family the module offers
 * orbit machinery: an orbit selector ``gamma`` picking one point per orbit,
   a representative inversion ``tau`` with ``act(tau(x), gamma(x)) == x``,
   a sampler for the conditional distribution of the inverting element when
-  the action has stabilisers, and several maximal invariants.
+  the action has stabilisers, and several maximal invariants.  Each works
+  on a whole (n, d) sample at once (``gamma_batch``, ``tau_batch``,
+  ``inversion_kernel_batch``, ``invariant_batch``); the per-point functions
+  wrap them.
 
 Rotations are stored as matrices, permutations as index arrays where entry
 ``p[i]`` is the image of position ``i``; the action places coordinate ``i``
@@ -29,7 +32,6 @@ from .errors import (
     BadParameters,
     DimensionMismatch,
     InvalidRotation,
-    NonCompactGroup,
     UnsupportedFamily,
     UnsupportedKind,
     VariantMismatch,
@@ -39,7 +41,7 @@ from .errors import (
 _ORTHO_TOL = 1e-9
 _ZERO_TOL = 1e-12
 
-FAMILIES = ("so", "sym", "paired-so2", "so2xso2", "rot-discrete", "trivial", "lorentz")
+FAMILIES = ("so", "sym", "paired-so2", "so2xso2", "rot-discrete", "trivial")
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +99,12 @@ class ProductElement:
         if len(self.parts) != len(self.blocks):
             raise VariantMismatch("one factor element per block required")
         for g, blk in zip(self.parts, self.blocks):
-            if _elem_dim(g) != len(blk):
+            if g.dim != len(blk):
                 raise DimensionMismatch("factor dimension does not match its block")
 
     @property
     def dim(self):
         return sum(len(b) for b in self.blocks)
-
-
-def _elem_dim(g):
-    return g.dim
 
 
 def compose(g, h):
@@ -146,9 +144,9 @@ def act(g, x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DimensionMismatch("act expects a single point as a 1-d array")
-    if x.size != _elem_dim(g):
+    if x.size != g.dim:
         raise DimensionMismatch(
-            f"element of dimension {_elem_dim(g)} applied to point of size {x.size}"
+            f"element of dimension {g.dim} applied to point of size {x.size}"
         )
     if isinstance(g, Rotation):
         return g.matrix @ x
@@ -167,7 +165,7 @@ def act(g, x):
 def element_apply(g, X):
     """Apply one group element to every row of an (n, d) sample."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != _elem_dim(g):
+    if X.ndim != 2 or X.shape[1] != g.dim:
         raise DimensionMismatch("sample shape does not match element dimension")
     if isinstance(g, Rotation):
         return X @ g.matrix.T
@@ -197,10 +195,9 @@ class GroupSpec:
 
     ``family`` is one of ``so``, ``sym``, ``paired-so2`` (both planes of R^4
     rotated by the same SO(2) element), ``so2xso2`` (independent plane
-    rotations on R^4), ``rot-discrete`` (cyclic rotations by a fixed step),
-    ``trivial`` and ``lorentz``.  The Lorentz family exists only so that
-    requesting Haar sampling on it fails loudly: the group is not compact.
-    For the trivial family ``dim == 0`` means "any dimension".
+    rotations on R^4), ``rot-discrete`` (cyclic rotations by a fixed step)
+    and ``trivial``.  For the trivial family ``dim == 0`` means "any
+    dimension".
     """
 
     family: str
@@ -217,8 +214,6 @@ class GroupSpec:
             raise BadParameters("permutation groups need dimension >= 1")
         if self.family in ("paired-so2", "so2xso2") and self.dim != 4:
             raise BadParameters(f"{self.family} acts on R^4")
-        if self.family == "lorentz" and self.dim != 4:
-            raise BadParameters("the Lorentz group here acts on R^4")
         if self.family == "rot-discrete":
             if self.dim not in (2, 3):
                 raise BadParameters("discrete rotations implemented for d in {2, 3}")
@@ -297,8 +292,6 @@ def identity(spec, d=None):
     if spec.family in ("paired-so2", "so2xso2"):
         eye2 = Rotation(np.eye(2))
         return ProductElement((eye2, eye2), _PAIR_BLOCKS)
-    if spec.family == "lorentz":
-        raise NonCompactGroup("the Lorentz group is not supported for sampling")
     return Rotation(np.eye(d))
 
 
@@ -336,18 +329,16 @@ def _axis_rotation(theta, d, axis):
         return _rot2(theta)
     plane = [i for i in range(3) if i != axis - 1]
     m = np.eye(3)
-    block = _rot2(theta)
-    for a, i in enumerate(plane):
-        for b, j in enumerate(plane):
-            m[i, j] = block[a, b]
+    m[np.ix_(plane, plane)] = _rot2(theta)
     return m
 
 
 class TransformBatch:
     """One group element per observation, in vectorised form.
 
-    ``apply(X)`` transforms row ``i`` of an (n, d) sample by element ``i``.
-    Used wherever a statistic needs independent draws per observation.
+    ``apply(X)`` transforms row ``i`` of an (n, d) sample by element ``i``
+    and ``apply_inverse(X)`` by its inverse.  Used wherever a statistic
+    needs independent draws per observation.
     """
 
     def __init__(self, spec, kind, data, count):
@@ -357,28 +348,38 @@ class TransformBatch:
         self.count = count
 
     def apply(self, X):
+        return self._act(X, 1.0)
+
+    def apply_inverse(self, X):
+        return self._act(X, -1.0)
+
+    def _act(self, X, sign):
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[0] != self.count:
             raise DimensionMismatch("sample rows must match the number of elements")
         if self.kind == "identity":
             return X.copy()
         if self.kind == "rot":
-            return np.einsum("nij,nj->ni", self.data, X)
+            return np.einsum("nij,nj->ni" if sign > 0 else "nji,nj->ni", self.data, X)
         if self.kind == "perm":
+            if sign < 0:
+                return np.take_along_axis(X, self.data, axis=1)
             out = np.empty_like(X)
             np.put_along_axis(out, self.data, X, axis=1)
             return out
-        if self.kind == "angle-paired":
+        if self.kind in ("angle-paired", "angle-blocks"):
+            theta = sign * self._angles()
             out = np.empty_like(X)
-            out[:, 0:2] = _rotate_rows(X[:, 0:2], self.data)
-            out[:, 2:4] = _rotate_rows(X[:, 2:4], self.data)
-            return out
-        if self.kind == "angle-blocks":
-            out = np.empty_like(X)
-            out[:, 0:2] = _rotate_rows(X[:, 0:2], self.data[:, 0])
-            out[:, 2:4] = _rotate_rows(X[:, 2:4], self.data[:, 1])
+            out[:, 0:2] = _rotate_rows(X[:, 0:2], theta[:, 0])
+            out[:, 2:4] = _rotate_rows(X[:, 2:4], theta[:, 1])
             return out
         raise VariantMismatch(f"unknown batch kind {self.kind!r}")
+
+    def _angles(self):
+        """The (n, 2) rotation angles of the two planes of R^4."""
+        if self.kind == "angle-paired":
+            return np.stack([self.data, self.data], axis=1)
+        return self.data
 
     def elements(self):
         """The batch as a list of concrete group elements."""
@@ -388,17 +389,10 @@ class TransformBatch:
             return [Rotation(m) for m in self.data]
         if self.kind == "perm":
             return [Permutation(p) for p in self.data]
-        if self.kind == "angle-paired":
+        if self.kind in ("angle-paired", "angle-blocks"):
             return [
-                ProductElement((Rotation(_rot2(t)), Rotation(_rot2(t))), _PAIR_BLOCKS)
-                for t in self.data
-            ]
-        if self.kind == "angle-blocks":
-            return [
-                ProductElement(
-                    (Rotation(_rot2(t1)), Rotation(_rot2(t2))), _PAIR_BLOCKS
-                )
-                for t1, t2 in self.data
+                ProductElement((Rotation(_rot2(t1)), Rotation(_rot2(t2))), _PAIR_BLOCKS)
+                for t1, t2 in self._angles()
             ]
         raise VariantMismatch(f"unknown batch kind {self.kind!r}")
 
@@ -428,11 +422,7 @@ def sample_batch(spec, rng, count):
         theta = np.deg2rad(spec.step_deg) * rng.integers(0, order, count)
         mats = np.stack([_axis_rotation(t, spec.dim, spec.axis) for t in theta])
         return TransformBatch(spec, "rot", mats, count)
-    if spec.family == "trivial":
-        return TransformBatch(spec, "identity", None, count)
-    raise NonCompactGroup(
-        f"no Haar probability measure on the {spec.family!r} family"
-    )
+    return TransformBatch(spec, "identity", None, count)  # the trivial family
 
 
 def sample_haar(spec, rng, count=1):
@@ -444,153 +434,166 @@ def sample_haar(spec, rng, count=1):
 # orbit machinery
 
 
-def _so_tau(x):
-    """The rotation mapping ||x|| e1 to x, smooth off the e1 axis.
+def _points(spec, X):
+    """An (n, d) sample as floats, checked against the group's dimension."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or (spec.dim and X.shape[1] != spec.dim):
+        raise DimensionMismatch("point dimension does not match the group spec")
+    return X
+
+
+def _so_tau(X):
+    """For each row x, the rotation mapping ||x|| e1 to x, smooth off the e1 axis.
 
     Rotates by the angle between e1 and x inside their common plane and
-    fixes the orthogonal complement.  On the positive e1 axis it is the
-    identity; on the negative axis a fixed half-turn in the (e1, e2) plane.
+    fixes the orthogonal complement:
+    I + (c - 1)(e1 e1^T + t t^T) + s (t e1^T - e1 t^T) with u = x / ||x||,
+    c = u_1, t the unit part of u orthogonal to e1 and s its length.  On the
+    positive e1 axis it is the identity; on the negative axis a fixed
+    half-turn in the (e1, e2) plane.
     """
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    nrm = np.linalg.norm(x)
-    if nrm <= _ZERO_TOL:
+    d = X.shape[1]
+    nrm = np.linalg.norm(X, axis=1)
+    if np.any(nrm <= _ZERO_TOL):
         raise ZeroVector("no inverting rotation at the origin")
-    u = x / nrm
-    c = u[0]
-    resid = u.copy()
-    resid[0] -= c
-    rn = np.linalg.norm(resid)
-    if rn <= 1e-12:
-        m = np.eye(d)
-        if c < 0:
-            m[0, 0] = -1.0
-            m[1, 1] = -1.0
-        return m
-    xt = resid / rn
-    s = rn  # sin of the angle, >= 0 by construction
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    frame = np.stack([e1, xt], axis=1)  # d x 2
-    planar = np.array([[c, -s], [s, c]])
-    return np.eye(d) - np.outer(e1, e1) - np.outer(xt, xt) + frame @ planar @ frame.T
+    t = X / nrm[:, None]
+    c = t[:, 0].copy()
+    t[:, 0] = 0.0
+    s = np.linalg.norm(t, axis=1)  # sin of the angle, >= 0 by construction
+    axis = s <= 1e-12
+    if axis.any():
+        t[axis] = np.eye(d)[1]
+        c[axis] = np.sign(c[axis])
+        s[axis] = 0.0
+    t /= np.where(axis, 1.0, s)[:, None]
+    mats = (c - 1.0)[:, None, None] * t[:, :, None] * t[:, None, :]
+    mats[:, 0, 0] += c - 1.0
+    mats[:, :, 0] += s[:, None] * t
+    mats[:, 0, :] -= s[:, None] * t
+    mats += np.eye(d)
+    return mats
 
 
-def _paired_angle(x):
-    p1 = np.asarray(x, dtype=float)[0:2]
-    if np.linalg.norm(p1) <= _ZERO_TOL:
-        raise ZeroVector("first block vanishes; the paired rotation is not determined")
-    return np.arctan2(p1[1], p1[0])
+def _block_angles(P):
+    """Polar angle of each row of an (n, 2) block; ZeroVector on a zero row."""
+    if np.any(np.linalg.norm(P, axis=1) <= _ZERO_TOL):
+        raise ZeroVector("a block vanishes; the inverting element is not determined")
+    return np.arctan2(P[:, 1], P[:, 0])
 
 
-def orbit_selector(spec, x):
-    """The canonical representative gamma(x) of the orbit through x."""
-    x = np.asarray(x, dtype=float)
-    if spec.dim and x.size != spec.dim:
-        raise DimensionMismatch("point dimension does not match the group spec")
-    if spec.family == "so":
-        out = np.zeros_like(x)
-        out[0] = np.linalg.norm(x)
+def gamma_batch(spec, X):
+    """The canonical orbit representative gamma(x) of every row of X."""
+    X = _points(spec, X)
+    if spec.family in ("so", "so2xso2"):
+        out = np.zeros_like(X)
+        if spec.family == "so":
+            out[:, 0] = np.linalg.norm(X, axis=1)
+        else:
+            out[:, 0] = np.linalg.norm(X[:, 0:2], axis=1)
+            out[:, 2] = np.linalg.norm(X[:, 2:4], axis=1)
         return out
     if spec.family == "sym":
-        return np.sort(x)
+        return np.sort(X, axis=1)
     if spec.family == "paired-so2":
-        theta = _paired_angle(x)
-        r = _rot2(-theta)
-        out = np.empty_like(x)
-        out[0:2] = r @ x[0:2]
-        out[2:4] = r @ x[2:4]
-        return out
-    if spec.family == "so2xso2":
-        out = np.zeros_like(x)
-        out[0] = np.linalg.norm(x[0:2])
-        out[2] = np.linalg.norm(x[2:4])
-        return out
+        return tau_batch(spec, X).apply_inverse(X)
     if spec.family == "trivial":
-        return x.copy()
+        return X.copy()
     raise UnsupportedFamily(f"no orbit selector for the {spec.family!r} family")
 
 
-def representative_inversion(spec, x):
-    """An element tau(x) with act(tau(x), gamma(x)) == x.
+def tau_batch(spec, X):
+    """Elements tau(x) with act(tau(x), gamma(x)) == x, one per row of X.
 
     For free actions this is the unique inverting element; it is equivariant,
     tau(g x) == g tau(x), wherever the map is defined and continuous.
     """
-    x = np.asarray(x, dtype=float)
-    if spec.dim and x.size != spec.dim:
-        raise DimensionMismatch("point dimension does not match the group spec")
+    X = _points(spec, X)
+    n = X.shape[0]
     if spec.family == "so":
-        return Rotation(_so_tau(x))
+        return TransformBatch(spec, "rot", _so_tau(X), n)
     if spec.family == "sym":
-        return Permutation(np.argsort(x, kind="stable"))
+        return TransformBatch(spec, "perm", np.argsort(X, axis=1, kind="stable"), n)
     if spec.family == "paired-so2":
-        r = Rotation(_rot2(_paired_angle(x)))
-        return ProductElement((r, r), _PAIR_BLOCKS)
+        return TransformBatch(spec, "angle-paired", _block_angles(X[:, 0:2]), n)
     if spec.family == "so2xso2":
-        p1, p2 = x[0:2], x[2:4]
-        if np.linalg.norm(p1) <= _ZERO_TOL or np.linalg.norm(p2) <= _ZERO_TOL:
-            raise ZeroVector("a block vanishes; the inverting element is not determined")
-        r1 = Rotation(_rot2(np.arctan2(p1[1], p1[0])))
-        r2 = Rotation(_rot2(np.arctan2(p2[1], p2[0])))
-        return ProductElement((r1, r2), _PAIR_BLOCKS)
+        angles = [_block_angles(X[:, 0:2]), _block_angles(X[:, 2:4])]
+        return TransformBatch(spec, "angle-blocks", np.stack(angles, axis=1), n)
     if spec.family == "trivial":
-        return identity(spec, x.size)
+        return TransformBatch(trivial(X.shape[1]), "identity", None, n)
     raise UnsupportedFamily(
         f"no representative inversion for the {spec.family!r} family"
     )
 
 
-def inversion_kernel_sample(spec, x, rng):
-    """One draw from the conditional law of the element carrying gamma(x) to x.
+def inversion_kernel_batch(spec, X, rng):
+    """Per row, one draw from the law of the element carrying gamma(x) to x.
 
     For SO(d), d >= 3, the stabiliser of e1 is a copy of SO(d-1), so the draw
-    is tau(x) times a uniformly random stabiliser element.  For free actions
-    (d = 2, permutations without ties, the R^4 products) the law is a point
-    mass at tau(x).
+    is tau(x) times a uniformly random stabiliser element; the n stabiliser
+    draws come from one ``haar_rotations`` call, the same stream as n calls
+    of one.  For free actions (d = 2, permutations without ties, the R^4
+    products) the law is a point mass at tau(x).
     """
-    x = np.asarray(x, dtype=float)
-    tau = representative_inversion(spec, x)
+    tau = tau_batch(spec, X)
     if spec.family == "so" and spec.dim >= 3:
-        d = spec.dim
-        h = np.eye(d)
-        h[1:, 1:] = haar_rotations(d - 1, 1, rng)[0]
-        return Rotation(tau.matrix @ h)
+        h = haar_rotations(spec.dim - 1, tau.count, rng)
+        tau.data[:, :, 1:] = tau.data[:, :, 1:] @ h
     return tau
 
 
-def maximal_invariant(spec, kind, x):
-    """Evaluate a maximal invariant of the group action at one point.
+def invariant_batch(spec, kind, X):
+    """A maximal invariant of the group action at every row of X, as rows.
 
     Kinds: ``norm`` (SO(d)); ``sorted`` (S_d); ``minkowski-q`` (E^2 - |p|^2
-    per four-vector, accepting a flat vector of one or more four-vectors);
+    per four-vector, for rows of one or more four-vectors);
     ``per-block-norm`` (independent plane rotations); ``paired-rotation``
     (both block norms, their inner product, and the sign of their planar
     cross product, for the shared SO(2) action on R^4).
     """
-    x = np.asarray(x, dtype=float)
+    X = np.asarray(X, dtype=float)
     if kind == "norm":
-        return np.atleast_1d(np.linalg.norm(x))
+        return np.linalg.norm(X, axis=1, keepdims=True)
     if kind == "sorted":
-        return np.sort(x)
+        return np.sort(X, axis=1)
     if kind == "minkowski-q":
-        if x.size % 4 != 0:
-            raise DimensionMismatch("expected a flat vector of four-vectors")
-        p = x.reshape(-1, 4)
-        return p[:, 0] ** 2 - np.sum(p[:, 1:] ** 2, axis=1)
+        if X.shape[1] % 4 != 0:
+            raise DimensionMismatch("expected rows of four-vectors")
+        p = X.reshape(X.shape[0], -1, 4)
+        return p[..., 0] ** 2 - np.sum(p[..., 1:] ** 2, axis=2)
+    if kind not in ("per-block-norm", "paired-rotation"):
+        raise UnsupportedKind(f"unknown maximal invariant kind {kind!r}")
+    if X.shape[1] != 4:
+        raise DimensionMismatch(f"the {kind} invariant lives on R^4")
+    p1, p2 = X[:, 0:2], X[:, 2:4]
+    norms = [np.linalg.norm(p1, axis=1), np.linalg.norm(p2, axis=1)]
     if kind == "per-block-norm":
-        if x.size != 4:
-            raise DimensionMismatch("per-block norms are defined on R^4")
-        return np.array([np.linalg.norm(x[0:2]), np.linalg.norm(x[2:4])])
-    if kind == "paired-rotation":
-        if x.size != 4:
-            raise DimensionMismatch("the paired rotation invariant lives on R^4")
-        p1, p2 = x[0:2], x[2:4]
-        cross = p1[0] * p2[1] - p1[1] * p2[0]
-        return np.array(
-            [np.linalg.norm(p1), np.linalg.norm(p2), p1 @ p2, np.sign(cross)]
-        )
-    raise UnsupportedKind(f"unknown maximal invariant kind {kind!r}")
+        return np.stack(norms, axis=1)
+    cross = p1[:, 0] * p2[:, 1] - p1[:, 1] * p2[:, 0]
+    return np.stack(norms + [np.sum(p1 * p2, axis=1), np.sign(cross)], axis=1)
+
+
+def _one(x):
+    return np.asarray(x, dtype=float).reshape(1, -1)
+
+
+def orbit_selector(spec, x):
+    """The canonical representative gamma(x) of the orbit through x."""
+    return gamma_batch(spec, _one(x))[0]
+
+
+def representative_inversion(spec, x):
+    """The element tau(x) of ``tau_batch`` at one point, as a group element."""
+    return tau_batch(spec, _one(x)).elements()[0]
+
+
+def inversion_kernel_sample(spec, x, rng):
+    """One draw of ``inversion_kernel_batch`` at one point, as a group element."""
+    return inversion_kernel_batch(spec, _one(x), rng).elements()[0]
+
+
+def maximal_invariant(spec, kind, x):
+    """``invariant_batch`` at one point, given as a flat vector."""
+    return invariant_batch(spec, kind, _one(x))[0]
 
 
 def default_invariant_kind(spec):

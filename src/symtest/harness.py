@@ -2,7 +2,7 @@
 
 Runs a configured test over many independent replications with fully
 deterministic seeding (replication i uses a generator keyed by (seed, i), so
-results do not depend on execution order or parallel scheduling), summarises
+results do not depend on execution order), summarises
 rejection rates and p-value uniformity, searches bandwidth grids, and reads
 and writes the package's CSV/JSON interchange formats.
 """
@@ -17,7 +17,6 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.stats import kstest
 
 from . import __version__
 from .condsym import PairedDataset, KciConfig, cp_test, kci_test, transform_responses
@@ -34,7 +33,7 @@ from .errors import (
     SymtestError,
     TooFewValues,
 )
-from .groups import GroupSpec, parse_group
+from .groups import parse_group
 from .invariance import (
     cw_test,
     inversion_mc_test,
@@ -42,7 +41,7 @@ from .invariance import (
     power_estimate,
     transformation_two_sample_test,
 )
-from .kernels import GaussianRBF, median_heuristic, parse_kernel, resolve_bandwidth
+from .kernels import GaussianRBF, parse_kernel, resolve_bandwidth
 from .synthdata import parse_generator, sample
 
 METHODS = ("mmd", "nmmd", "cw", "2smmd", "inversion-mmd", "kci", "cp")
@@ -74,7 +73,6 @@ class ExperimentConfig:
     y_action: str = "same"
     m_kind: str | None = None
     seed: int = 0
-    threads: int = 1
 
     @classmethod
     def from_dict(cls, raw):
@@ -100,9 +98,9 @@ class ExperimentConfig:
         except SymtestError as exc:
             raise ConfigInvalid(f"bad group descriptor: {exc}") from exc
         for name in ("n", "reps", "m", "B", "null_samples", "burn_in",
-                     "n_resamples", "threads"):
+                     "n_resamples"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise ConfigInvalid(f"{name} must be a positive integer")
         if not 0 < self.alpha < 1:
             raise ConfigInvalid("alpha must lie strictly between 0 and 1")
@@ -150,6 +148,8 @@ def pvalue_uniformity_check(pvalues):
     p = np.asarray(pvalues, dtype=float)
     if p.size < 5:
         raise TooFewValues("uniformity needs at least five p-values")
+    from scipy.stats import kstest
+
     res = kstest(p, "uniform")
     return float(res.statistic), float(res.pvalue)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binom
 
 from .errors import (
     BadMonteCarloBudget,
@@ -30,12 +29,14 @@ from .errors import (
 from .groups import (
     element_apply,
     haar_rotations,
-    inversion_kernel_sample,
+    inversion_kernel_batch,
     sample_batch,
     sample_haar,
 )
-from .kernels import RotationKernelSO3, gram
+from .kernels import RotationKernelSO3
 from .mmd import (
+    _mean_offdiag,
+    _mmd_u_value,
     invariance_stat_u,
     mmd_u,
     nystrom_invariance_stat,
@@ -72,8 +73,14 @@ def pvalue_from_nulls(t_obs, nulls, rng=None, tie_break=False):
     return (1.0 + count) / (1.0 + b)
 
 
+def _check_finite(*arrays):
+    """Raise BadParameters unless every entry of the arrays is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise BadParameters("the sample holds NaN or infinite values")
+
+
 def _check_budget(B):
-    if not isinstance(B, (int, np.integer)) or B < 1:
+    if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 1:
         raise BadMonteCarloBudget("the Monte Carlo budget B must be a positive integer")
 
 
@@ -94,6 +101,7 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
     n = X.shape[0]
     if n < 2:
         raise SampleTooSmall("need at least two observations")
+    _check_finite(X)
     _check_budget(B)
     if not 0 < alpha < 1:
         raise BadParameters("alpha must lie in (0, 1)")
@@ -231,6 +239,7 @@ def two_sample_mmd_test(X, Y, kernel, B=200, alpha=0.05, rng=None, seed=None):
     n1, n2 = X.shape[0], Y.shape[0]
     if n1 < 2 or n2 < 2:
         raise SampleTooSmall("both samples need at least two points")
+    _check_finite(X, Y)
     if B < 0:
         raise BadMonteCarloBudget("B must be nonnegative")
     t_obs = mmd_u(X, Y, kernel).value
@@ -278,43 +287,34 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None, seed=None):
     n = X.shape[0]
     if n < 2:
         raise SampleTooSmall("need at least two observations")
+    _check_finite(X)
     _check_budget(B)
     if spec.family == "so":
-        tau = np.stack(
-            [inversion_kernel_sample(spec, x, rng).matrix for x in X]
-        )
-        ref = haar_rotations(spec.dim, n, rng)
         if isinstance(kernel, RotationKernelSO3) and spec.dim != 3:
             raise UnsupportedFamily("the rotation kernel is defined on SO(3)")
+        tau = inversion_kernel_batch(spec, X, rng).data
+        ref = haar_rotations(spec.dim, n, rng)
 
-        def stat(sample):
-            return mmd_u(sample, ref, kernel).value
+        def null_copy():
+            return np.einsum("nij,njk->nik", haar_rotations(spec.dim, n, rng), tau)
 
-        t_obs = stat(tau)
-        nulls = np.empty(B)
-        for b in range(B):
-            g = haar_rotations(spec.dim, n, rng)
-            nulls[b] = stat(np.einsum("nij,njk->nik", g, tau))
     elif spec.family == "sym":
-        tau = np.stack(
-            [inversion_kernel_sample(spec, x, rng).index for x in X]
-        ).astype(float)
+        perm = inversion_kernel_batch(spec, X, rng).data
+        tau = perm.astype(float)
         base = np.tile(np.arange(spec.dim), (n, 1))
         ref = rng.permuted(base, axis=1).astype(float)
 
-        def stat(sample):
-            return mmd_u(sample, ref, kernel).value
-
-        t_obs = stat(tau)
-        nulls = np.empty(B)
-        for b in range(B):
-            g = rng.permuted(base, axis=1)
+        def null_copy():
             # compose g with each drawn permutation: (g o p)[i] = g[p[i]]
-            nulls[b] = stat(np.take_along_axis(g, tau.astype(np.intp), axis=1))
+            return np.take_along_axis(rng.permuted(base, axis=1), perm, axis=1)
+
     else:
         raise UnsupportedFamily(
             f"no inversion sampler for the {spec.family!r} family"
         )
+    kyy = _mean_offdiag(kernel, ref)
+    t_obs = _mmd_u_value(tau, ref, kernel, kyy)
+    nulls = np.array([_mmd_u_value(null_copy(), ref, kernel, kyy) for _ in range(B)])
     p = pvalue_from_nulls(t_obs, nulls)
     return TestResult(t_obs, p, nulls, alpha, p <= alpha, "inversion-mmd", seed)
 
@@ -350,6 +350,8 @@ def conditional_power_binomial(p0, B, alpha):
     kmax = int(np.floor(alpha * (B + 1))) - 1
     if kmax < 0:
         return 0.0
+    from scipy.stats import binom
+
     return float(binom.cdf(kmax, B, p0))
 
 

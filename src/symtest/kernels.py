@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .errors import (
     AllPointsIdentical,
@@ -139,6 +138,26 @@ def eval_kernel(kernel, x, y):
     raise UnsupportedKind(f"unknown kernel type {type(kernel).__name__}")
 
 
+def _rbf_exponent(A, B, bandwidth):
+    """The RBF exponent -||A_i - B_j||^2 / (2 sigma^2) for all pairs of rows.
+
+    One matrix product of augmented rows, [2cA, -c|a|^2, -c] @ [B, 1, |b|^2]^T
+    with c = 1 / (2 sigma^2).  ``B=None`` means B = A, whose diagonal is set
+    to its exact value 0.  Cancellation leaves errors of about
+    1e-16 * c (|a|^2 + |b|^2) off the diagonal, so duplicate rows need not
+    give exactly 0 there.
+    """
+    c = 1.0 / (2.0 * bandwidth**2)
+    a2 = np.einsum("ij,ij->i", A, A)
+    b2 = a2 if B is None else np.einsum("ij,ij->i", B, B)
+    left = np.column_stack([2.0 * c * A, -c * a2, np.full(A.shape[0], -c)])
+    right = np.column_stack([A if B is None else B, np.ones(b2.size), b2])
+    e = left @ right.T
+    if B is None:
+        np.fill_diagonal(e, 0.0)
+    return e
+
+
 def gram(kernel, X, Y=None):
     """Gram matrix K[i, j] = k(X[i], Y[j]); Y defaults to X."""
     if isinstance(kernel, RotationKernelSO3):
@@ -159,12 +178,11 @@ def gram(kernel, X, Y=None):
         B = A if Y is None else _as_points(Y)
         if A.shape[1] != B.shape[1]:
             raise DimensionMismatch("samples of different dimension")
-        d2 = cdist(A, B, metric="sqeuclidean")
-        np.multiply(d2, -1.0 / (2.0 * kernel.bandwidth**2), out=d2)
+        e = _rbf_exponent(A, None if Y is None else B, kernel.bandwidth)
         # avoid subnormal kernel values: they are extremely slow to produce
         # and indistinguishable from zero for every statistic built on top
-        np.copyto(d2, -1000.0, where=d2 < -708.0)
-        return np.exp(d2, out=d2)
+        np.copyto(e, -1000.0, where=e < -708.0)
+        return np.exp(e, out=e)
     raise UnsupportedKind(f"unknown kernel type {type(kernel).__name__}")
 
 
@@ -173,7 +191,9 @@ def median_heuristic(X):
     X = _as_points(X)
     if X.shape[0] < 2:
         raise SampleTooSmall("median heuristic needs at least two points")
-    med = float(np.median(pdist(X)))
+    # exact row differences, so that duplicate rows give distances of exactly 0
+    dists = [np.linalg.norm(X[i + 1:] - X[i], axis=1) for i in range(X.shape[0] - 1)]
+    med = float(np.median(np.concatenate(dists)))
     if med <= 0.0:
         raise AllPointsIdentical("all points coincide; no usable bandwidth")
     return med

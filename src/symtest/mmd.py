@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scipy.spatial.distance import cdist
-
 from .errors import BadLandmarkCount, BadParameters, SampleTooSmall
 from .groups import sample_batch
-from .kernels import GaussianRBF, gram
+from .kernels import gram
 
 
 @dataclass(frozen=True)
@@ -33,21 +31,16 @@ def _offdiag_sum(K):
     return float(K.sum() - np.trace(K))
 
 
-def _offdiag_gram_sum(kernel, A, B):
-    """Sum of k(A_i, B_j) over i != j, avoiding intermediate allocations.
+def _mean_offdiag(kernel, X):
+    """Mean of k(X_i, X_j) over i != j."""
+    n = X.shape[0]
+    return _offdiag_sum(gram(kernel, X)) / (n * (n - 1))
 
-    Equivalent to ``_offdiag_sum(gram(kernel, A, B))`` but computed in place;
-    this sits on the hot path of the Monte Carlo loops.
-    """
-    if isinstance(kernel, GaussianRBF) and kernel.bandwidth is not None:
-        d2 = cdist(A, B, metric="sqeuclidean")
-        np.multiply(d2, -1.0 / (2.0 * kernel.bandwidth**2), out=d2)
-        # exponents in (-746, -708) would produce subnormal values, which are
-        # orders of magnitude slower to compute; flush them to a clean zero
-        np.copyto(d2, -1000.0, where=d2 < -708.0)
-        np.exp(d2, out=d2)
-        return _offdiag_sum(d2)
-    return _offdiag_sum(gram(kernel, A, B))
+
+def _mmd_u_value(X, Y, kernel, kyy):
+    """The value of ``mmd_u(X, Y, kernel)`` given kyy = _mean_offdiag(kernel, Y)."""
+    kxy = float(gram(kernel, X, Y).sum()) * 2.0 / (X.shape[0] * Y.shape[0])
+    return _mean_offdiag(kernel, X) + kyy - kxy
 
 
 def mmd_u(X, Y, kernel):
@@ -57,10 +50,7 @@ def mmd_u(X, Y, kernel):
     n1, n2 = X.shape[0], Y.shape[0]
     if n1 < 2 or n2 < 2:
         raise SampleTooSmall("the U-statistic needs at least two points per sample")
-    kxx = _offdiag_sum(gram(kernel, X)) / (n1 * (n1 - 1))
-    kyy = _offdiag_sum(gram(kernel, Y)) / (n2 * (n2 - 1))
-    kxy = float(gram(kernel, X, Y).sum()) * 2.0 / (n1 * n2)
-    return MmdEstimate(kxx + kyy - kxy, "u", n1)
+    return MmdEstimate(_mmd_u_value(X, Y, kernel, _mean_offdiag(kernel, Y)), "u", n1)
 
 
 def mmd_v(X, Y, kernel):
@@ -94,12 +84,12 @@ def invariance_stat_u(X, g_batches, h_batches, kernel):
         raise BadParameters("need m >= 1 transform draws for both G and H")
     xg = [b.apply(X) for b in g_batches]
     xh = [b.apply(X) for b in h_batches]
-    total = _offdiag_gram_sum(kernel, X, X)
+    total = _offdiag_sum(gram(kernel, X))
     for a in xg:
         for b in xh:
-            total += _offdiag_gram_sum(kernel, a, b) / m**2
+            total += _offdiag_sum(gram(kernel, a, b)) / m**2
     for b in xg:
-        total -= 2.0 * _offdiag_gram_sum(kernel, X, b) / m
+        total -= 2.0 * _offdiag_sum(gram(kernel, X, b)) / m
     return total / (n * (n - 1))
 
 
@@ -150,9 +140,9 @@ def equivariant_shortcut_stat(X, g_batches, kernel):
     if n < 2:
         raise SampleTooSmall("the invariance statistic needs at least two points")
     m = len(g_batches)
-    total = _offdiag_gram_sum(kernel, X, X)
+    total = _offdiag_sum(gram(kernel, X))
     for b in g_batches:
-        total -= _offdiag_gram_sum(kernel, X, b.apply(X)) / m
+        total -= _offdiag_sum(gram(kernel, X, b.apply(X))) / m
     return total / (n * (n - 1))
 
 

@@ -11,7 +11,7 @@ fixed-direction projection), plus a toy particle-collision labelling model.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,13 +8,19 @@ import sys
 import pytest
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_python(*argv):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 def run_cli(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "symtest.cli", *argv],
-        capture_output=True, text=True,
-    )
+    return run_python("-m", "symtest.cli", *argv)
 
 
 def write_config(tmp_path, name="cfg.json", **fields):
@@ -159,6 +165,14 @@ class TestTuneCommand:
         cfg.write_text(json.dumps({"grids": {"kernel": [1.0]}}))
         res = run_cli("tune", "--config", str(cfg))
         assert res.returncode == 2
+
+
+class TestImport:
+    def test_import_loads_no_scipy(self):
+        res = run_python("-c", "import sys, symtest; print(sorted(m for m in "
+                         "sys.modules if m.startswith('scipy')))")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
 
 
 class TestVersion:

@@ -85,6 +85,17 @@ class TestTransformResponses:
         with pytest.raises(BadParameters):
             transform_responses(np.zeros((4, 2)), np.zeros((5, 2)), so(2))
 
+    def test_non_finite_values_raise(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(6, 3))
+        Y = rng.normal(size=(6, 3))
+        Y[2, 0] = np.inf
+        with pytest.raises(BadParameters):
+            transform_responses(X, Y, so(3))
+        X[1, 1] = np.nan
+        with pytest.raises(BadParameters):
+            transform_responses(X, rng.normal(size=(6, 3)), so(3))
+
 
 class TestKciStatistic:
     def test_matches_naive_construction(self):
@@ -161,6 +172,16 @@ class TestKciTest:
         Y = X[:, 0] + 0.1 * rng.normal(size=80)
         res = kci_test(X, Y, so(2), CFG, rng=rng, y_action="trivial")
         assert res.p_value <= 0.05
+
+    def test_statistic_above_every_null_draw(self):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(80, 2))
+        Y = X[:, 0] + 0.1 * rng.normal(size=80)
+        data = transform_responses(X, Y, so(2), y_action="trivial")
+        cfg = KciConfig(CFG.kernel_x, CFG.kernel_y, CFG.kernel_m, null_samples=99)
+        res = kci_test_data(data, cfg, rng=rng)
+        assert res.statistic > res.null_stats.max()
+        assert res.p_value == 1.0 / 100.0
 
     def test_too_small(self):
         data = make_paired(n=12, seed=14)

@@ -26,13 +26,19 @@ from symtest.errors import (
     BadParameters,
     DimensionMismatch,
     InvalidRotation,
-    NonCompactGroup,
     UnsupportedFamily,
     UnsupportedKind,
     VariantMismatch,
     ZeroVector,
 )
-from symtest.groups import GroupSpec, element_apply, haar_rotations, sample_batch
+from symtest.groups import (
+    GroupSpec,
+    element_apply,
+    gamma_batch,
+    haar_rotations,
+    sample_batch,
+    tau_batch,
+)
 
 
 def rot2(theta):
@@ -142,11 +148,6 @@ class TestSpecs:
             GroupSpec("rot-discrete", 3, step_deg=24.0)  # missing axis
         with pytest.raises(UnsupportedFamily):
             GroupSpec("dihedral", 2)
-
-    def test_lorentz_is_not_sampleable(self):
-        spec = GroupSpec("lorentz", 4)
-        with pytest.raises(NonCompactGroup):
-            sample_haar(spec, np.random.default_rng(0), 1)
 
 
 class TestHaar:
@@ -325,6 +326,35 @@ class TestOrbits:
         np.testing.assert_allclose(
             g.matrix, representative_inversion(so(2), x).matrix, atol=1e-12
         )
+
+
+class TestBatchOrbits:
+    SPECS = [so(2), so(5), sym(6), paired_so2(), so2xso2()]
+    IDS = ["so2", "so5", "sym6", "paired-so2", "so2xso2"]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
+    def test_tau_inverts_gamma(self, spec):
+        X = np.random.default_rng(20).standard_normal((500, spec.dim))
+        if spec.family == "so":  # rows on the negative and positive e1 axis
+            X[:2, 1:] = 0.0
+            X[:2, 0] = [-2.0, 3.0]
+        tau = tau_batch(spec, X)
+        np.testing.assert_allclose(tau.apply(gamma_batch(spec, X)), X, atol=1e-12)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
+    def test_apply_inverse_undoes_apply(self, spec):
+        rng = np.random.default_rng(21)
+        tau = tau_batch(spec, rng.standard_normal((500, spec.dim)))
+        Y = rng.standard_normal((500, spec.dim))
+        np.testing.assert_allclose(tau.apply_inverse(tau.apply(Y)), Y, atol=1e-12)
+
+    @pytest.mark.parametrize("spec", [so(2), so(5), paired_so2(), so2xso2()],
+                             ids=["so2", "so5", "paired-so2", "so2xso2"])
+    def test_zero_row_in_batch_raises(self, spec):
+        X = np.random.default_rng(22).standard_normal((6, spec.dim))
+        X[4] = 0.0
+        with pytest.raises(ZeroVector):
+            tau_batch(spec, X)
 
 
 class TestMaximalInvariants:

@@ -68,6 +68,10 @@ class TestConfig:
             tiny_config(generator="nope(d=2)")
         with pytest.raises(ConfigInvalid):
             tiny_config(y_action="flip")
+        with pytest.raises(ConfigInvalid):
+            tiny_config(n=True, B=True)
+        with pytest.raises(ConfigInvalid):
+            tiny_config(reps=False)
 
     def test_generator_xor_data(self):
         with pytest.raises(ConfigInvalid):

@@ -6,6 +6,7 @@ from scipy.stats import ks_2samp
 
 from symtest import (
     BadMonteCarloBudget,
+    mmd_u,
     BadParameters,
     GaussianRBF,
     PowerEstimate,
@@ -22,7 +23,7 @@ from symtest import (
     transformation_two_sample_test,
     two_sample_mmd_test,
 )
-from symtest.groups import paired_so2, so, sym
+from symtest.groups import haar_rotations, inversion_kernel_batch, paired_so2, so, sym
 from symtest.kernels import RotationKernelSO3
 
 
@@ -171,10 +172,36 @@ class TestMcInvariance:
         X = rng.normal(size=(10, 2))
         with pytest.raises(BadMonteCarloBudget):
             mc_invariance_test(X, so(2), KERNEL, B=0, rng=rng)
+        with pytest.raises(BadMonteCarloBudget):
+            mc_invariance_test(X, so(2), KERNEL, B=True, rng=rng)
         with pytest.raises(BadParameters):
             mc_invariance_test(X, so(2), KERNEL, B=9, alpha=1.5, rng=rng)
         with pytest.raises(BadParameters):
             mc_invariance_test(X, so(2), KERNEL, B=9, statistic="nope", rng=rng)
+
+
+class TestNonFiniteInput:
+    @staticmethod
+    def sample_with_nan():
+        X = np.random.default_rng(24).normal(size=(50, 4))
+        X[3, 1] = np.nan
+        return X
+
+    def test_mc_invariance_test(self):
+        with pytest.raises(BadParameters):
+            mc_invariance_test(self.sample_with_nan(), so(4), KERNEL, B=19,
+                               rng=np.random.default_rng(0))
+
+    def test_inversion_mc_test(self):
+        with pytest.raises(BadParameters):
+            inversion_mc_test(self.sample_with_nan(), so(4), KERNEL, B=19,
+                              rng=np.random.default_rng(0))
+
+    def test_two_sample_mmd_test(self):
+        X = self.sample_with_nan()
+        with pytest.raises(BadParameters):
+            two_sample_mmd_test(np.nan_to_num(X), X, KERNEL, B=19,
+                                rng=np.random.default_rng(0))
 
 
 class TestTwoSample:
@@ -237,6 +264,18 @@ class TestInversion:
         X = rng.normal(size=(10, 3))
         with pytest.raises(BadMonteCarloBudget):
             inversion_mc_test(X, so(3), RotationKernelSO3(), B=0, rng=rng)
+
+    def test_observed_statistic_is_mmd_u(self):
+        # the reference sample's within term is computed once per test
+        X = np.random.default_rng(25).normal(size=(40, 3))
+        kernel = RotationKernelSO3()
+        rng = np.random.default_rng(26)
+        tau = inversion_kernel_batch(so(3), X, rng).data
+        ref = haar_rotations(3, 40, rng)
+        res = inversion_mc_test(X, so(3), kernel, B=9, rng=np.random.default_rng(26))
+        assert res.statistic == pytest.approx(
+            mmd_u(tau, ref, kernel).value, rel=1e-12, abs=1e-12
+        )
 
 
 class TestPower:

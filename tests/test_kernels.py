@@ -171,6 +171,16 @@ class TestMedianHeuristic:
         with pytest.raises(SampleTooSmall):
             median_heuristic(np.ones((1, 2)))
 
+    def test_mostly_duplicate_float_rows(self):
+        # 18 copies of one non-integer row and 2 others: 153 of the 190
+        # pairwise distances are exactly zero, so the median is zero
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            rows = rng.normal(size=(3, 4)) * 10.0 ** rng.uniform(-3, 3)
+            X = rows[np.r_[np.zeros(18, dtype=int), 1, 2]]
+            with pytest.raises(AllPointsIdentical):
+                median_heuristic(X[rng.permutation(20)])
+
 
 class TestCenter:
     def test_rows_and_columns_sum_to_zero(self):
