@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedKind,
 )
 from .groups import default_invariant_kind, invariant_batch, tau_batch
-from .invariance import TestResult, _check_finite, pvalue_from_nulls
+from .invariance import TestResult, _check_finite, _require_rng, pvalue_from_nulls
 from .kernels import GaussianRBF, _as_points, _rbf_exponent, center, gram
 
 
@@ -129,27 +129,22 @@ _EIG_TRUNC = 1e-10
 def kci_null_samples(data, config, rng, n_samples=None):
     """Spectral Monte Carlo draws approximating the null law of the statistic.
 
-    Eigenvalues of the two conditioned matrices are combined with independent
-    chi-square(1) weights: T_b = (1/n^2) sum_{i,j} lam_i mu_j z_ij^2.  Under
-    conditional independence the eigenbases are in random relation, so each
-    squared eigenvector inner product behaves like z^2 / n, which this
-    reproduces in distribution.
+    With A and B the two conditioned matrices, write A = psi psi^T and
+    B = phi phi^T and let W have rows w_t = psi_t (x) phi_t; then
+    W W^T = A o B, the elementwise product, which is PSD by the Schur product
+    theorem.  Under conditional independence the statistic is asymptotically
+    (1/n) sum_k g_k z_k^2 with g the eigenvalues of A o B and z_k i.i.d.
+    standard normal (Zhang, Peters, Janzing & Schoelkopf 2011, Prop. 5).
+    Each draw therefore takes n chi-square(1) variables.
     """
     if n_samples is None:
         n_samples = config.null_samples
     a, b = _kci_matrices(data, config)
     n = a.shape[0]
-    lam = _trimmed_eigs(a)
-    mu = _trimmed_eigs(b)
-    if lam.size == 0 or mu.size == 0:
+    g = _trimmed_eigs(a * b)
+    if g.size == 0:
         return np.zeros(n_samples)
-    out = np.empty(n_samples)
-    chunk = max(1, int(2e6 / max(1, lam.size * mu.size)))
-    for start in range(0, n_samples, chunk):
-        stop = min(start + chunk, n_samples)
-        z2 = rng.standard_normal((stop - start, lam.size, mu.size)) ** 2
-        out[start:stop] = np.einsum("i,j,bij->b", lam, mu, z2) / n**2
-    return out
+    return (rng.standard_normal((n_samples, g.size)) ** 2) @ g / n
 
 
 def _trimmed_eigs(mat):
@@ -164,6 +159,8 @@ def kci_test_data(data, config, alpha=0.05, rng=None, seed=None):
     """Kernel conditional independence test on a prepared paired dataset."""
     if data.X.shape[0] < 2:
         raise SampleTooSmall("need at least two observations")
+    _check_finite(data.X, data.Z, data.M)
+    _require_rng(rng)
     t_obs = kci_statistic(data, config)
     nulls = kci_null_samples(data, config, rng)
     p = pvalue_from_nulls(t_obs, nulls)
@@ -216,18 +213,24 @@ def kcde_swap_odds(data, config, i, j, assignment=None):
 
 
 def _chain_sweeps(ls, pi, n_sweeps, rng):
-    """Run pairwise swap sweeps of the conditional permutation chain."""
+    """Run pairwise swap sweeps of the conditional permutation chain.
+
+    The pairs of one sweep are disjoint, so every swap decision of the sweep
+    reads ``pi`` as it stood before the sweep, and all are made at once.
+    """
     n = ls.shape[0]
     pi = pi.copy()
     half = n // 2
     for _ in range(n_sweeps):
-        order = rng.permutation(n)[: 2 * half].reshape(half, 2)
+        order = rng.permutation(n)[: 2 * half]
+        i, j = order[0::2], order[1::2]
         u = rng.uniform(size=half)
-        for (i, j), uu in zip(order, u):
-            log_odds = ls[pi[j], i] + ls[pi[i], j] - ls[pi[i], i] - ls[pi[j], j]
-            # accept with probability odds / (1 + odds)
-            if np.log(uu / (1.0 - uu)) < log_odds:
-                pi[i], pi[j] = pi[j], pi[i]
+        pi_i, pi_j = pi[i], pi[j]
+        log_odds = ls[pi_j, i] + ls[pi_i, j] - ls[pi_i, i] - ls[pi_j, j]
+        # accept with probability odds / (1 + odds)
+        swap = np.log(u / (1.0 - u)) < log_odds
+        pi[i[swap]] = pi_j[swap]
+        pi[j[swap]] = pi_i[swap]
     return pi
 
 
@@ -275,6 +278,7 @@ def cp_test(X, Y, spec, config, alpha=0.05, burn_in=50, B=100, rng=None,
     """
     if B < 1 or burn_in < 1:
         raise BadMonteCarloBudget("burn-in and B must be positive")
+    _require_rng(rng)
     data = transform_responses(X, Y, spec, y_action, m_kind)
     n = data.X.shape[0]
     if n < 4:

@@ -32,6 +32,7 @@ from .groups import (
     inversion_kernel_batch,
     sample_batch,
     sample_haar,
+    trivial,
 )
 from .kernels import RotationKernelSO3
 from .mmd import (
@@ -79,6 +80,12 @@ def _check_finite(*arrays):
         raise BadParameters("the sample holds NaN or infinite values")
 
 
+def _require_rng(rng):
+    """Raise BadParameters unless a random generator was passed."""
+    if rng is None:
+        raise BadParameters("a numpy random Generator must be passed as rng")
+
+
 def _check_budget(B):
     if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 1:
         raise BadMonteCarloBudget("the Monte Carlo budget B must be a positive integer")
@@ -103,6 +110,7 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
         raise SampleTooSmall("need at least two observations")
     _check_finite(X)
     _check_budget(B)
+    _require_rng(rng)
     if not 0 < alpha < 1:
         raise BadParameters("alpha must lie in (0, 1)")
 
@@ -146,6 +154,8 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
         n_tr = n_stat_transforms if n_stat_transforms is not None else m
         if j < 1:
             raise BadProjectionCount("need at least one projection direction")
+        if spec.family == "trivial" and not spec.dim:
+            spec = trivial(X.shape[1])
 
         def make_aux():
             dirs = _random_directions(j, X.shape[1], rng)
@@ -240,6 +250,7 @@ def two_sample_mmd_test(X, Y, kernel, B=200, alpha=0.05, rng=None, seed=None):
     if n1 < 2 or n2 < 2:
         raise SampleTooSmall("both samples need at least two points")
     _check_finite(X, Y)
+    _require_rng(rng)
     if B < 0:
         raise BadMonteCarloBudget("B must be nonnegative")
     t_obs = mmd_u(X, Y, kernel).value
@@ -262,6 +273,7 @@ def transformation_two_sample_test(X, spec, kernel, B=200, alpha=0.05, rng=None,
     checked by the bootstrap two-sample MMD test.
     """
     X = np.asarray(X, dtype=float)
+    _require_rng(rng)
     gb = sample_batch(spec, rng, X.shape[0])
     res = two_sample_mmd_test(X, gb.apply(X), kernel, B, alpha, rng, seed)
     res.method = "transformation-two-sample-mmd"
@@ -289,6 +301,7 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None, seed=None):
         raise SampleTooSmall("need at least two observations")
     _check_finite(X)
     _check_budget(B)
+    _require_rng(rng)
     if spec.family == "so":
         if isinstance(kernel, RotationKernelSO3) and spec.dim != 3:
             raise UnsupportedFamily("the rotation kernel is defined on SO(3)")
@@ -372,6 +385,7 @@ def power_estimate(X, spec, kernel=None, m=2, B=200, n_resamples=50,
     n = X.shape[0]
     if n_resamples < 1:
         raise BadMonteCarloBudget("need at least one bootstrap resample")
+    _require_rng(rng)
     betas = np.empty(n_resamples)
     p_nulls = np.empty(n_resamples)
     for c in range(n_resamples):

@@ -334,6 +334,17 @@ class TestConditionalTests:
         assert h1.rejection_rate >= 0.60
 
 
+class TestKciDefaultBandwidths:
+    def test_size_and_power_at_median_bandwidths(self):
+        base = dict(method="kci", group="so(3)", n=64, reps=300)
+        h0 = simulate(**base, generator="cond-shift(d=3)", seed=118)
+        h1 = simulate(**base, generator="cond-abs(d=3)", seed=119)
+        print(f"[kci median bandwidths] h0={h0.rejection_rate:.4f} "
+              f"h1={h1.rejection_rate:.4f}")
+        assert h0.rejection_rate <= 0.08
+        assert h1.rejection_rate >= 0.9
+
+
 class TestProjectedEcdfRates:
     def test_size_and_power(self):
         h0 = simulate(

@@ -20,9 +20,16 @@ from symtest import (
     multiple_correlation_statistic,
     transform_responses,
 )
-from symtest.condsym import _chain_sweeps, _log_joint_sums, kci_null_samples
+from symtest.condsym import (
+    _chain_sweeps,
+    _kci_matrices,
+    _log_joint_sums,
+    _trimmed_eigs,
+    kci_null_samples,
+)
 from symtest.groups import act, representative_inversion, so, sym
-from symtest.kernels import center, eval_kernel, gram
+from symtest.kernels import center, eval_kernel, gram, resolve_bandwidth
+from symtest.synthdata import parse_generator, sample
 
 
 CFG = KciConfig(GaussianRBF(1.0), GaussianRBF(1.0), GaussianRBF(1.0))
@@ -131,14 +138,29 @@ class TestKciNull:
         b = kci_null_samples(data, CFG, np.random.default_rng(42), 50)
         assert np.array_equal(a, b)
 
-    def test_mean_matches_eigenvalue_product(self):
-        # E T_b = (1/n^2) (sum lam)(sum mu) since E z^2 = 1
-        from symtest.condsym import _kci_matrices, _trimmed_eigs
-
+    def test_weights_are_the_spectrum_of_w(self):
+        # Zhang et al. (2011), Prop. 5: with A = psi psi^T, B = phi phi^T and
+        # row t of W equal to psi_t (x) phi_t, the null weights are the
+        # nonzero eigenvalues of W^T W, which are those of A o B
         data = make_paired(n=10, seed=9)
         a, b = _kci_matrices(data, CFG)
-        lam, mu = _trimmed_eigs(a), _trimmed_eigs(b)
-        expect = lam.sum() * mu.sum() / 100.0
+
+        def factor(mat):
+            vals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
+            keep = vals > 1e-12 * vals.max()
+            return vecs[:, keep] * np.sqrt(vals[keep])
+
+        psi, phi = factor(a), factor(b)
+        w = np.einsum("ti,tj->tij", psi, phi).reshape(10, -1)
+        from_w = np.linalg.eigvalsh(w.T @ w)
+        from_w = np.sort(from_w[from_w > 1e-10 * from_w.max()])
+        assert np.allclose(from_w, _trimmed_eigs(a * b), rtol=0, atol=1e-10)
+
+    def test_mean_matches_hadamard_trace(self):
+        # E T_b = (1/n) Tr(A o B) since E z^2 = 1
+        data = make_paired(n=10, seed=9)
+        a, b = _kci_matrices(data, CFG)
+        expect = np.trace(a * b) / 10.0
         draws = kci_null_samples(data, CFG, np.random.default_rng(0), 40000)
         assert draws.mean() == pytest.approx(expect, rel=0.05)
 
@@ -190,6 +212,12 @@ class TestKciTest:
         )
         with pytest.raises(SampleTooSmall):
             kci_test_data(tiny, CFG, rng=np.random.default_rng(0))
+
+    def test_non_finite_prepared_data_raises(self):
+        data = make_paired(n=12, seed=14)
+        data.Z[4, 1] = np.nan
+        with pytest.raises(BadParameters):
+            kci_test_data(data, CFG, rng=np.random.default_rng(0))
 
     def test_config_validation(self):
         with pytest.raises(BadParameters):
@@ -248,6 +276,42 @@ class TestChain:
         a = _chain_sweeps(ls, np.arange(11), 10, np.random.default_rng(3))
         b = _chain_sweeps(ls, np.arange(11), 10, np.random.default_rng(3))
         assert np.array_equal(a, b)
+
+
+def _reference_sweeps(ls, pi, n_sweeps, rng):
+    """The chain with one swap decision at a time, in pair order."""
+    n = ls.shape[0]
+    pi = pi.copy()
+    half = n // 2
+    for _ in range(n_sweeps):
+        order = rng.permutation(n)[: 2 * half].reshape(half, 2)
+        u = rng.uniform(size=half)
+        for (i, j), uu in zip(order, u):
+            log_odds = ls[pi[j], i] + ls[pi[i], j] - ls[pi[i], i] - ls[pi[j], j]
+            if np.log(uu / (1.0 - uu)) < log_odds:
+                pi[i], pi[j] = pi[j], pi[i]
+    return pi
+
+
+class TestChainMatchesReference:
+    @pytest.mark.parametrize("tag", ["cond-shift", "cond-abs"])
+    def test_identical_permutations(self, tag):
+        gen = parse_generator(f"{tag}(d=3)")
+        for seed in range(25):
+            rng = np.random.default_rng([seed, 31])
+            n = (4, 5, 11, 64)[seed % 4]
+            X, Y = sample(gen, n, rng)
+            data = transform_responses(X, Y, so(3))
+            cfg = KciConfig(
+                resolve_bandwidth(GaussianRBF(None), data.X),
+                resolve_bandwidth(GaussianRBF(None), data.Z),
+                resolve_bandwidth(GaussianRBF(None), data.M),
+            )
+            ls = _log_joint_sums(data, cfg)
+            start = rng.permutation(n)
+            got = _chain_sweeps(ls, start, 20, np.random.default_rng(seed))
+            want = _reference_sweeps(ls, start, 20, np.random.default_rng(seed))
+            assert np.array_equal(got, want), (tag, seed, n)
 
 
 class TestMultipleCorrelation:

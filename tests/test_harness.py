@@ -117,6 +117,10 @@ class TestSimulation:
         rep = run_simulation(cfg)
         assert len(rep.pvalues) == 4
 
+    def test_cw_with_dimensionless_trivial_group(self):
+        cfg = tiny_config(method="cw", group="trivial", n=20)
+        assert run_replication(cfg, 0).p_value == 1.0
+
     def test_file_backed_simulation(self):
         cfg = tiny_config(
             generator=None, data=os.path.join(FIXTURES, "dijet.csv"),

@@ -9,12 +9,15 @@ from symtest import (
     mmd_u,
     BadParameters,
     GaussianRBF,
+    KciConfig,
     PowerEstimate,
     UnsupportedFamily,
     conditional_power_binomial,
+    cp_test,
     cw_statistic,
     cw_test,
     inversion_mc_test,
+    kci_test,
     ks_distance,
     mc_invariance_test,
     power_estimate,
@@ -23,7 +26,14 @@ from symtest import (
     transformation_two_sample_test,
     two_sample_mmd_test,
 )
-from symtest.groups import haar_rotations, inversion_kernel_batch, paired_so2, so, sym
+from symtest.groups import (
+    haar_rotations,
+    inversion_kernel_batch,
+    paired_so2,
+    so,
+    sym,
+    trivial,
+)
 from symtest.kernels import RotationKernelSO3
 
 
@@ -167,6 +177,15 @@ class TestMcInvariance:
         res = cw_test(X, so(2), B=99, rng=rng)
         assert res.p_value <= 0.05
 
+    def test_cw_on_dimensionless_trivial_group(self):
+        # trivial() means "any dimension"; the cw statistic's transforms
+        # take theirs from the sample, and identity copies give p = 1
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(20, 2))
+        res = cw_test(X, trivial(), B=9, rng=rng)
+        assert res.statistic == 0.0
+        assert res.p_value == 1.0
+
     def test_budget_and_alpha_validation(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(10, 2))
@@ -178,6 +197,28 @@ class TestMcInvariance:
             mc_invariance_test(X, so(2), KERNEL, B=9, alpha=1.5, rng=rng)
         with pytest.raises(BadParameters):
             mc_invariance_test(X, so(2), KERNEL, B=9, statistic="nope", rng=rng)
+
+
+_KCI_CFG = KciConfig(KERNEL, KERNEL, KERNEL)
+
+
+class TestRngRequired:
+    @pytest.mark.parametrize("call", [
+        lambda X, Y: mc_invariance_test(X, so(2), KERNEL, B=9),
+        lambda X, Y: kci_test(X, Y, so(2), _KCI_CFG),
+        lambda X, Y: cp_test(X, Y, so(2), _KCI_CFG, burn_in=2, B=9),
+        lambda X, Y: inversion_mc_test(X, so(2), KERNEL, B=9),
+        lambda X, Y: two_sample_mmd_test(X, Y, KERNEL, B=9),
+        lambda X, Y: transformation_two_sample_test(X, so(2), KERNEL, B=9),
+        lambda X, Y: power_estimate(X, so(2), KERNEL, B=9, n_resamples=2),
+    ], ids=["mc_invariance_test", "kci_test", "cp_test", "inversion_mc_test",
+            "two_sample_mmd_test", "transformation_two_sample_test",
+            "power_estimate"])
+    def test_missing_rng_raises(self, call):
+        rng = np.random.default_rng(25)
+        X, Y = rng.normal(size=(20, 2)), rng.normal(size=(20, 2))
+        with pytest.raises(BadParameters, match="rng"):
+            call(X, Y)
 
 
 class TestNonFiniteInput:
