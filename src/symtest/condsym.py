@@ -25,9 +25,12 @@ from .errors import (
     RankDeficientDesign,
     SampleTooSmall,
     UnsupportedKind,
+    _check_budget,
+    _check_finite,
+    _require_rng,
 )
 from .groups import default_invariant_kind, invariant_batch, tau_batch
-from .invariance import TestResult, _check_finite, _require_rng, pvalue_from_nulls
+from .invariance import TestResult, pvalue_from_nulls
 from .kernels import GaussianRBF, _as_points, _rbf_exponent, center, gram
 
 
@@ -276,8 +279,8 @@ def cp_test(X, Y, spec, config, alpha=0.05, burn_in=50, B=100, rng=None,
     sweeps each supply one permuted copy.  The observed statistic is ranked
     among the permuted ones.
     """
-    if B < 1 or burn_in < 1:
-        raise BadMonteCarloBudget("burn-in and B must be positive")
+    _check_budget(B)
+    _check_budget(burn_in, "burn_in")
     _require_rng(rng)
     data = transform_responses(X, Y, spec, y_action, m_kind)
     n = data.X.shape[0]
@@ -292,5 +295,5 @@ def cp_test(X, Y, spec, config, alpha=0.05, burn_in=50, B=100, rng=None,
     for b in range(B):
         pi_b = _chain_sweeps(ls, pi0, burn_in, rng)
         nulls[b] = statistic(data.X, data.Z[pi_b], data.M)
-    p = (1.0 + float(np.sum(t_obs <= nulls))) / (1.0 + B)
+    p = pvalue_from_nulls(t_obs, nulls)
     return TestResult(t_obs, p, nulls, alpha, p <= alpha, "cp", seed)

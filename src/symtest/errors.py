@@ -3,8 +3,11 @@
 Every error raised deliberately by this package derives from SymtestError,
 so callers can catch the whole family with one clause.  Configuration and
 data-file problems carry their own subclasses because the command line
-interface maps them to distinct exit codes.
+interface maps them to distinct exit codes.  The input checks shared by the
+statistics and the tests live here too, so every module can import them.
 """
+
+import numpy as np
 
 
 class SymtestError(Exception):
@@ -118,3 +121,27 @@ class RangeError(SymtestError):
 
 class IoError(SymtestError):
     """Reading or writing a report failed."""
+
+
+# ---------------------------------------------------------------------------
+# input checks
+
+
+def _check_finite(*arrays):
+    """Raise BadParameters unless every entry of the arrays is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise BadParameters("the sample holds NaN or infinite values")
+
+
+def _require_rng(rng):
+    """Raise BadParameters unless a random generator was passed."""
+    if rng is None:
+        raise BadParameters("a numpy random Generator must be passed as rng")
+
+
+def _check_budget(B, name="B"):
+    """Raise BadMonteCarloBudget unless B is a positive integer (not a bool)."""
+    if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 1:
+        raise BadMonteCarloBudget(
+            f"the Monte Carlo budget {name} must be a positive integer"
+        )

@@ -6,17 +6,17 @@ product constructions on R^4 (a pair of planes rotated by the same SO(2)
 element, and two independently rotated planes), finite cyclic rotation
 groups, and the trivial group.  For each family the module offers
 
-* element algebra (``compose``, ``inverse``, ``act``),
-* uniform (Haar) sampling,
+* uniform (Haar) sampling into a ``TransformBatch``, the one representation
+  of group elements: one element per row, applied to a whole sample at once,
 * orbit machinery: an orbit selector ``gamma`` picking one point per orbit,
-  a representative inversion ``tau`` with ``act(tau(x), gamma(x)) == x``,
+  a representative inversion ``tau`` that carries ``gamma(x)`` back to ``x``,
   a sampler for the conditional distribution of the inverting element when
   the action has stabilisers, and several maximal invariants.  Each works
   on a whole (n, d) sample at once (``gamma_batch``, ``tau_batch``,
   ``inversion_kernel_batch``, ``invariant_batch``); the per-point functions
   wrap them.
 
-Rotations are stored as matrices, permutations as index arrays where entry
+A batch stores rotations as matrices, permutations as index arrays where entry
 ``p[i]`` is the image of position ``i``; the action places coordinate ``i``
 of the input at coordinate ``p[i]`` of the output.
 """
@@ -31,162 +31,19 @@ import numpy as np
 from .errors import (
     BadParameters,
     DimensionMismatch,
-    InvalidRotation,
     UnsupportedFamily,
     UnsupportedKind,
     VariantMismatch,
     ZeroVector,
 )
 
-_ORTHO_TOL = 1e-9
 _ZERO_TOL = 1e-12
 
 FAMILIES = ("so", "sym", "paired-so2", "so2xso2", "rot-discrete", "trivial")
 
 
 # ---------------------------------------------------------------------------
-# group elements
-
-
-@dataclass(frozen=True)
-class Rotation:
-    """An element of SO(d), stored as its matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidRotation("rotation matrix must be square")
-        if np.max(np.abs(m.T @ m - np.eye(m.shape[0]))) > _ORTHO_TOL:
-            raise InvalidRotation("matrix is not orthogonal")
-        if np.linalg.det(m) < 0:
-            raise InvalidRotation("matrix has negative determinant")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """An element of S_d; ``index[i]`` is the image of position ``i``."""
-
-    index: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.index, dtype=np.intp)
-        if p.ndim != 1:
-            raise BadParameters("permutation index must be one-dimensional")
-        if not np.array_equal(np.sort(p), np.arange(p.size)):
-            raise BadParameters("permutation index is not a bijection")
-        object.__setattr__(self, "index", p)
-
-    @property
-    def dim(self):
-        return self.index.size
-
-
-@dataclass(frozen=True)
-class ProductElement:
-    """A tuple of elements acting blockwise on a partitioned vector."""
-
-    parts: tuple
-    blocks: tuple  # tuple of tuples of coordinate indices
-
-    def __post_init__(self):
-        if len(self.parts) != len(self.blocks):
-            raise VariantMismatch("one factor element per block required")
-        for g, blk in zip(self.parts, self.blocks):
-            if g.dim != len(blk):
-                raise DimensionMismatch("factor dimension does not match its block")
-
-    @property
-    def dim(self):
-        return sum(len(b) for b in self.blocks)
-
-
-def compose(g, h):
-    """Group product g*h (apply h first, then g)."""
-    if isinstance(g, Rotation) and isinstance(h, Rotation):
-        if g.dim != h.dim:
-            raise DimensionMismatch("rotations act on different dimensions")
-        return Rotation(g.matrix @ h.matrix)
-    if isinstance(g, Permutation) and isinstance(h, Permutation):
-        if g.dim != h.dim:
-            raise DimensionMismatch("permutations act on different dimensions")
-        return Permutation(g.index[h.index])
-    if isinstance(g, ProductElement) and isinstance(h, ProductElement):
-        if g.blocks != h.blocks:
-            raise VariantMismatch("product elements over different block structures")
-        return ProductElement(
-            tuple(compose(a, b) for a, b in zip(g.parts, h.parts)), g.blocks
-        )
-    raise VariantMismatch(
-        f"cannot compose {type(g).__name__} with {type(h).__name__}"
-    )
-
-
-def inverse(g):
-    """Group inverse."""
-    if isinstance(g, Rotation):
-        return Rotation(g.matrix.T)
-    if isinstance(g, Permutation):
-        return Permutation(np.argsort(g.index))
-    if isinstance(g, ProductElement):
-        return ProductElement(tuple(inverse(p) for p in g.parts), g.blocks)
-    raise VariantMismatch(f"unknown element type {type(g).__name__}")
-
-
-def act(g, x):
-    """Apply a group element to a point (1-d array of matching dimension)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DimensionMismatch("act expects a single point as a 1-d array")
-    if x.size != g.dim:
-        raise DimensionMismatch(
-            f"element of dimension {g.dim} applied to point of size {x.size}"
-        )
-    if isinstance(g, Rotation):
-        return g.matrix @ x
-    if isinstance(g, Permutation):
-        out = np.empty_like(x)
-        out[g.index] = x
-        return out
-    if isinstance(g, ProductElement):
-        out = np.empty_like(x)
-        for part, blk in zip(g.parts, g.blocks):
-            out[list(blk)] = act(part, x[list(blk)])
-        return out
-    raise VariantMismatch(f"unknown element type {type(g).__name__}")
-
-
-def element_apply(g, X):
-    """Apply one group element to every row of an (n, d) sample."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != g.dim:
-        raise DimensionMismatch("sample shape does not match element dimension")
-    if isinstance(g, Rotation):
-        return X @ g.matrix.T
-    if isinstance(g, Permutation):
-        out = np.empty_like(X)
-        out[:, g.index] = X
-        return out
-    if isinstance(g, ProductElement):
-        out = np.empty_like(X)
-        for part, blk in zip(g.parts, g.blocks):
-            idx = list(blk)
-            out[:, idx] = element_apply(part, X[:, idx])
-        return out
-    raise VariantMismatch(f"unknown element type {type(g).__name__}")
-
-
-# ---------------------------------------------------------------------------
 # group specifications
-
-
-_PAIR_BLOCKS = ((0, 1), (2, 3))
 
 
 @dataclass(frozen=True)
@@ -223,12 +80,6 @@ class GroupSpec:
                 raise BadParameters("step angle must divide 360 degrees")
             if self.dim == 3 and self.axis not in (1, 2, 3):
                 raise BadParameters("a rotation axis in {1, 2, 3} is required in R^3")
-
-    @property
-    def blocks(self):
-        if self.family in ("paired-so2", "so2xso2"):
-            return _PAIR_BLOCKS
-        return None
 
 
 def so(d):
@@ -282,19 +133,6 @@ def parse_group(text):
     raise UnsupportedFamily(f"unrecognised group descriptor {text!r}")
 
 
-def identity(spec, d=None):
-    """The identity element of a group, as a concrete element."""
-    d = spec.dim if spec.dim else d
-    if d is None:
-        raise DimensionMismatch("dimension required for the trivial group identity")
-    if spec.family == "sym":
-        return Permutation(np.arange(d))
-    if spec.family in ("paired-so2", "so2xso2"):
-        eye2 = Rotation(np.eye(2))
-        return ProductElement((eye2, eye2), _PAIR_BLOCKS)
-    return Rotation(np.eye(d))
-
-
 # ---------------------------------------------------------------------------
 # Haar sampling
 
@@ -321,7 +159,7 @@ def _rot2(theta):
 
 
 def _axis_rotation(theta, d, axis):
-    """Rotation by ``theta`` in the plane orthogonal to coordinate ``axis``.
+    """The rotation by ``theta`` in the plane orthogonal to coordinate ``axis``.
 
     In d=2 the axis argument is ignored and the rotation is in-plane.
     """
@@ -338,7 +176,8 @@ class TransformBatch:
 
     ``apply(X)`` transforms row ``i`` of an (n, d) sample by element ``i``
     and ``apply_inverse(X)`` by its inverse.  Used wherever a statistic
-    needs independent draws per observation.
+    needs independent draws per observation; ``apply_all(X)`` instead
+    applies every element to the whole sample.
     """
 
     def __init__(self, spec, kind, data, count):
@@ -353,10 +192,20 @@ class TransformBatch:
     def apply_inverse(self, X):
         return self._act(X, -1.0)
 
+    def apply_all(self, X):
+        """Every element applied to every row of X, as a (count, n, d) array."""
+        X = np.asarray(X, dtype=float)
+        n = X.shape[0]
+        data = None if self.data is None else np.repeat(self.data, n, axis=0)
+        rows = TransformBatch(self.spec, self.kind, data, self.count * n)
+        return rows._act(np.tile(X, (self.count, 1)), 1.0).reshape(self.count, n, -1)
+
     def _act(self, X, sign):
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[0] != self.count:
             raise DimensionMismatch("sample rows must match the number of elements")
+        if self.spec.dim and X.shape[1] != self.spec.dim:
+            raise DimensionMismatch("point dimension does not match the group spec")
         if self.kind == "identity":
             return X.copy()
         if self.kind == "rot":
@@ -380,21 +229,6 @@ class TransformBatch:
         if self.kind == "angle-paired":
             return np.stack([self.data, self.data], axis=1)
         return self.data
-
-    def elements(self):
-        """The batch as a list of concrete group elements."""
-        if self.kind == "identity":
-            return [identity(self.spec) for _ in range(self.count)]
-        if self.kind == "rot":
-            return [Rotation(m) for m in self.data]
-        if self.kind == "perm":
-            return [Permutation(p) for p in self.data]
-        if self.kind in ("angle-paired", "angle-blocks"):
-            return [
-                ProductElement((Rotation(_rot2(t1)), Rotation(_rot2(t2))), _PAIR_BLOCKS)
-                for t1, t2 in self._angles()
-            ]
-        raise VariantMismatch(f"unknown batch kind {self.kind!r}")
 
 
 def _rotate_rows(xy, theta):
@@ -423,11 +257,6 @@ def sample_batch(spec, rng, count):
         mats = np.stack([_axis_rotation(t, spec.dim, spec.axis) for t in theta])
         return TransformBatch(spec, "rot", mats, count)
     return TransformBatch(spec, "identity", None, count)  # the trivial family
-
-
-def sample_haar(spec, rng, count=1):
-    """Draw ``count`` independent elements from Haar measure, as a list."""
-    return sample_batch(spec, rng, count).elements()
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +331,7 @@ def gamma_batch(spec, X):
 
 
 def tau_batch(spec, X):
-    """Elements tau(x) with act(tau(x), gamma(x)) == x, one per row of X.
+    """Elements tau(x) with tau(x) gamma(x) == x, one per row of X.
 
     For free actions this is the unique inverting element; it is equivariant,
     tau(g x) == g tau(x), wherever the map is defined and continuous.
@@ -519,7 +348,7 @@ def tau_batch(spec, X):
         angles = [_block_angles(X[:, 0:2]), _block_angles(X[:, 2:4])]
         return TransformBatch(spec, "angle-blocks", np.stack(angles, axis=1), n)
     if spec.family == "trivial":
-        return TransformBatch(trivial(X.shape[1]), "identity", None, n)
+        return TransformBatch(spec, "identity", None, n)
     raise UnsupportedFamily(
         f"no representative inversion for the {spec.family!r} family"
     )
@@ -582,13 +411,13 @@ def orbit_selector(spec, x):
 
 
 def representative_inversion(spec, x):
-    """The element tau(x) of ``tau_batch`` at one point, as a group element."""
-    return tau_batch(spec, _one(x)).elements()[0]
+    """The element tau(x) of ``tau_batch`` at one point, as a one-row batch."""
+    return tau_batch(spec, _one(x))
 
 
 def inversion_kernel_sample(spec, x, rng):
-    """One draw of ``inversion_kernel_batch`` at one point, as a group element."""
-    return inversion_kernel_batch(spec, _one(x), rng).elements()[0]
+    """One draw of ``inversion_kernel_batch`` at one point, as a one-row batch."""
+    return inversion_kernel_batch(spec, _one(x), rng)
 
 
 def maximal_invariant(spec, kind, x):

@@ -25,15 +25,11 @@ from .errors import (
     BadProjectionCount,
     SampleTooSmall,
     UnsupportedFamily,
+    _check_budget,
+    _check_finite,
+    _require_rng,
 )
-from .groups import (
-    element_apply,
-    haar_rotations,
-    inversion_kernel_batch,
-    sample_batch,
-    sample_haar,
-    trivial,
-)
+from .groups import haar_rotations, inversion_kernel_batch, sample_batch
 from .kernels import RotationKernelSO3
 from .mmd import (
     _mean_offdiag,
@@ -72,23 +68,6 @@ def pvalue_from_nulls(t_obs, nulls, rng=None, tie_break=False):
         u = rng.uniform(size=b + 1)
         count = int(np.sum((nulls > t_obs) | ((nulls == t_obs) & (u[1:] >= u[0]))))
     return (1.0 + count) / (1.0 + b)
-
-
-def _check_finite(*arrays):
-    """Raise BadParameters unless every entry of the arrays is finite."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise BadParameters("the sample holds NaN or infinite values")
-
-
-def _require_rng(rng):
-    """Raise BadParameters unless a random generator was passed."""
-    if rng is None:
-        raise BadParameters("a numpy random Generator must be passed as rng")
-
-
-def _check_budget(B):
-    if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 1:
-        raise BadMonteCarloBudget("the Monte Carlo budget B must be a positive integer")
 
 
 def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
@@ -154,12 +133,10 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
         n_tr = n_stat_transforms if n_stat_transforms is not None else m
         if j < 1:
             raise BadProjectionCount("need at least one projection direction")
-        if spec.family == "trivial" and not spec.dim:
-            spec = trivial(X.shape[1])
 
         def make_aux():
             dirs = _random_directions(j, X.shape[1], rng)
-            transforms = sample_haar(spec, rng, n_tr)
+            transforms = sample_batch(spec, rng, n_tr)
             return transforms, dirs
 
         def stat_fn(sample, aux):
@@ -205,20 +182,20 @@ def ks_distance(a, b):
 def cw_statistic(X, transforms, directions):
     """Max over transforms and directions of the projected ECDF distance.
 
-    For each group element g and unit direction t, compares the empirical
-    distribution of t.X with that of t.(gX) by the exact Kolmogorov-Smirnov
-    sup distance, and returns the largest value found.
+    For each group element g of the TransformBatch ``transforms`` and unit
+    direction t, compares the empirical distribution of t.X with that of
+    t.(gX) by the exact Kolmogorov-Smirnov sup distance, and returns the
+    largest value found.
     """
     X = np.asarray(X, dtype=float)
     directions = np.asarray(directions, dtype=float)
     if directions.ndim != 2 or directions.shape[1] != X.shape[1]:
         raise BadProjectionCount("directions must be a (J, d) array")
-    if len(transforms) < 1:
+    if transforms.count < 1:
         raise BadParameters("at least one group element is required")
     proj = X @ directions.T  # n x J
     best = 0.0
-    for g in transforms:
-        proj_g = element_apply(g, X) @ directions.T
+    for proj_g in transforms.apply_all(X) @ directions.T:
         for jj in range(directions.shape[0]):
             best = max(best, ks_distance(proj[:, jj], proj_g[:, jj]))
     return best
@@ -318,7 +295,7 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None, seed=None):
         ref = rng.permuted(base, axis=1).astype(float)
 
         def null_copy():
-            # compose g with each drawn permutation: (g o p)[i] = g[p[i]]
+            # the product of g with each drawn permutation: (g p)[i] = g[p[i]]
             return np.take_along_axis(rng.permuted(base, axis=1), perm, axis=1)
 
     else:

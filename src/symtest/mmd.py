@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLandmarkCount, BadParameters, SampleTooSmall
+from .errors import (
+    BadLandmarkCount,
+    BadParameters,
+    SampleTooSmall,
+    _check_finite,
+    _require_rng,
+)
 from .groups import sample_batch
 from .kernels import gram
 
@@ -50,6 +56,7 @@ def mmd_u(X, Y, kernel):
     n1, n2 = X.shape[0], Y.shape[0]
     if n1 < 2 or n2 < 2:
         raise SampleTooSmall("the U-statistic needs at least two points per sample")
+    _check_finite(X, Y)
     return MmdEstimate(_mmd_u_value(X, Y, kernel, _mean_offdiag(kernel, Y)), "u", n1)
 
 
@@ -60,6 +67,7 @@ def mmd_v(X, Y, kernel):
     n1, n2 = X.shape[0], Y.shape[0]
     if n1 < 1 or n2 < 1:
         raise SampleTooSmall("both samples must be nonempty")
+    _check_finite(X, Y)
     kxx = float(gram(kernel, X).sum()) / n1**2
     kyy = float(gram(kernel, Y).sum()) / n2**2
     kxy = float(gram(kernel, X, Y).sum()) * 2.0 / (n1 * n2)
@@ -120,6 +128,7 @@ def mmd_invariance_u(X, spec, kernel, m=2, rng=None):
     n = X.shape[0]
     if m < 1:
         raise BadParameters("m must be a positive integer")
+    _require_rng(rng)
     g_batches = [sample_batch(spec, rng, n) for _ in range(m)]
     h_batches = [sample_batch(spec, rng, n) for _ in range(m)]
     value = invariance_stat_u(X, g_batches, h_batches, kernel)
@@ -152,6 +161,7 @@ def mmd_equivariant_shortcut(X, spec, kernel, m=2, rng=None):
     n = X.shape[0]
     if m < 1:
         raise BadParameters("m must be a positive integer")
+    _require_rng(rng)
     g_batches = [sample_batch(spec, rng, n) for _ in range(m)]
     value = equivariant_shortcut_stat(X, g_batches, kernel)
     return MmdEstimate(value, "invariance-shortcut", n, m), g_batches
@@ -179,8 +189,10 @@ def nystrom_invariance_stat(X, g_batches, h_batches, kernel, n_landmarks,
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    if not full_landmarks and not 1 <= n_landmarks <= n:
-        raise BadLandmarkCount("landmark count must lie in [1, n]")
+    if not full_landmarks:
+        if not 1 <= n_landmarks <= n:
+            raise BadLandmarkCount("landmark count must lie in [1, n]")
+        _require_rng(rng)
     m = len(g_batches)
     xg = [b.apply(X) for b in g_batches]
     xh = [b.apply(X) for b in h_batches]
@@ -216,6 +228,7 @@ def mmd_nystrom(X, spec, kernel, m=2, n_landmarks=None, rng=None,
         raise SampleTooSmall("the invariance statistic needs at least two points")
     if n_landmarks is None:
         n_landmarks = int(np.ceil(np.sqrt(n)))
+    _require_rng(rng)
     g_batches = [sample_batch(spec, rng, n) for _ in range(m)]
     h_batches = [sample_batch(spec, rng, n) for _ in range(m)]
     value = nystrom_invariance_stat(

@@ -12,6 +12,7 @@ import functools
 
 import numpy as np
 import pytest
+from group_reference import act_each, act_rows
 
 from symtest import (
     DiscreteDelta,
@@ -19,7 +20,6 @@ from symtest import (
     GaussianRBF,
     KciConfig,
     PairedDataset,
-    act,
     cw_statistic,
     eval_kernel,
     invariance_stat_v,
@@ -31,15 +31,12 @@ from symtest import (
     mmd_u,
     mmd_v,
     nystrom_invariance_stat,
-    orbit_selector,
     power_estimate,
-    representative_inversion,
     run_simulation,
     sample_batch,
-    sample_haar,
     tune_bandwidths,
 )
-from symtest.groups import so, sym
+from symtest.groups import gamma_batch, so, sym, tau_batch
 from symtest.kernels import center, gram
 
 
@@ -173,8 +170,8 @@ class TestOracleEquivalence:
         X = rng.normal(size=(5, 3))
         k = self.KERNEL
         est, gb, hb = mmd_invariance_u(X, so(3), k, m=2, rng=rng)
-        ge = [b.elements() for b in gb]
-        he = [b.elements() for b in hb]
+        gx = [act_rows(b, X) for b in gb]
+        hx = [act_rows(b, X) for b in hb]
         total = 0.0
         for i in range(5):
             for j in range(5):
@@ -183,11 +180,9 @@ class TestOracleEquivalence:
                 term = eval_kernel(k, X[i], X[j])
                 for l in range(2):
                     for r in range(2):
-                        term += eval_kernel(
-                            k, act(ge[l][i], X[i]), act(he[r][j], X[j])
-                        ) / 4
+                        term += eval_kernel(k, gx[l][i], hx[r][j]) / 4
                 for l in range(2):
-                    term -= 2 * eval_kernel(k, X[i], act(ge[l][j], X[j])) / 2
+                    term -= 2 * eval_kernel(k, X[i], gx[l][j]) / 2
                 total += term
         assert est.value == pytest.approx(total / 20, rel=1e-12, abs=1e-15)
         print("[oracles] invariance statistic matches naive enumeration")
@@ -195,7 +190,7 @@ class TestOracleEquivalence:
     def test_projected_ecdf_statistic(self):
         rng = np.random.default_rng(110)
         X = rng.normal(size=(5, 3))
-        transforms = sample_haar(so(3), rng, 2)
+        transforms = sample_batch(so(3), rng, 2)
         dirs = rng.normal(size=(3, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
@@ -206,8 +201,7 @@ class TestOracleEquivalence:
             return best
 
         best = 0.0
-        for g in transforms:
-            gx = np.stack([act(g, x) for x in X])
+        for gx in act_each(transforms, X):
             for t in dirs:
                 best = max(best, naive_ks(X @ t, gx @ t))
         got = cw_statistic(X, transforms, dirs)
@@ -287,21 +281,11 @@ class TestInversionIdentities:
         rng = np.random.default_rng(113)
         n = 10000
         X = rng.standard_normal((n, spec.dim))
-        gs = sample_haar(spec, rng, n)
-        worst_recon = 0.0
-        worst_inv = 0.0
-        for x, g in zip(X, gs):
-            gamma = orbit_selector(spec, x)
-            tau = representative_inversion(spec, x)
-            worst_recon = max(
-                worst_recon, float(np.max(np.abs(act(tau, gamma) - x)))
-            )
-            worst_inv = max(
-                worst_inv,
-                float(np.max(np.abs(
-                    orbit_selector(spec, act(g, x)) - gamma
-                ))),
-            )
+        gs = sample_batch(spec, rng, n)
+        gamma = gamma_batch(spec, X)
+        recon = act_rows(tau_batch(spec, X), gamma)
+        worst_recon = float(np.max(np.abs(recon - X)))
+        worst_inv = float(np.max(np.abs(gamma_batch(spec, act_rows(gs, X)) - gamma)))
         print(f"[inversion {spec.family}({spec.dim})] "
               f"recon={worst_recon:.2e} invariance={worst_inv:.2e}")
         assert worst_recon <= 1e-9

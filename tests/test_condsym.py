@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from group_reference import act_rows
 
 from symtest import (
     BadMonteCarloBudget,
@@ -27,7 +28,7 @@ from symtest.condsym import (
     _trimmed_eigs,
     kci_null_samples,
 )
-from symtest.groups import act, representative_inversion, so, sym
+from symtest.groups import so, sym, tau_batch
 from symtest.kernels import center, eval_kernel, gram, resolve_bandwidth
 from symtest.synthdata import parse_generator, sample
 
@@ -59,10 +60,7 @@ class TestTransformResponses:
             X = rng.normal(size=(8, d))
             Y = rng.normal(size=(8, d))
             data = transform_responses(X, Y, spec)
-            back = np.stack(
-                [act(representative_inversion(spec, x), z)
-                 for x, z in zip(X, data.Z)]
-            )
+            back = act_rows(tau_batch(spec, X), data.Z)
             assert np.allclose(back, Y, atol=1e-10)
 
     def test_trivial_action_keeps_y(self):
@@ -377,7 +375,9 @@ class TestCpTest:
         rng = np.random.default_rng(28)
         X = rng.normal(size=(10, 2))
         Y = rng.normal(size=(10, 2))
-        with pytest.raises(BadMonteCarloBudget):
-            cp_test(X, Y, so(2), CFG, B=0, rng=rng)
+        for bad in (dict(B=0), dict(B=2.5), dict(B=True), dict(burn_in=0),
+                    dict(burn_in=2.5), dict(burn_in=True)):
+            with pytest.raises(BadMonteCarloBudget):
+                cp_test(X, Y, so(2), CFG, rng=rng, **bad)
         with pytest.raises(SampleTooSmall):
             cp_test(X[:3], Y[:3], so(2), CFG, rng=rng)

@@ -1,22 +1,18 @@
 import numpy as np
 import pytest
+from group_reference import act_each, act_rows, element_matrices, rot2
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from symtest import (
-    Permutation,
-    Rotation,
-    act,
-    compose,
+    TransformBatch,
     discrete_rotations,
-    inverse,
     inversion_kernel_sample,
     maximal_invariant,
     orbit_selector,
     paired_so2,
     parse_group,
     representative_inversion,
-    sample_haar,
     so,
     so2xso2,
     sym,
@@ -25,7 +21,6 @@ from symtest import (
 from symtest.errors import (
     BadParameters,
     DimensionMismatch,
-    InvalidRotation,
     UnsupportedFamily,
     UnsupportedKind,
     VariantMismatch,
@@ -33,7 +28,6 @@ from symtest.errors import (
 )
 from symtest.groups import (
     GroupSpec,
-    element_apply,
     gamma_batch,
     haar_rotations,
     sample_batch,
@@ -41,89 +35,103 @@ from symtest.groups import (
 )
 
 
-def rot2(theta):
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def perms(*rows):
+    """A batch of permutations of S_d, one per index row."""
+    data = np.array(rows, dtype=np.intp)
+    return TransformBatch(sym(data.shape[1]), "perm", data, len(data))
+
+
+def rots(*mats):
+    """A batch of rotations of SO(d), one per matrix."""
+    data = np.array(mats, dtype=float)
+    return TransformBatch(so(data.shape[1]), "rot", data, len(data))
+
+
+def composed(g, h):
+    """Index rows of the products g*h (apply h first): (g h)[i] = g[h[i]]."""
+    return np.take_along_axis(g.data, h.data, axis=1)
+
+
+def inverted(g):
+    """Index rows of the inverses of a permutation batch."""
+    return np.argsort(g.data, axis=1)
 
 
 class TestElements:
     def test_permutation_compose(self):
-        g = Permutation([1, 0, 2])
-        h = Permutation([2, 1, 0])
-        assert list(compose(g, h).index) == [2, 0, 1]
+        g, h = perms([1, 0, 2]), perms([2, 1, 0])
+        gh = composed(g, h)
+        assert list(gh[0]) == [2, 0, 1]
+        x = np.array([[1.0, 2.0, 3.0]])
+        np.testing.assert_array_equal(perms(*gh).apply(x), g.apply(h.apply(x)))
 
     def test_permutation_inverse(self):
-        p = Permutation([2, 0, 1])
-        assert list(inverse(p).index) == [1, 2, 0]
-        assert list(compose(p, inverse(p)).index) == [0, 1, 2]
+        p = perms([2, 0, 1])
+        assert list(inverted(p)[0]) == [1, 2, 0]
+        assert list(composed(p, perms(*inverted(p)))[0]) == [0, 1, 2]
+        x = np.array([[1.0, 2.0, 3.0]])
+        np.testing.assert_array_equal(perms(*inverted(p)).apply(x), p.apply_inverse(x))
 
     def test_permutation_act_swaps(self):
-        out = act(Permutation([1, 0]), np.array([3.0, 7.0]))
-        assert list(out) == [7.0, 3.0]
+        out = perms([1, 0]).apply(np.array([[3.0, 7.0]]))
+        assert list(out[0]) == [7.0, 3.0]
 
     def test_rotation_compose_matches_matrix_product(self):
-        a = Rotation(rot2(0.3))
-        b = Rotation(rot2(1.1))
-        np.testing.assert_allclose(compose(a, b).matrix, rot2(1.4), atol=1e-12)
+        X = np.random.default_rng(0).standard_normal((1, 2))
+        a, b = rots(rot2(0.3)), rots(rot2(1.1))
+        np.testing.assert_allclose(a.apply(b.apply(X)), X @ rot2(1.4).T, atol=1e-12)
 
     def test_rotation_inverse_is_transpose(self):
-        r = Rotation(rot2(0.9))
-        np.testing.assert_allclose(inverse(r).matrix, rot2(-0.9), atol=1e-12)
+        X = np.random.default_rng(1).standard_normal((1, 2))
+        r = rots(rot2(0.9))
+        np.testing.assert_allclose(r.apply_inverse(X), X @ rot2(-0.9).T, atol=1e-12)
 
     def test_act_compose_compatible(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal(5)
-        g = sample_haar(so(5), rng)[0]
-        h = sample_haar(so(5), rng)[0]
-        np.testing.assert_allclose(
-            act(g, act(h, x)), act(compose(g, h), x), atol=1e-12
-        )
+        X = rng.standard_normal((7, 5))
+        g, h = sample_batch(so(5), rng, 7), sample_batch(so(5), rng, 7)
+        gh = rots(*(g.data @ h.data))
+        np.testing.assert_allclose(g.apply(h.apply(X)), act_rows(gh, X), atol=1e-12)
 
     def test_permutation_act_compose_compatible(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal(6)
-        g, h = sample_haar(sym(6), rng, 2)
-        np.testing.assert_allclose(
-            act(g, act(h, x)), act(compose(g, h), x), atol=1e-12
-        )
+        X = rng.standard_normal((7, 6))
+        g, h = sample_batch(sym(6), rng, 7), sample_batch(sym(6), rng, 7)
+        gh = perms(*composed(g, h))
+        np.testing.assert_array_equal(g.apply(h.apply(X)), act_rows(gh, X))
 
     def test_variant_mismatch(self):
         with pytest.raises(VariantMismatch):
-            compose(Rotation(np.eye(2)), Permutation([0, 1]))
+            TransformBatch(so(2), "quaternion", None, 1).apply(np.ones((1, 2)))
 
     def test_dimension_mismatch(self):
+        g = sample_batch(so(3), np.random.default_rng(2), 2)
         with pytest.raises(DimensionMismatch):
-            act(Rotation(np.eye(3)), np.zeros(2))
+            g.apply(np.zeros((2, 2)))
         with pytest.raises(DimensionMismatch):
-            compose(Rotation(np.eye(2)), Rotation(np.eye(3)))
-
-    def test_invalid_rotation_rejected(self):
-        with pytest.raises(InvalidRotation):
-            Rotation(np.array([[1.0, 0.2], [0.0, 1.0]]))
-        with pytest.raises(InvalidRotation):
-            Rotation(np.diag([1.0, -1.0]))  # determinant -1
-
-    def test_bad_permutation_rejected(self):
-        with pytest.raises(BadParameters):
-            Permutation([0, 0, 1])
+            g.apply(np.zeros((3, 3)))
+        with pytest.raises(DimensionMismatch):
+            g.apply_all(np.zeros((5, 2)))
 
     @given(hst.permutations(list(range(5))), hst.permutations(list(range(5))))
     @settings(max_examples=50, deadline=None)
     def test_permutation_group_axioms(self, p, q):
-        g, h = Permutation(p), Permutation(q)
-        assert list(compose(inverse(g), g).index) == [0, 1, 2, 3, 4]
-        x = np.arange(5.0)
-        np.testing.assert_allclose(
-            act(compose(g, h), x), act(g, act(h, x)), atol=0
+        g, h = perms(p), perms(q)
+        assert list(composed(perms(*inverted(g)), g)[0]) == [0, 1, 2, 3, 4]
+        x = np.arange(5.0)[None]
+        np.testing.assert_array_equal(
+            perms(*composed(g, h)).apply(x), g.apply(h.apply(x))
         )
+        np.testing.assert_array_equal(g.apply(x), act_rows(g, x))
 
-    def test_element_apply_matches_act(self):
+    def test_apply_all_matches_reference(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((7, 4))
-        for spec in (so(4), sym(4), paired_so2(), so2xso2()):
-            g = sample_haar(spec, rng)[0]
-            rows = np.stack([act(g, x) for x in X])
-            np.testing.assert_allclose(element_apply(g, X), rows, atol=1e-12)
+        for spec in (so(4), sym(4), paired_so2(), so2xso2(), trivial()):
+            g = sample_batch(spec, rng, 3)
+            out = g.apply_all(X)
+            assert out.shape == (3, 7, 4)
+            np.testing.assert_allclose(out, act_each(g, X), atol=1e-12)
 
 
 class TestSpecs:
@@ -184,34 +192,35 @@ class TestHaar:
         assert np.all(np.abs(counts / 6000 - 1 / 6) < 0.03)
 
     def test_paired_so2_shares_the_angle(self):
-        rng = np.random.default_rng(7)
-        g = sample_haar(paired_so2(), rng)[0]
-        np.testing.assert_allclose(g.parts[0].matrix, g.parts[1].matrix)
+        g = sample_batch(paired_so2(), np.random.default_rng(7), 5)
+        out = g.apply(np.tile([1.0, 0.0, 1.0, 0.0], (5, 1)))
+        np.testing.assert_allclose(out[:, 0:2], out[:, 2:4])
 
     def test_so2xso2_angles_differ(self):
-        rng = np.random.default_rng(8)
-        g = sample_haar(so2xso2(), rng)[0]
-        assert not np.allclose(g.parts[0].matrix, g.parts[1].matrix)
+        g = sample_batch(so2xso2(), np.random.default_rng(8), 5)
+        out = g.apply(np.tile([1.0, 0.0, 1.0, 0.0], (5, 1)))
+        assert not np.allclose(out[:, 0:2], out[:, 2:4])
 
     def test_discrete_rotations_land_on_the_lattice(self):
         rng = np.random.default_rng(9)
         spec = discrete_rotations(24.0, 3, axis=3)
-        for g in sample_haar(spec, rng, 20):
-            theta = np.arctan2(g.matrix[1, 0], g.matrix[0, 0])
+        for m in sample_batch(spec, rng, 20).data:
+            theta = np.arctan2(m[1, 0], m[0, 0])
             steps = np.rad2deg(theta) / 24.0
             assert abs(steps - round(steps)) < 1e-9
-            np.testing.assert_allclose(g.matrix[2], [0, 0, 1], atol=1e-12)
+            np.testing.assert_allclose(m[2], [0, 0, 1], atol=1e-12)
 
     def test_batch_apply_matches_elements(self):
         rng = np.random.default_rng(10)
         X = rng.standard_normal((9, 4))
         for spec in (so(4), sym(4), paired_so2(), so2xso2(), trivial(4)):
             batch = sample_batch(spec, np.random.default_rng(11), 9)
-            applied = batch.apply(X)
-            rows = np.stack(
-                [act(g, x) for g, x in zip(batch.elements(), X)]
+            np.testing.assert_allclose(batch.apply(X), act_rows(batch, X), atol=1e-12)
+            np.testing.assert_allclose(
+                batch.apply_inverse(X),
+                np.stack([m.T @ x for m, x in zip(element_matrices(batch, 4), X)]),
+                atol=1e-12,
             )
-            np.testing.assert_allclose(applied, rows, atol=1e-12)
 
 
 class TestOrbits:
@@ -227,10 +236,9 @@ class TestOrbits:
         rng = np.random.default_rng(12)
         for spec in (so(4), sym(4), paired_so2(), so2xso2()):
             x = rng.standard_normal(4)
-            g = sample_haar(spec, rng)[0]
+            gx = sample_batch(spec, rng, 1).apply(x[None])[0]
             np.testing.assert_allclose(
-                orbit_selector(spec, act(g, x)), orbit_selector(spec, x),
-                atol=1e-9,
+                orbit_selector(spec, gx), orbit_selector(spec, x), atol=1e-9,
             )
 
     def test_selector_idempotent(self):
@@ -245,7 +253,7 @@ class TestOrbits:
         # axes with the sign pattern of a quarter turn in that plane
         tau = representative_inversion(so(3), np.array([0.0, 0.0, 2.0]))
         expected = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-        np.testing.assert_allclose(tau.matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(tau.data[0], expected, atol=1e-12)
 
     def test_tau_inverts_selector(self):
         rng = np.random.default_rng(14)
@@ -254,35 +262,38 @@ class TestOrbits:
                 x = rng.standard_normal(spec.dim)
                 gam = orbit_selector(spec, x)
                 tau = representative_inversion(spec, x)
-                np.testing.assert_allclose(act(tau, gam), x, atol=1e-9)
+                np.testing.assert_allclose(act_rows(tau, gam[None])[0], x, atol=1e-9)
 
     def test_tau_equivariant_free_actions(self):
+        # tau(g x) == g tau(x), row by row
         rng = np.random.default_rng(15)
         for spec in (so(2), sym(6)):
-            x = rng.standard_normal(spec.dim)
-            g = sample_haar(spec, rng)[0]
-            lhs = representative_inversion(spec, act(g, x))
-            rhs = compose(g, representative_inversion(spec, x))
+            X = rng.standard_normal((50, spec.dim))
+            g = sample_batch(spec, rng, 50)
+            lhs = tau_batch(spec, g.apply(X)).data
             if spec.family == "so":
-                np.testing.assert_allclose(lhs.matrix, rhs.matrix, atol=1e-9)
+                rhs = g.data @ tau_batch(spec, X).data
+                np.testing.assert_allclose(lhs, rhs, atol=1e-9)
             else:
-                assert list(lhs.index) == list(rhs.index)
+                np.testing.assert_array_equal(lhs, composed(g, tau_batch(spec, X)))
 
     def test_tau_equivariant_up_to_stabiliser(self):
         # for d >= 3 the action has stabilisers, so tau is equivariant only
         # modulo elements fixing e1: tau(gx)^-1 g tau(x) must fix e1
         rng = np.random.default_rng(15)
-        x = rng.standard_normal(3)
-        g = sample_haar(so(3), rng)[0]
-        lhs = representative_inversion(so(3), act(g, x))
-        rhs = compose(g, representative_inversion(so(3), x))
-        h = lhs.matrix.T @ rhs.matrix
-        np.testing.assert_allclose(h[:, 0], np.eye(3)[0], atol=1e-9)
+        X = rng.standard_normal((50, 3))
+        g = sample_batch(so(3), rng, 50)
+        lhs = tau_batch(so(3), g.apply(X)).data
+        rhs = g.data @ tau_batch(so(3), X).data
+        h = np.swapaxes(lhs, 1, 2) @ rhs
+        np.testing.assert_allclose(
+            h[:, :, 0], np.tile(np.eye(3)[0], (50, 1)), atol=1e-9
+        )
 
     def test_tau_ties_use_stable_order(self):
         tau = representative_inversion(sym(4), np.array([2.0, 1.0, 1.0, 0.0]))
         # positions of the sorted values, earliest original index first
-        assert list(tau.index) == [3, 1, 2, 0]
+        assert list(tau.data[0]) == [3, 1, 2, 0]
 
     def test_zero_vector_raises(self):
         with pytest.raises(ZeroVector):
@@ -293,7 +304,7 @@ class TestOrbits:
     def test_negative_axis_point_is_handled(self):
         x = np.array([-2.0, 0.0, 0.0])
         tau = representative_inversion(so(3), x)
-        np.testing.assert_allclose(act(tau, np.array([2.0, 0, 0])), x, atol=1e-12)
+        np.testing.assert_allclose(tau.data[0] @ [2.0, 0.0, 0.0], x, atol=1e-12)
 
     def test_unsupported_selector(self):
         with pytest.raises(UnsupportedFamily):
@@ -305,7 +316,7 @@ class TestOrbits:
             x = rng.standard_normal(d)
             tau = representative_inversion(so(d), x)
             draw = inversion_kernel_sample(so(d), x, rng)
-            h = tau.matrix.T @ draw.matrix
+            h = tau.data[0].T @ draw.data[0]
             e1 = np.eye(d)[0]
             np.testing.assert_allclose(h[0], e1, atol=1e-12)
             np.testing.assert_allclose(h[:, 0], e1, atol=1e-12)
@@ -315,16 +326,15 @@ class TestOrbits:
         for spec in (so(2), so(3), so(5), sym(6)):
             x = rng.standard_normal(spec.dim)
             g = inversion_kernel_sample(spec, x, rng)
-            np.testing.assert_allclose(
-                act(g, orbit_selector(spec, x)), x, atol=1e-9
-            )
+            gam = orbit_selector(spec, x)
+            np.testing.assert_allclose(act_rows(g, gam[None])[0], x, atol=1e-9)
 
     def test_inversion_sample_free_action_is_tau(self):
         rng = np.random.default_rng(18)
         x = rng.standard_normal(2)
         g = inversion_kernel_sample(so(2), x, rng)
         np.testing.assert_allclose(
-            g.matrix, representative_inversion(so(2), x).matrix, atol=1e-12
+            g.data, representative_inversion(so(2), x).data, atol=1e-12
         )
 
 
@@ -394,9 +404,9 @@ class TestMaximalInvariants:
         ]
         for spec, kind in cases:
             x = rng.standard_normal(4)
-            g = sample_haar(spec, rng)[0]
+            gx = sample_batch(spec, rng, 1).apply(x[None])[0]
             np.testing.assert_allclose(
-                maximal_invariant(spec, kind, act(g, x)),
+                maximal_invariant(spec, kind, gx),
                 maximal_invariant(spec, kind, x),
                 atol=1e-9,
             )

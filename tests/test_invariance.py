@@ -22,11 +22,12 @@ from symtest import (
     mc_invariance_test,
     power_estimate,
     pvalue_from_nulls,
-    sample_haar,
+    sample_batch,
     transformation_two_sample_test,
     two_sample_mmd_test,
 )
 from symtest.groups import (
+    TransformBatch,
     haar_rotations,
     inversion_kernel_batch,
     paired_so2,
@@ -93,9 +94,7 @@ class TestCwStatistic:
     def test_zero_under_identity_transform(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(15, 3))
-        from symtest.groups import Rotation
-
-        g = [Rotation(np.eye(3)), Rotation(np.eye(3))]
+        g = TransformBatch(so(3), "rot", np.stack([np.eye(3), np.eye(3)]), 2)
         dirs = rng.normal(size=(4, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         assert cw_statistic(X, g, dirs) == 0.0
@@ -103,28 +102,29 @@ class TestCwStatistic:
     def test_frozen_small_example(self):
         # S_2 swap of [[1, 0], [2, 0]]: projections on e1 are (1, 2) versus
         # (0, 0), a disjoint-support comparison, so the sup distance is 1
-        from symtest.groups import Permutation
-
         X = np.array([[1.0, 0.0], [2.0, 0.0]])
-        g = [Permutation(np.array([1, 0]))]
+        g = TransformBatch(sym(2), "perm", np.array([[1, 0]]), 1)
         dirs = np.array([[1.0, 0.0]])
         assert cw_statistic(X, g, dirs) == 1.0
 
     def test_maximum_over_directions(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(20, 2)) + [3.0, 0.0]
-        g = sample_haar(so(2), rng, 2)
+        g = sample_batch(so(2), rng, 2)
         dirs = np.vstack([rng.normal(size=(5, 2))])
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        singles = [cw_statistic(X, [e], dirs[j : j + 1]) for e in g for j in range(5)]
+        singles = [
+            cw_statistic(X, TransformBatch(so(2), "rot", m[None], 1), dirs[j : j + 1])
+            for m in g.data for j in range(5)
+        ]
         assert cw_statistic(X, g, dirs) == pytest.approx(max(singles), abs=1e-12)
 
     def test_bad_inputs(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(10, 3))
         with pytest.raises(BadParameters):
-            cw_statistic(X, [], np.eye(3))
-        g = sample_haar(so(3), rng, 1)
+            cw_statistic(X, sample_batch(so(3), rng, 0), np.eye(3))
+        g = sample_batch(so(3), rng, 1)
         with pytest.raises(Exception):
             cw_statistic(X, g, np.eye(2))
 

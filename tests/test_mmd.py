@@ -6,6 +6,7 @@ index reference implementation written directly from the defining sums.
 
 import numpy as np
 import pytest
+from group_reference import act_rows
 
 from symtest import (
     BadLandmarkCount,
@@ -24,7 +25,7 @@ from symtest import (
     nystrom_invariance_stat,
     sample_batch,
 )
-from symtest.groups import act, so, sym, trivial
+from symtest.groups import so, sym, trivial
 
 
 KERNEL = GaussianRBF(1.3)
@@ -67,8 +68,8 @@ def naive_mmd_v(X, Y, kernel):
 def naive_invariance_u(X, g_batches, h_batches, kernel):
     n = len(X)
     m = len(g_batches)
-    ge = [b.elements() for b in g_batches]
-    he = [b.elements() for b in h_batches]
+    gx = [act_rows(b, X) for b in g_batches]
+    hx = [act_rows(b, X) for b in h_batches]
     total = 0.0
     for i in range(n):
         for j in range(n):
@@ -77,11 +78,9 @@ def naive_invariance_u(X, g_batches, h_batches, kernel):
             term = eval_kernel(kernel, X[i], X[j])
             for l in range(m):
                 for r in range(m):
-                    term += eval_kernel(
-                        kernel, act(ge[l][i], X[i]), act(he[r][j], X[j])
-                    ) / m**2
+                    term += eval_kernel(kernel, gx[l][i], hx[r][j]) / m**2
             for l in range(m):
-                term -= 2.0 * eval_kernel(kernel, X[i], act(ge[l][j], X[j])) / m
+                term -= 2.0 * eval_kernel(kernel, X[i], gx[l][j]) / m
             total += term
     return total / (n * (n - 1))
 
@@ -89,19 +88,17 @@ def naive_invariance_u(X, g_batches, h_batches, kernel):
 def naive_invariance_v(X, g_batches, h_batches, kernel):
     n = len(X)
     m = len(g_batches)
-    ge = [b.elements() for b in g_batches]
-    he = [b.elements() for b in h_batches]
+    gx = [act_rows(b, X) for b in g_batches]
+    hx = [act_rows(b, X) for b in h_batches]
     total = 0.0
     for i in range(n):
         for j in range(n):
             term = eval_kernel(kernel, X[i], X[j])
             for l in range(m):
                 for r in range(m):
-                    term += eval_kernel(
-                        kernel, act(ge[l][i], X[i]), act(he[r][j], X[j])
-                    ) / m**2
+                    term += eval_kernel(kernel, gx[l][i], hx[r][j]) / m**2
             for l in range(m):
-                term -= 2.0 * eval_kernel(kernel, X[i], act(ge[l][j], X[j])) / m
+                term -= 2.0 * eval_kernel(kernel, X[i], gx[l][j]) / m
             total += term
     return total / n**2
 
@@ -109,7 +106,7 @@ def naive_invariance_v(X, g_batches, h_batches, kernel):
 def naive_shortcut(X, g_batches, kernel):
     n = len(X)
     m = len(g_batches)
-    ge = [b.elements() for b in g_batches]
+    gx = [act_rows(b, X) for b in g_batches]
     total = 0.0
     for i in range(n):
         for j in range(n):
@@ -117,7 +114,7 @@ def naive_shortcut(X, g_batches, kernel):
                 continue
             term = eval_kernel(kernel, X[i], X[j])
             for l in range(m):
-                term -= eval_kernel(kernel, X[i], act(ge[l][j], X[j])) / m
+                term -= eval_kernel(kernel, X[i], gx[l][j]) / m
             total += term
     return total / (n * (n - 1))
 
@@ -299,3 +296,38 @@ class TestNystrom:
             nystrom_invariance_stat(X, g, g, KERNEL, 0, rng=rng)
         with pytest.raises(BadLandmarkCount):
             nystrom_invariance_stat(X, g, g, KERNEL, 7, rng=rng)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call", [
+        lambda X: mmd_invariance_u(X, so(2), KERNEL),
+        lambda X: mmd_equivariant_shortcut(X, so(2), KERNEL),
+        lambda X: mmd_nystrom(X, so(2), KERNEL),
+        lambda X: nystrom_invariance_stat(
+            X, [sample_batch(so(2), np.random.default_rng(0), 20)],
+            [sample_batch(so(2), np.random.default_rng(1), 20)], KERNEL, 5),
+    ], ids=["mmd_invariance_u", "mmd_equivariant_shortcut", "mmd_nystrom",
+            "nystrom_invariance_stat"])
+    def test_missing_rng_raises(self, call):
+        X = np.random.default_rng(34).normal(size=(20, 2))
+        with pytest.raises(BadParameters, match="rng"):
+            call(X)
+
+    def test_full_landmarks_need_no_rng(self):
+        rng = np.random.default_rng(35)
+        X = rng.normal(size=(8, 2))
+        g = [sample_batch(so(2), rng, 8)]
+        value = nystrom_invariance_stat(X, g, g, KERNEL, 8, full_landmarks=True)
+        assert np.isfinite(value)
+
+    @pytest.mark.parametrize("estimator", [mmd_u, mmd_v], ids=["mmd_u", "mmd_v"])
+    def test_non_finite_sample_raises(self, estimator):
+        rng = np.random.default_rng(36)
+        X, Y = rng.normal(size=(10, 3)), rng.normal(size=(12, 3))
+        for bad in (np.nan, np.inf):
+            Xb = X.copy()
+            Xb[3, 1] = bad
+            with pytest.raises(BadParameters):
+                estimator(Xb, Y, KERNEL)
+            with pytest.raises(BadParameters):
+                estimator(Y, Xb, KERNEL)
