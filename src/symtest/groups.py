@@ -8,6 +8,8 @@ groups, and the trivial group.  For each family the module offers
 
 * uniform (Haar) sampling into a ``TransformBatch``, the one representation
   of group elements: one element per row, applied to a whole sample at once,
+* orbit draws ``orbit_draw``: each row moved by its own Haar element, for
+  callers that need ``g x`` but never ``g``,
 * orbit machinery: an orbit selector ``gamma`` picking one point per orbit,
   a representative inversion ``tau`` that carries ``gamma(x)`` back to ``x``,
   a sampler for the conditional distribution of the inverting element when
@@ -253,10 +255,29 @@ def sample_batch(spec, rng, count):
         )
     if spec.family == "rot-discrete":
         order = int(round(360.0 / spec.step_deg))
-        theta = np.deg2rad(spec.step_deg) * rng.integers(0, order, count)
-        mats = np.stack([_axis_rotation(t, spec.dim, spec.axis) for t in theta])
-        return TransformBatch(spec, "rot", mats, count)
+        k = rng.integers(0, order, count)
+        # one matrix per distinct multiple of the step drawn, indexed per row
+        steps, row_step = np.unique(k, return_inverse=True)
+        theta = np.deg2rad(spec.step_deg) * steps
+        table = np.stack([_axis_rotation(t, spec.dim, spec.axis) for t in theta])
+        return TransformBatch(spec, "rot", table[row_step], count)
     return TransformBatch(spec, "identity", None, count)  # the trivial family
+
+
+def orbit_draw(spec, X, rng):
+    """``g_i X_i`` for a fresh Haar element ``g_i`` per row of X, as (n, d).
+
+    For SO(d) acting on R^d the image of x under a Haar rotation is uniform
+    on the sphere of radius |x|, so each row is a Gaussian direction rescaled
+    to the row's norm and no rotation is built; zero rows stay zero.  Every
+    other family applies a ``sample_batch`` draw.
+    """
+    if spec.family != "so":
+        X = np.asarray(X, dtype=float)
+        return sample_batch(spec, rng, X.shape[0]).apply(X)
+    X = _points(spec, X)
+    z = rng.standard_normal(X.shape)
+    return z * (np.linalg.norm(X, axis=1) / np.linalg.norm(z, axis=1))[:, None]
 
 
 # ---------------------------------------------------------------------------

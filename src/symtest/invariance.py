@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BadMonteCarloBudget,
     BadParameters,
     BadProjectionCount,
     SampleTooSmall,
@@ -29,7 +28,12 @@ from .errors import (
     _check_finite,
     _require_rng,
 )
-from .groups import haar_rotations, inversion_kernel_batch, sample_batch
+from .groups import (
+    haar_rotations,
+    inversion_kernel_batch,
+    orbit_draw,
+    sample_batch,
+)
 from .kernels import RotationKernelSO3
 from .mmd import (
     _mean_offdiag,
@@ -58,30 +62,32 @@ def pvalue_from_nulls(t_obs, nulls, rng=None, tie_break=False):
 
     With ``tie_break=True`` ties between the observed statistic and null
     copies are broken by independent uniforms, which restores exact size
-    even for statistics with atoms.
+    even for statistics with atoms; it then needs ``rng``.
     """
     nulls = np.asarray(nulls, dtype=float)
     b = nulls.size
     if not tie_break:
         count = int(np.sum(nulls >= t_obs))
     else:
+        _require_rng(rng)
         u = rng.uniform(size=b + 1)
         count = int(np.sum((nulls > t_obs) | ((nulls == t_obs) & (u[1:] >= u[0]))))
     return (1.0 + count) / (1.0 + b)
 
 
 def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
-                       statistic="mmd-u", rng=None, reuse_transforms=True,
-                       tie_break=False, n_landmarks=None, n_projections=None,
+                       statistic="mmd-u", rng=None, tie_break=False,
+                       n_landmarks=None, n_projections=None,
                        n_stat_transforms=None, seed=None):
     """Conditional Monte Carlo test of invariance of the law of X.
 
     ``statistic`` selects the test statistic: ``mmd-u`` (the U-form
     invariance MMD), ``mmd-nystrom`` (its landmark approximation), ``cw``
     (max Kolmogorov-Smirnov distance over random projections), or a callable
-    ``f(X) -> float``.  Auxiliary randomness of the statistic (transform
-    draws, landmarks, projection directions) is drawn once and reused across
-    the B re-randomised copies when ``reuse_transforms`` is true.
+    ``f(X) -> float``.  The statistic's transform draws and projection
+    directions are drawn once and reused across the B re-randomised copies;
+    the Nyström landmarks are drawn afresh for each.  Each copy moves every
+    row by its own Haar element through ``orbit_draw``.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -96,35 +102,24 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
     if callable(statistic):
         method = getattr(statistic, "__name__", "custom")
 
-        def make_aux():
-            return None
-
-        def stat_fn(sample, aux):
+        def stat_fn(sample):
             return float(statistic(sample))
 
     elif statistic == "mmd-u":
         method = "mc-invariance/mmd-u"
+        g = [sample_batch(spec, rng, n) for _ in range(m)]
+        h = [sample_batch(spec, rng, n) for _ in range(m)]
 
-        def make_aux():
-            g = [sample_batch(spec, rng, n) for _ in range(m)]
-            h = [sample_batch(spec, rng, n) for _ in range(m)]
-            return g, h
-
-        def stat_fn(sample, aux):
-            g, h = aux
+        def stat_fn(sample):
             return invariance_stat_u(sample, g, h, kernel)
 
     elif statistic == "mmd-nystrom":
         method = "mc-invariance/mmd-nystrom"
         j = n_landmarks if n_landmarks is not None else int(np.ceil(np.sqrt(n)))
+        g = [sample_batch(spec, rng, n) for _ in range(m)]
+        h = [sample_batch(spec, rng, n) for _ in range(m)]
 
-        def make_aux():
-            g = [sample_batch(spec, rng, n) for _ in range(m)]
-            h = [sample_batch(spec, rng, n) for _ in range(m)]
-            return g, h
-
-        def stat_fn(sample, aux):
-            g, h = aux
+        def stat_fn(sample):
             return nystrom_invariance_stat(sample, g, h, kernel, j, rng)
 
     elif statistic == "cw":
@@ -133,27 +128,19 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
         n_tr = n_stat_transforms if n_stat_transforms is not None else m
         if j < 1:
             raise BadProjectionCount("need at least one projection direction")
+        dirs = _random_directions(j, X.shape[1], rng)
+        transforms = sample_batch(spec, rng, n_tr)
 
-        def make_aux():
-            dirs = _random_directions(j, X.shape[1], rng)
-            transforms = sample_batch(spec, rng, n_tr)
-            return transforms, dirs
-
-        def stat_fn(sample, aux):
-            transforms, dirs = aux
+        def stat_fn(sample):
             return cw_statistic(sample, transforms, dirs)
 
     else:
         raise BadParameters(f"unknown statistic choice {statistic!r}")
 
-    aux = make_aux()
-    t_obs = stat_fn(X, aux)
+    t_obs = stat_fn(X)
     nulls = np.empty(B)
     for b in range(B):
-        gb = sample_batch(spec, rng, n)
-        if not reuse_transforms:
-            aux = make_aux()
-        nulls[b] = stat_fn(gb.apply(X), aux)
+        nulls[b] = stat_fn(orbit_draw(spec, X, rng))
     p = pvalue_from_nulls(t_obs, nulls, rng, tie_break)
     return TestResult(t_obs, p, nulls, alpha, p <= alpha, method, seed)
 
@@ -228,8 +215,7 @@ def two_sample_mmd_test(X, Y, kernel, B=200, alpha=0.05, rng=None, seed=None):
         raise SampleTooSmall("both samples need at least two points")
     _check_finite(X, Y)
     _require_rng(rng)
-    if B < 0:
-        raise BadMonteCarloBudget("B must be nonnegative")
+    _check_budget(B, minimum=0)
     t_obs = mmd_u(X, Y, kernel).value
     pool = np.concatenate([X, Y], axis=0)
     nulls = np.empty(B)
@@ -251,8 +237,7 @@ def transformation_two_sample_test(X, spec, kernel, B=200, alpha=0.05, rng=None,
     """
     X = np.asarray(X, dtype=float)
     _require_rng(rng)
-    gb = sample_batch(spec, rng, X.shape[0])
-    res = two_sample_mmd_test(X, gb.apply(X), kernel, B, alpha, rng, seed)
+    res = two_sample_mmd_test(X, orbit_draw(spec, X, rng), kernel, B, alpha, rng, seed)
     res.method = "transformation-two-sample-mmd"
     return res
 
@@ -360,8 +345,7 @@ def power_estimate(X, spec, kernel=None, m=2, B=200, n_resamples=50,
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    if n_resamples < 1:
-        raise BadMonteCarloBudget("need at least one bootstrap resample")
+    _check_budget(n_resamples, "n_resamples")
     _require_rng(rng)
     betas = np.empty(n_resamples)
     p_nulls = np.empty(n_resamples)

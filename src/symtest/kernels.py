@@ -93,19 +93,16 @@ def _as_points(X):
 def _so3_from_trace(tr):
     """Kernel value from the 3x3 relative-rotation trace, elementwise.
 
-    The half-angle satisfies cos(theta) = sqrt((1 + tr) / 4), so theta lies
-    in [0, pi/2] and only theta -> 0 needs a guard, where we use the series
-    theta / sin(theta) ~ 1 + theta^2 / 6.
+    The half-angle satisfies cos(theta) = c = sqrt((1 + tr) / 4), so theta
+    lies in [0, pi/2].  Both theta and sin(theta) = sqrt((1 - c)(1 + c)) are
+    taken from the same c, which keeps theta / sin(theta) accurate near 0;
+    below theta = 1e-6 the series 1 + theta^2 / 6 replaces the ratio.
     """
     c = np.sqrt(np.clip((1.0 + tr) / 4.0, 0.0, 1.0))
     theta = np.arccos(c)
-    comp = np.pi - theta
-    out = np.empty_like(theta)
-    lo = theta < 1e-6
-    mid = ~lo
-    out[mid] = np.pi * theta[mid] * comp[mid] / (8.0 * np.sin(theta[mid]))
-    out[lo] = np.pi * comp[lo] / 8.0 * (1.0 + theta[lo] ** 2 / 6.0)
-    return out
+    sin = np.sqrt((1.0 - c) * (1.0 + c))
+    ratio = np.divide(theta, sin, out=1.0 + theta**2 / 6.0, where=theta >= 1e-6)
+    return np.pi / 8.0 * (np.pi - theta) * ratio
 
 
 def _check_rotation_stack(X):
@@ -163,8 +160,8 @@ def gram(kernel, X, Y=None):
     if isinstance(kernel, RotationKernelSO3):
         A = _check_rotation_stack(X)
         B = A if Y is None else _check_rotation_stack(Y)
-        tr = np.einsum("aij,bij->ab", A, B)
-        return _so3_from_trace(tr)
+        # the trace of B_j^T A_i is the inner product of the flattened matrices
+        return _so3_from_trace(A.reshape(-1, 9) @ B.reshape(-1, 9).T)
     if isinstance(kernel, DiscreteDelta):
         A = _as_points(X)
         B = A if Y is None else _as_points(Y)

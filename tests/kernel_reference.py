@@ -1,0 +1,31 @@
+"""A reference for the SO(3) rotation kernel's Gram matrix.
+
+The trace matrix is an einsum over the (n, 3, 3) stacks, and the kernel
+value is taken with boolean masks: theta / sin(theta) from ``np.sin`` away
+from 0 and the series 1 + theta^2 / 6 below theta = 1e-6.
+"""
+
+import numpy as np
+
+
+def so3_from_trace(tr):
+    """Kernel value from the relative-rotation trace, masked elementwise."""
+    c = np.sqrt(np.clip((1.0 + tr) / 4.0, 0.0, 1.0))
+    theta = np.arccos(c)
+    comp = np.pi - theta
+    out = np.empty_like(theta)
+    lo = theta < 1e-6
+    mid = ~lo
+    out[mid] = np.pi * theta[mid] * comp[mid] / (8.0 * np.sin(theta[mid]))
+    out[lo] = np.pi * comp[lo] / 8.0 * (1.0 + theta[lo] ** 2 / 6.0)
+    return out
+
+
+def so3_trace(A, B):
+    """Traces of B_j^T A_i for all pairs of two rotation stacks."""
+    return np.einsum("aij,bij->ab", A, B)
+
+
+def so3_gram(A, B=None):
+    """The rotation kernel's Gram matrix of two stacks; B defaults to A."""
+    return so3_from_trace(so3_trace(A, A if B is None else B))

@@ -28,8 +28,10 @@ from symtest.errors import (
 )
 from symtest.groups import (
     GroupSpec,
+    _axis_rotation,
     gamma_batch,
     haar_rotations,
+    orbit_draw,
     sample_batch,
     tau_batch,
 )
@@ -221,6 +223,69 @@ class TestHaar:
                 np.stack([m.T @ x for m, x in zip(element_matrices(batch, 4), X)]),
                 atol=1e-12,
             )
+
+    @pytest.mark.parametrize("spec", [
+        discrete_rotations(24.0, 3, axis=3),
+        discrete_rotations(90.0, 3, axis=1),
+        discrete_rotations(0.5, 3, axis=2),
+        discrete_rotations(60.0, 2),
+    ], ids=str)
+    def test_discrete_rotations_match_per_row_construction(self, spec):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            order = int(round(360.0 / spec.step_deg))
+            theta = np.deg2rad(spec.step_deg) * rng.integers(0, order, 200)
+            per_row = np.stack([_axis_rotation(t, spec.dim, spec.axis) for t in theta])
+            batch = sample_batch(spec, np.random.default_rng(seed), 200)
+            assert np.array_equal(batch.data, per_row)
+
+
+class TestOrbitDraw:
+    """``orbit_draw`` against ``sample_batch(...).apply``."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_norms_preserved_and_zero_rows_stay_zero(self, d):
+        rng = np.random.default_rng(30 + d)
+        X = rng.standard_normal((500, d)) * rng.uniform(1e-3, 1e3, (500, 1))
+        X[[7, 123]] = 0.0
+        out = orbit_draw(so(d), X, rng)
+        assert out.shape == X.shape
+        np.testing.assert_allclose(np.linalg.norm(out, axis=1),
+                                   np.linalg.norm(X, axis=1), rtol=1e-12)
+        assert np.array_equal(out[[7, 123]], np.zeros((2, d)))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_same_law_as_rotating_each_row(self, d):
+        from scipy.stats import ks_2samp
+
+        rng = np.random.default_rng(40 + d)
+        X = rng.standard_normal((100_000, d)) + np.eye(d)[0] * 2.0
+        new = orbit_draw(so(d), X, np.random.default_rng(1))
+        old = sample_batch(so(d), np.random.default_rng(2), len(X)).apply(X)
+        v = np.arange(1.0, d + 1.0) / np.linalg.norm(np.arange(1.0, d + 1.0))
+        unit = lambda Y: Y / np.linalg.norm(Y, axis=1, keepdims=True)
+        # the image direction on a fixed projection, and its cosine with the row
+        assert ks_2samp(unit(new) @ v, unit(old) @ v).pvalue > 0.001
+        cos = lambda Y: np.sum(unit(X) * unit(Y), axis=1)
+        assert ks_2samp(cos(new), cos(old)).pvalue > 0.001
+
+    def test_dimension_mismatch(self):
+        rng = np.random.default_rng(50)
+        for d in (2, 3, 4):
+            with pytest.raises(DimensionMismatch):
+                orbit_draw(so(d), rng.standard_normal((5, d + 1)), rng)
+        with pytest.raises(DimensionMismatch):
+            orbit_draw(so(3), rng.standard_normal(3), rng)
+
+    @pytest.mark.parametrize("spec", [
+        sym(4), paired_so2(), so2xso2(), discrete_rotations(24.0, 3, axis=3),
+        trivial(4), trivial(),
+    ], ids=str)
+    def test_other_families_apply_a_sampled_batch(self, spec):
+        X = np.random.default_rng(51).standard_normal((30, spec.dim or 4))
+        out = orbit_draw(spec, X, np.random.default_rng(52))
+        batch = sample_batch(spec, np.random.default_rng(52), 30)
+        assert np.array_equal(out, batch.apply(X))
 
 
 class TestOrbits:

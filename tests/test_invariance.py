@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from kernel_reference import so3_gram
 from scipy.stats import ks_2samp
 
 from symtest import (
@@ -35,7 +36,8 @@ from symtest.groups import (
     sym,
     trivial,
 )
-from symtest.kernels import RotationKernelSO3
+from symtest import mmd
+from symtest.kernels import RotationKernelSO3, gram
 
 
 KERNEL = GaussianRBF(1.0)
@@ -70,6 +72,10 @@ class TestPvalue:
         # exact size is floor(alpha (B+1)) / (B+1) = 5/20
         assert rej / reps == pytest.approx(0.25, abs=0.03)
         assert pvalue_from_nulls(1.0, np.ones(B)) == 1.0
+
+    def test_tie_break_needs_rng(self):
+        with pytest.raises(BadParameters, match="rng"):
+            pvalue_from_nulls(1.0, np.ones(9), tie_break=True)
 
 
 class TestKsDistance:
@@ -266,6 +272,13 @@ class TestTwoSample:
         res = two_sample_mmd_test(X, X + 5.0, KERNEL, B=0, rng=rng)
         assert res.p_value == 1.0
 
+    @pytest.mark.parametrize("B", [2.5, True, -1])
+    def test_budget_validation(self, B):
+        rng = np.random.default_rng(14)
+        X, Y = rng.normal(size=(20, 2)), rng.normal(size=(20, 2))
+        with pytest.raises(BadMonteCarloBudget):
+            two_sample_mmd_test(X, Y, KERNEL, B=B, rng=rng)
+
     def test_transformation_variant(self):
         rng = np.random.default_rng(15)
         X = rng.normal(size=(60, 2)) + [4.0, 0.0]
@@ -317,6 +330,28 @@ class TestInversion:
         assert res.statistic == pytest.approx(
             mmd_u(tau, ref, kernel).value, rel=1e-12, abs=1e-12
         )
+
+    def test_pvalues_match_the_reference_gram(self, monkeypatch):
+        # the one-GEMM SO(3) Gram gives the einsum-plus-mask reference's
+        # p-values on the same draws
+        def reference_gram(kernel, X, Y=None):
+            if isinstance(kernel, RotationKernelSO3):
+                return so3_gram(np.asarray(X), None if Y is None else np.asarray(Y))
+            return gram(kernel, X, Y)
+
+        kernel = RotationKernelSO3()
+        for seed in range(8):
+            X = np.random.default_rng(seed).normal(size=(40, 3)) + [0.5, 0.0, 0.0]
+            new = inversion_mc_test(X, so(3), kernel, B=29,
+                                    rng=np.random.default_rng(100 + seed))
+            with monkeypatch.context() as m:
+                m.setattr(mmd, "gram", reference_gram)
+                ref = inversion_mc_test(X, so(3), kernel, B=29,
+                                        rng=np.random.default_rng(100 + seed))
+            assert new.p_value == ref.p_value
+            assert new.statistic == pytest.approx(ref.statistic, rel=1e-9, abs=1e-12)
+            np.testing.assert_allclose(new.null_stats, ref.null_stats,
+                                       rtol=1e-9, atol=1e-12)
 
 
 class TestPower:
@@ -370,5 +405,6 @@ class TestPower:
     def test_power_estimate_validation(self):
         rng = np.random.default_rng(23)
         X = rng.normal(size=(10, 2))
-        with pytest.raises(BadMonteCarloBudget):
-            power_estimate(X, so(2), KERNEL, n_resamples=0, rng=rng)
+        for bad in (0, 2.5, True):
+            with pytest.raises(BadMonteCarloBudget):
+                power_estimate(X, so(2), KERNEL, n_resamples=bad, rng=rng)

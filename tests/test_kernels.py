@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from kernel_reference import so3_from_trace, so3_gram, so3_trace
 
 from symtest import (
     DiscreteDelta,
@@ -19,6 +20,7 @@ from symtest.errors import (
     UnsupportedKind,
 )
 from symtest.groups import haar_rotations
+from symtest.kernels import _so3_from_trace
 
 
 def axis_rotation(theta):
@@ -142,6 +144,66 @@ class TestRotationKernel:
         stack = haar_rotations(3, 30, rng)
         K = gram(RotationKernelSO3(), stack)
         assert np.linalg.eigvalsh(K).min() > -1e-8
+
+
+def _near(stack, angles, rng):
+    """Each rotation of the stack composed with a rotation by a tiny angle."""
+    axes = rng.standard_normal((len(stack), 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    out = []
+    for m, a, phi in zip(stack, axes, angles):
+        k = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
+        r = np.eye(3) + np.sin(phi) * k + (1 - np.cos(phi)) * (k @ k)
+        out.append(m @ r)
+    return np.array(out)
+
+
+class TestRotationGramReference:
+    """The one-GEMM Gram against the einsum-plus-mask reference."""
+
+    def test_generic_pairs(self):
+        rng = np.random.default_rng(40)
+        k = RotationKernelSO3()
+        for n, m in ((60, 45), (100, 100)):
+            A, B = haar_rotations(3, n, rng), haar_rotations(3, m, rng)
+            ref = so3_gram(A, B)
+            half = np.arccos(np.sqrt(np.clip((1 + so3_trace(A, B)) / 4, 0, 1)))
+            far = half >= 1e-3
+            assert far.mean() > 0.99
+            np.testing.assert_allclose(gram(k, A, B)[far], ref[far], rtol=1e-12)
+            K = gram(k, A)
+            np.testing.assert_allclose(K, so3_gram(A), rtol=1e-12, atol=1e-7)
+
+    def test_identical_and_near_identical(self):
+        rng = np.random.default_rng(41)
+        k = RotationKernelSO3()
+        A = haar_rotations(3, 40, rng)
+        np.testing.assert_allclose(np.diag(gram(k, A)), np.diag(so3_gram(A)),
+                                   rtol=0, atol=1e-7)
+        np.testing.assert_allclose(np.diag(gram(k, A, A.copy())), np.pi**2 / 8,
+                                   rtol=0, atol=1e-7)
+        angles = np.geomspace(1e-10, 2e-3, 40)
+        B = _near(A, angles, rng)
+        np.testing.assert_allclose(np.diag(gram(k, A, B)), np.diag(so3_gram(A, B)),
+                                   rtol=0, atol=1e-7)
+
+    def test_kernel_value_matches_masked_reference(self):
+        # trace values across [-1, 3], both sides of the theta = 1e-6 switch
+        tr = np.concatenate([
+            np.linspace(-1.0, 3.0, 2001),
+            3.0 - np.geomspace(1e-16, 1e-4, 200),
+        ])
+        np.testing.assert_allclose(_so3_from_trace(tr), so3_from_trace(tr),
+                                   rtol=1e-12)
+
+    def test_accurate_on_both_sides_of_the_series_switch(self):
+        # near theta = 1e-6 the series for theta / sin(theta) is exact to
+        # rounding, so both branches must agree with it
+        tr = 3.0 - np.linspace(3.8e-12, 4.2e-12, 201)
+        theta = np.arccos(np.sqrt((1.0 + tr) / 4.0))
+        assert theta.min() < 1e-6 < theta.max()
+        expect = np.pi / 8 * (np.pi - theta) * (1 + theta**2 / 6)
+        np.testing.assert_allclose(_so3_from_trace(tr), expect, rtol=1e-14)
 
 
 class TestDelta:
