@@ -199,85 +199,96 @@ def _log_joint_sums(data, config):
     return np.log(prod) + ca + cq.T
 
 
-def kcde_swap_odds(data, config, i, j, assignment=None):
-    """Odds ratio for swapping the responses at positions i and j.
-
-    The conditional permutation chain accepts a swap with probability
-    odds / (1 + odds) where odds is the ratio of kernel-estimated joint
-    densities with the two responses exchanged versus kept.  ``assignment``
-    maps positions to rows of the original response sample (identity by
-    default).
-    """
-    ls = _log_joint_sums(data, config)
-    n = ls.shape[0]
-    pi = np.arange(n) if assignment is None else np.asarray(assignment)
-    log_odds = ls[pi[j], i] + ls[pi[i], j] - ls[pi[i], i] - ls[pi[j], j]
-    return float(np.exp(log_odds))
+# Swap chains are advanced in blocks of at most this many pre-drawn pair
+# positions, which bounds the memory of the drawn orders.
+_CHAIN_BLOCK_ENTRIES = 1 << 20
 
 
-def _chain_sweeps(ls, pi, n_sweeps, rng):
+def _chain_sweeps(ls, pis, n_sweeps, rng):
     """Run pairwise swap sweeps of the conditional permutation chain.
 
-    The pairs of one sweep are disjoint, so every swap decision of the sweep
-    reads ``pi`` as it stood before the sweep, and all are made at once.
+    ``pis`` is a ``(c, n)`` stack of assignments, each advanced by its own
+    chain.  The draws come chain by chain and sweep by sweep, as
+    ``rng.permutation(n)`` then ``rng.uniform(size=n // 2)``, so a stack
+    gives the same chains as the same starts run one after another.  The
+    pairs of one sweep are disjoint, so every swap decision of the sweep
+    reads the assignment as it stood before the sweep, and the decisions of
+    all chains are made at once.
     """
     n = ls.shape[0]
-    pi = pi.copy()
+    pis = np.array(pis, copy=True)
     half = n // 2
-    for _ in range(n_sweeps):
-        order = rng.permutation(n)[: 2 * half]
-        i, j = order[0::2], order[1::2]
-        u = rng.uniform(size=half)
-        pi_i, pi_j = pi[i], pi[j]
-        log_odds = ls[pi_j, i] + ls[pi_i, j] - ls[pi_i, i] - ls[pi_j, j]
-        # accept with probability odds / (1 + odds)
-        swap = np.log(u / (1.0 - u)) < log_odds
-        pi[i[swap]] = pi_j[swap]
-        pi[j[swap]] = pi_i[swap]
-    return pi
+    step = max(1, _CHAIN_BLOCK_ENTRIES // (n_sweeps * 2 * half))
+    for lo in range(0, pis.shape[0], step):
+        pi = pis[lo:lo + step]  # a view: the block's sweeps advance pis
+        k = pi.shape[0]
+        orders = np.empty((k, n_sweeps, 2 * half), dtype=np.intp)
+        us = np.empty((k, n_sweeps, half))
+        for b in range(k):
+            for s in range(n_sweeps):
+                orders[b, s] = rng.permutation(n)[: 2 * half]
+                us[b, s] = rng.uniform(size=half)
+        rows = np.arange(k)[:, None]
+        for s in range(n_sweeps):
+            i, j = orders[:, s, 0::2], orders[:, s, 1::2]
+            u = us[:, s]
+            pi_i, pi_j = pi[rows, i], pi[rows, j]
+            log_odds = ls[pi_j, i] + ls[pi_i, j] - ls[pi_i, i] - ls[pi_j, j]
+            # accept with probability odds / (1 + odds)
+            swap = np.log(u / (1.0 - u)) < log_odds
+            pi[rows, i] = np.where(swap, pi_j, pi_i)
+            pi[rows, j] = np.where(swap, pi_i, pi_j)
+    return pis
 
 
-def multiple_correlation_statistic(X, Z, M=None):
+def multiple_correlation_statistic(X, Z):
     """Multiple correlation of the leading response direction with X.
 
     The first principal coordinate of Z (Z itself when univariate) is
     regressed on the columns of X with an intercept; returns the square root
-    of the explained variance fraction.
+    of the explained variance fraction, ``|Q^T t|^2 / |t|^2`` for the centred
+    target t and an orthonormal basis Q of the design ``[1, X]``.  A
+    ``(k, n, q)`` stack of responses is scored against one factorisation of
+    the design and gives a ``(k,)`` array.
     """
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
+    stacked = Z.ndim == 3
     if Z.ndim == 1:
         Z = Z[:, None]
+    if not stacked:
+        Z = Z[None]
     n, d = X.shape
     if n <= d + 1:
         raise SampleTooSmall("need more observations than regressors")
-    zc = Z - Z.mean(axis=0)
-    if Z.shape[1] == 1:
-        target = zc[:, 0]
-    else:
-        _, _, vt = np.linalg.svd(zc, full_matrices=False)
-        target = zc @ vt[0]
     design = np.column_stack([np.ones(n), X])
     if np.linalg.matrix_rank(design) < d + 1:
         raise RankDeficientDesign("covariate design matrix is rank deficient")
-    sst = float(target @ target)
-    if sst <= 0.0:
-        return 0.0
-    coef, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-    resid = target - design @ coef
-    r2 = 1.0 - float(resid @ resid) / sst
-    return float(np.sqrt(max(r2, 0.0)))
+    q, _ = np.linalg.qr(design)
+    zc = Z - Z.mean(axis=1, keepdims=True)
+    if Z.shape[2] == 1:
+        target = zc[:, :, 0]
+    else:
+        _, _, vt = np.linalg.svd(zc, full_matrices=False)
+        target = np.einsum("kni,ki->kn", zc, vt[:, 0])
+    sst = np.einsum("kn,kn->k", target, target)
+    proj = target @ q
+    explained = np.einsum("kp,kp->k", proj, proj)
+    r2 = np.divide(explained, sst, out=np.zeros_like(sst), where=sst > 0.0)
+    r = np.sqrt(np.clip(r2, 0.0, 1.0))
+    return r if stacked else float(r[0])
 
 
 def cp_test(X, Y, spec, config, alpha=0.05, burn_in=50, B=100, rng=None,
-            y_action="same", m_kind=None, statistic=None, seed=None):
+            y_action="same", m_kind=None, seed=None):
     """Conditional permutation test of equivariance of Y given X.
 
     Responses are shuffled by a swap chain that preserves the estimated
     conditional law of Z given M: ``burn_in`` sweeps from the observed
     assignment, then B independent continuations of ``burn_in`` further
-    sweeps each supply one permuted copy.  The observed statistic is ranked
-    among the permuted ones.
+    sweeps each supply one permuted copy.  The B chains are advanced as one
+    stack and their copies scored in one call.  The observed statistic is
+    ranked among the permuted ones.
     """
     _check_budget(B)
     _check_budget(burn_in, "burn_in")
@@ -286,14 +297,10 @@ def cp_test(X, Y, spec, config, alpha=0.05, burn_in=50, B=100, rng=None,
     n = data.X.shape[0]
     if n < 4:
         raise SampleTooSmall("the swap chain needs at least four observations")
-    if statistic is None:
-        statistic = multiple_correlation_statistic
     ls = _log_joint_sums(data, config)
-    t_obs = statistic(data.X, data.Z, data.M)
-    pi0 = _chain_sweeps(ls, np.arange(n), burn_in, rng)
-    nulls = np.empty(B)
-    for b in range(B):
-        pi_b = _chain_sweeps(ls, pi0, burn_in, rng)
-        nulls[b] = statistic(data.X, data.Z[pi_b], data.M)
+    t_obs = multiple_correlation_statistic(data.X, data.Z)
+    pi0 = _chain_sweeps(ls, np.arange(n)[None], burn_in, rng)
+    pis = _chain_sweeps(ls, np.repeat(pi0, B, axis=0), burn_in, rng)
+    nulls = multiple_correlation_statistic(data.X, data.Z[pis])
     p = pvalue_from_nulls(t_obs, nulls)
     return TestResult(t_obs, p, nulls, alpha, p <= alpha, "cp", seed)

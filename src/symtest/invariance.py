@@ -95,6 +95,7 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
         raise SampleTooSmall("need at least two observations")
     _check_finite(X)
     _check_budget(B)
+    _check_budget(m, "m")
     _require_rng(rng)
     if not 0 < alpha < 1:
         raise BadParameters("alpha must lie in (0, 1)")
@@ -345,6 +346,7 @@ def power_estimate(X, spec, kernel=None, m=2, B=200, n_resamples=50,
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
+    _check_budget(m, "m")
     _check_budget(n_resamples, "n_resamples")
     _require_rng(rng)
     betas = np.empty(n_resamples)

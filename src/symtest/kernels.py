@@ -183,13 +183,28 @@ def gram(kernel, X, Y=None):
     raise UnsupportedKind(f"unknown kernel type {type(kernel).__name__}")
 
 
+# The median heuristic takes its row differences in blocks of at most this
+# many floats.
+_MEDIAN_BLOCK_ENTRIES = 1 << 20
+
+
 def median_heuristic(X):
     """Median pairwise Euclidean distance of a sample, used as RBF sigma."""
     X = _as_points(X)
-    if X.shape[0] < 2:
+    n, d = X.shape
+    if n < 2:
         raise SampleTooSmall("median heuristic needs at least two points")
-    # exact row differences, so that duplicate rows give distances of exactly 0
-    dists = [np.linalg.norm(X[i + 1:] - X[i], axis=1) for i in range(X.shape[0] - 1)]
+    # exact row differences X[j] - X[i] over the pairs j > i, so that duplicate
+    # rows give distances of exactly 0, taken for a block of rows i at a time
+    step = max(1, _MEDIAN_BLOCK_ENTRIES // (n * max(d, 1)))
+    dists = []
+    for lo in range(0, n - 1, step):
+        rows = np.arange(lo, min(lo + step, n - 1))
+        counts = n - 1 - rows
+        i = np.repeat(rows, counts)
+        # row i's partners i + 1, ..., n - 1, from each entry's offset in its run
+        j = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts) + i + 1
+        dists.append(np.linalg.norm(X[j] - X[i], axis=1))
     med = float(np.median(np.concatenate(dists)))
     if med <= 0.0:
         raise AllPointsIdentical("all points coincide; no usable bandwidth")

@@ -1,11 +1,15 @@
-"""A reference for the SO(3) rotation kernel's Gram matrix.
+"""References for the SO(3) rotation kernel's Gram matrix and the median
+heuristic.
 
 The trace matrix is an einsum over the (n, 3, 3) stacks, and the kernel
 value is taken with boolean masks: theta / sin(theta) from ``np.sin`` away
-from 0 and the series 1 + theta^2 / 6 below theta = 1e-6.
+from 0 and the series 1 + theta^2 / 6 below theta = 1e-6.  The median
+heuristic takes one row's differences at a time.
 """
 
 import numpy as np
+
+from symtest.errors import AllPointsIdentical
 
 
 def so3_from_trace(tr):
@@ -29,3 +33,13 @@ def so3_trace(A, B):
 def so3_gram(A, B=None):
     """The rotation kernel's Gram matrix of two stacks; B defaults to A."""
     return so3_from_trace(so3_trace(A, A if B is None else B))
+
+
+def median_heuristic_by_rows(X):
+    """Median pairwise distance from one ``norm`` call per row."""
+    X = np.asarray(X, dtype=float)
+    dists = [np.linalg.norm(X[i + 1:] - X[i], axis=1) for i in range(X.shape[0] - 1)]
+    med = float(np.median(np.concatenate(dists)))
+    if med <= 0.0:
+        raise AllPointsIdentical("all points coincide; no usable bandwidth")
+    return med

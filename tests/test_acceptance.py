@@ -12,6 +12,7 @@ import functools
 
 import numpy as np
 import pytest
+from condsym_reference import kcde_swap_odds
 from group_reference import act_each, act_rows
 
 from symtest import (
@@ -23,7 +24,6 @@ from symtest import (
     cw_statistic,
     eval_kernel,
     invariance_stat_v,
-    kcde_swap_odds,
     kci_statistic,
     kci_test_data,
     mc_invariance_test,

@@ -2,6 +2,12 @@
 
 import numpy as np
 import pytest
+from condsym_reference import (
+    kcde_swap_odds,
+    reference_cp_pvalue,
+    reference_multiple_correlation,
+    reference_sweeps,
+)
 from group_reference import act_rows
 
 from symtest import (
@@ -14,13 +20,13 @@ from symtest import (
     SampleTooSmall,
     UnsupportedKind,
     cp_test,
-    kcde_swap_odds,
     kci_statistic,
     kci_test,
     kci_test_data,
     multiple_correlation_statistic,
     transform_responses,
 )
+from symtest import condsym
 from symtest.condsym import (
     _chain_sweeps,
     _kci_matrices,
@@ -265,51 +271,79 @@ class TestChain:
     def test_returns_permutation(self):
         data = make_paired(n=11, seed=19, dependent=True)
         ls = _log_joint_sums(data, CFG)
-        pi = _chain_sweeps(ls, np.arange(11), 20, np.random.default_rng(2))
-        assert sorted(pi) == list(range(11))
+        pis = _chain_sweeps(ls, np.tile(np.arange(11), (3, 1)), 20,
+                            np.random.default_rng(2))
+        assert pis.shape == (3, 11)
+        for pi in pis:
+            assert sorted(pi) == list(range(11))
 
     def test_deterministic_given_seed(self):
         data = make_paired(n=11, seed=20)
         ls = _log_joint_sums(data, CFG)
-        a = _chain_sweeps(ls, np.arange(11), 10, np.random.default_rng(3))
-        b = _chain_sweeps(ls, np.arange(11), 10, np.random.default_rng(3))
+        a = _chain_sweeps(ls, np.arange(11)[None], 10, np.random.default_rng(3))
+        b = _chain_sweeps(ls, np.arange(11)[None], 10, np.random.default_rng(3))
         assert np.array_equal(a, b)
 
+    def test_start_is_not_modified(self):
+        data = make_paired(n=11, seed=20)
+        ls = _log_joint_sums(data, CFG)
+        start = np.tile(np.arange(11), (2, 1))
+        _chain_sweeps(ls, start, 10, np.random.default_rng(3))
+        assert np.array_equal(start, np.tile(np.arange(11), (2, 1)))
 
-def _reference_sweeps(ls, pi, n_sweeps, rng):
-    """The chain with one swap decision at a time, in pair order."""
-    n = ls.shape[0]
-    pi = pi.copy()
-    half = n // 2
-    for _ in range(n_sweeps):
-        order = rng.permutation(n)[: 2 * half].reshape(half, 2)
-        u = rng.uniform(size=half)
-        for (i, j), uu in zip(order, u):
-            log_odds = ls[pi[j], i] + ls[pi[i], j] - ls[pi[i], i] - ls[pi[j], j]
-            if np.log(uu / (1.0 - uu)) < log_odds:
-                pi[i], pi[j] = pi[j], pi[i]
-    return pi
+
+def _fitted(tag, n, rng):
+    """A paired sample of the generator and its median-bandwidth config."""
+    X, Y = sample(parse_generator(f"{tag}(d=3)"), n, rng)
+    data = transform_responses(X, Y, so(3))
+    cfg = KciConfig(
+        resolve_bandwidth(GaussianRBF(None), data.X),
+        resolve_bandwidth(GaussianRBF(None), data.Z),
+        resolve_bandwidth(GaussianRBF(None), data.M),
+    )
+    return X, Y, data, cfg
 
 
 class TestChainMatchesReference:
     @pytest.mark.parametrize("tag", ["cond-shift", "cond-abs"])
     def test_identical_permutations(self, tag):
-        gen = parse_generator(f"{tag}(d=3)")
         for seed in range(25):
             rng = np.random.default_rng([seed, 31])
             n = (4, 5, 11, 64)[seed % 4]
-            X, Y = sample(gen, n, rng)
-            data = transform_responses(X, Y, so(3))
-            cfg = KciConfig(
-                resolve_bandwidth(GaussianRBF(None), data.X),
-                resolve_bandwidth(GaussianRBF(None), data.Z),
-                resolve_bandwidth(GaussianRBF(None), data.M),
-            )
+            _, _, data, cfg = _fitted(tag, n, rng)
             ls = _log_joint_sums(data, cfg)
             start = rng.permutation(n)
-            got = _chain_sweeps(ls, start, 20, np.random.default_rng(seed))
-            want = _reference_sweeps(ls, start, 20, np.random.default_rng(seed))
-            assert np.array_equal(got, want), (tag, seed, n)
+            got = _chain_sweeps(ls, start[None], 20, np.random.default_rng(seed))
+            want = reference_sweeps(ls, start, 20, np.random.default_rng(seed))
+            assert np.array_equal(got[0], want), (tag, seed, n)
+
+    @pytest.mark.parametrize("n", [4, 5, 11, 64])
+    def test_stack_equals_sequential_chains(self, n):
+        # a stack of chains draws chain by chain, so it gives the chains
+        # that the same starts give when run one after another
+        for seed in range(25):
+            rng = np.random.default_rng([seed, 37])
+            tag = ("cond-shift", "cond-abs")[seed % 2]
+            _, _, data, cfg = _fitted(tag, n, rng)
+            ls = _log_joint_sums(data, cfg)
+            starts = np.array([rng.permutation(n) for _ in range(7)])
+            got = _chain_sweeps(ls, starts, 6, np.random.default_rng(seed))
+            seq = np.random.default_rng(seed)
+            one_by_one = [_chain_sweeps(ls, s[None], 6, seq)[0] for s in starts]
+            ref = np.random.default_rng(seed)
+            want = [reference_sweeps(ls, s, 6, ref) for s in starts]
+            assert np.array_equal(got, np.array(one_by_one)), (seed, n)
+            assert np.array_equal(got, np.array(want)), (seed, n)
+
+    def test_blocks_keep_the_draw_order(self, monkeypatch):
+        data = make_paired(n=9, seed=38, dependent=True)
+        ls = _log_joint_sums(data, CFG)
+        starts = np.tile(np.arange(9), (5, 1))
+        whole = _chain_sweeps(ls, starts, 4, np.random.default_rng(4))
+        # two chains' draws per block: blocks of 2, 2 and 1 chains
+        monkeypatch.setattr(condsym, "_CHAIN_BLOCK_ENTRIES", 2 * 4 * 8)
+        blocked = _chain_sweeps(ls, starts, 4, np.random.default_rng(4))
+        assert np.array_equal(whole, blocked)
 
 
 class TestMultipleCorrelation:
@@ -351,6 +385,42 @@ class TestMultipleCorrelation:
         with pytest.raises(SampleTooSmall):
             multiple_correlation_statistic(np.zeros((3, 3)), np.zeros(3))
 
+    @pytest.mark.parametrize("d,q", [(1, 1), (3, 1), (2, 2), (3, 3)])
+    def test_stack_matches_lstsq_reference(self, d, q):
+        rng = np.random.default_rng([39, d, q])
+        n = 30
+        X = rng.normal(size=(n, d))
+        Z = rng.normal(size=(12, n, q))
+        Z[:4] += (X @ rng.normal(size=(d, q)))[None]  # some dependent copies
+        Z[5] = 2.5  # a constant copy scores 0
+        got = multiple_correlation_statistic(X, Z)
+        want = [reference_multiple_correlation(X, z) for z in Z]
+        assert got.shape == (12,)
+        assert got[5] == 0.0
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        for z, r in zip(Z, got):
+            one = multiple_correlation_statistic(X, z)
+            assert isinstance(one, float)
+            assert one == pytest.approx(r, rel=0, abs=1e-15)
+
+    def test_univariate_stack_matches_vector_targets(self):
+        rng = np.random.default_rng(40)
+        X = rng.normal(size=(25, 2))
+        z = rng.normal(size=(6, 25))
+        got = multiple_correlation_statistic(X, z[:, :, None])
+        want = [reference_multiple_correlation(X, zz) for zz in z]
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_stack_checks_the_design(self):
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=20)
+        with pytest.raises(RankDeficientDesign):
+            multiple_correlation_statistic(
+                np.column_stack([x, 2.0 * x]), rng.normal(size=(5, 20, 2))
+            )
+        with pytest.raises(SampleTooSmall):
+            multiple_correlation_statistic(np.zeros((3, 3)), np.zeros((5, 3, 1)))
+
 
 class TestCpTest:
     def test_pvalue_on_lattice(self):
@@ -381,3 +451,27 @@ class TestCpTest:
                 cp_test(X, Y, so(2), CFG, rng=rng, **bad)
         with pytest.raises(SampleTooSmall):
             cp_test(X[:3], Y[:3], so(2), CFG, rng=rng)
+
+    def test_rank_deficient_covariates(self):
+        rng = np.random.default_rng(42)
+        x = rng.normal(size=12)
+        X = np.column_stack([x, 2.0 * x])
+        with pytest.raises(RankDeficientDesign):
+            cp_test(X, rng.normal(size=(12, 2)), so(2), CFG, burn_in=2, B=9,
+                    rng=rng)
+
+    def test_pvalues_match_sequential_reference(self):
+        # the batched chains and statistic against B single chains with one
+        # swap decision at a time and one lstsq per copy, on 300 replications
+        mismatched = []
+        for rep in range(300):
+            tag = ("cond-shift", "cond-abs")[rep % 2]
+            n = (16, 23, 32)[rep % 3]
+            X, Y, _, cfg = _fitted(tag, n, np.random.default_rng([rep, 43]))
+            got = cp_test(X, Y, so(3), cfg, burn_in=3, B=19,
+                          rng=np.random.default_rng([rep, 44]))
+            want = reference_cp_pvalue(X, Y, so(3), cfg, 3, 19,
+                                       np.random.default_rng([rep, 44]))
+            if got.p_value != want:
+                mismatched.append((rep, got.p_value, want))
+        assert mismatched == []

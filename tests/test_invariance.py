@@ -204,6 +204,13 @@ class TestMcInvariance:
         with pytest.raises(BadParameters):
             mc_invariance_test(X, so(2), KERNEL, B=9, statistic="nope", rng=rng)
 
+    @pytest.mark.parametrize("m", [2.5, True, 0])
+    def test_transform_count_validation(self, m):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(20, 2))
+        with pytest.raises(BadMonteCarloBudget):
+            mc_invariance_test(X, so(2), KERNEL, m=m, B=9, rng=rng)
+
 
 _KCI_CFG = KciConfig(KERNEL, KERNEL, KERNEL)
 
@@ -408,3 +415,6 @@ class TestPower:
         for bad in (0, 2.5, True):
             with pytest.raises(BadMonteCarloBudget):
                 power_estimate(X, so(2), KERNEL, n_resamples=bad, rng=rng)
+            with pytest.raises(BadMonteCarloBudget):
+                power_estimate(X, so(2), KERNEL, m=bad, B=9, n_resamples=2,
+                               rng=rng)

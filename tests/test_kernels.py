@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from kernel_reference import so3_from_trace, so3_gram, so3_trace
+from kernel_reference import (
+    median_heuristic_by_rows,
+    so3_from_trace,
+    so3_gram,
+    so3_trace,
+)
 
 from symtest import (
     DiscreteDelta,
@@ -19,6 +24,7 @@ from symtest.errors import (
     SampleTooSmall,
     UnsupportedKind,
 )
+from symtest import kernels
 from symtest.groups import haar_rotations
 from symtest.kernels import _so3_from_trace
 
@@ -242,6 +248,29 @@ class TestMedianHeuristic:
             X = rows[np.r_[np.zeros(18, dtype=int), 1, 2]]
             with pytest.raises(AllPointsIdentical):
                 median_heuristic(X[rng.permutation(20)])
+
+    @pytest.mark.parametrize("block", [None, 1, 50])
+    def test_bit_identical_to_row_loop(self, block, monkeypatch):
+        if block is not None:  # force blocks of one row or a few rows
+            monkeypatch.setattr(kernels, "_MEDIAN_BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(8)
+        for n, d in [(2, 1), (3, 2), (7, 3), (64, 3), (65, 9), (200, 4), (33, 40)]:
+            X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+            if n > 2:
+                X[n // 2] = X[0]  # one duplicate row
+            assert median_heuristic(X) == median_heuristic_by_rows(X), (n, d)
+
+    @pytest.mark.parametrize("block", [None, 1, 50])
+    def test_duplicate_rows_raise_in_blocks(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(kernels, "_MEDIAN_BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(9)
+        rows = rng.normal(size=(3, 4)) * 1e-3
+        X = rows[np.r_[np.zeros(18, dtype=int), 1, 2]][rng.permutation(20)]
+        with pytest.raises(AllPointsIdentical):
+            median_heuristic(X)
+        with pytest.raises(AllPointsIdentical):
+            median_heuristic_by_rows(X)
 
 
 class TestCenter:

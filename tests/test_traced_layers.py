@@ -2,26 +2,29 @@
 
 ``bench/spans.py`` looks each traced function up by module and attribute
 name, so renaming or deleting one of them would otherwise only fail in a
-traced benchmark run.
+traced benchmark run.  Work fused into an untraced caller would be charged
+to that caller's self time, so the CP test is checked to score its null
+copies through the traced statistic.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
-def _layers():
+def _spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return spans.LAYERS
+    return spans
 
 
-LAYERS = _layers()
+LAYERS = _spans().LAYERS
 
 
 @pytest.mark.parametrize("layer", sorted(LAYERS))
@@ -31,3 +34,34 @@ def test_traced_layer_resolves(layer):
     for part in attr.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+def test_cp_null_copies_pass_through_the_traced_statistic(monkeypatch):
+    # the traced statistic must score every null copy, so that the copies'
+    # time is charged to its layer and not to cp_test's self time
+    from symtest import GaussianRBF, KciConfig, condsym, cp_test
+    from symtest.groups import so
+
+    original = condsym.multiple_correlation_statistic
+    scored = []
+
+    def recording(X, Z):
+        out = original(X, Z)
+        scored.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(condsym, "multiple_correlation_statistic", recording)
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        rng = np.random.default_rng(5)
+        X, Y = rng.normal(size=(24, 2)), rng.normal(size=(24, 2))
+        k = GaussianRBF(1.0)
+        res = cp_test(X, Y, so(2), KciConfig(k, k, k), burn_in=2, B=19, rng=rng)
+    finally:
+        tracer.uninstall()
+    values = tracer.end()
+    assert res.null_stats.size == 19
+    assert sum(scored) == 1 + 19  # the observed statistic and every copy
+    assert values["condsym.multiple_correlation_statistic.calls"] == len(scored)
+    assert values["condsym.multiple_correlation_statistic.ms"] > 0.0
