@@ -97,7 +97,7 @@ def _cmd_simulate(args, allowed=None):
 
 
 def _cmd_power(args):
-    cfg = _load_config(args, _INVARIANCE_METHODS)
+    cfg = _load_config(args)
     est = run_power_estimate(cfg)
     print(f"estimated-power={est.beta_hat:.4f} over {est.n_resamples} resamples "
           f"(B={est.B}, alpha={est.alpha})")

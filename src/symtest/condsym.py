@@ -129,7 +129,7 @@ def kci_statistic(data, config):
 _EIG_TRUNC = 1e-10
 
 
-def kci_null_samples(data, config, rng, n_samples=None):
+def kci_null_samples(data, config, rng):
     """Spectral Monte Carlo draws approximating the null law of the statistic.
 
     With A and B the two conditioned matrices, write A = psi psi^T and
@@ -138,16 +138,14 @@ def kci_null_samples(data, config, rng, n_samples=None):
     theorem.  Under conditional independence the statistic is asymptotically
     (1/n) sum_k g_k z_k^2 with g the eigenvalues of A o B and z_k i.i.d.
     standard normal (Zhang, Peters, Janzing & Schoelkopf 2011, Prop. 5).
-    Each draw therefore takes n chi-square(1) variables.
+    Each of the ``config.null_samples`` draws takes n chi-square(1) variables.
     """
-    if n_samples is None:
-        n_samples = config.null_samples
     a, b = _kci_matrices(data, config)
     n = a.shape[0]
     g = _trimmed_eigs(a * b)
     if g.size == 0:
-        return np.zeros(n_samples)
-    return (rng.standard_normal((n_samples, g.size)) ** 2) @ g / n
+        return np.zeros(config.null_samples)
+    return (rng.standard_normal((config.null_samples, g.size)) ** 2) @ g / n
 
 
 def _trimmed_eigs(mat):

@@ -78,10 +78,6 @@ class RankDeficientDesign(SymtestError):
     """Regression design matrix does not have full column rank."""
 
 
-class DegenerateVariance(SymtestError):
-    """A variance needed for standardisation is zero."""
-
-
 class EmptyGrid(SymtestError):
     """A tuning grid with no candidate combinations."""
 

@@ -15,8 +15,9 @@ groups, and the trivial group.  For each family the module offers
   a sampler for the conditional distribution of the inverting element when
   the action has stabilisers, and several maximal invariants.  Each works
   on a whole (n, d) sample at once (``gamma_batch``, ``tau_batch``,
-  ``inversion_kernel_batch``, ``invariant_batch``); the per-point functions
-  wrap them.
+  ``inversion_kernel_batch``, ``invariant_batch``);
+  ``representative_inversion`` and ``inversion_kernel_sample`` wrap two of
+  them for one point.
 
 A batch stores rotations as matrices, permutations as index arrays where entry
 ``p[i]`` is the image of position ``i``; the action places coordinate ``i``
@@ -426,11 +427,6 @@ def _one(x):
     return np.asarray(x, dtype=float).reshape(1, -1)
 
 
-def orbit_selector(spec, x):
-    """The canonical representative gamma(x) of the orbit through x."""
-    return gamma_batch(spec, _one(x))[0]
-
-
 def representative_inversion(spec, x):
     """The element tau(x) of ``tau_batch`` at one point, as a one-row batch."""
     return tau_batch(spec, _one(x))
@@ -439,11 +435,6 @@ def representative_inversion(spec, x):
 def inversion_kernel_sample(spec, x, rng):
     """One draw of ``inversion_kernel_batch`` at one point, as a one-row batch."""
     return inversion_kernel_batch(spec, _one(x), rng)
-
-
-def maximal_invariant(spec, kind, x):
-    """``invariant_batch`` at one point, given as a flat vector."""
-    return invariant_batch(spec, kind, _one(x))[0]
 
 
 def default_invariant_kind(spec):

@@ -19,11 +19,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .condsym import PairedDataset, KciConfig, cp_test, kci_test, transform_responses
+from .condsym import KciConfig, cp_test, kci_test, transform_responses
 from .errors import (
     ConfigInvalid,
     DataFileMissing,
-    DegenerateVariance,
     EmptyGrid,
     IoError,
     ParseError,
@@ -45,6 +44,17 @@ from .kernels import GaussianRBF, parse_kernel, resolve_bandwidth
 from .synthdata import parse_generator, sample
 
 METHODS = ("mmd", "nmmd", "cw", "2smmd", "inversion-mmd", "kci", "cp")
+
+# the methods whose test ``power_estimate`` can rerun, with their statistics
+_POWER_STATISTICS = {"mmd": "mmd-u", "nmmd": "mmd-nystrom", "cw": "cw"}
+
+
+def _is_int(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    return _is_int(v) or isinstance(v, (float, np.floating))
 
 
 @dataclass
@@ -93,31 +103,33 @@ class ExperimentConfig:
             raise ConfigInvalid(
                 f"unknown method {self.method!r}; choose one of {METHODS}"
             )
-        try:
-            parse_group(self.group)
-        except SymtestError as exc:
-            raise ConfigInvalid(f"bad group descriptor: {exc}") from exc
         for name in ("n", "reps", "m", "B", "null_samples", "burn_in",
-                     "n_resamples"):
+                     "n_resamples", "n_landmarks", "n_projections"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+            if v is None and name in ("n_landmarks", "n_projections"):
+                continue
+            if not _is_int(v) or v < 1:
                 raise ConfigInvalid(f"{name} must be a positive integer")
-        if not 0 < self.alpha < 1:
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigInvalid("seed must be a nonnegative integer")
+        if not _is_real(self.alpha) or not 0 < self.alpha < 1:
             raise ConfigInvalid("alpha must lie strictly between 0 and 1")
-        if not self.epsilon > 0:
+        if not _is_real(self.epsilon) or not self.epsilon > 0:
             raise ConfigInvalid("epsilon must be positive")
         if (self.generator is None) == (self.data is None):
             raise ConfigInvalid("exactly one of 'generator' or 'data' is required")
         if self.data is not None and self.schema is None:
             raise ConfigInvalid("file-backed experiments need a 'schema'")
-        if self.generator is not None:
+        for name, parse in (("group", parse_group), ("generator", parse_generator),
+                            ("kernel", parse_kernel), ("kernel_y", parse_kernel),
+                            ("kernel_m", parse_kernel)):
+            text = getattr(self, name)
+            if text is None and name == "generator":
+                continue
+            if not isinstance(text, str):
+                raise ConfigInvalid(f"{name} must be a descriptor string")
             try:
-                parse_generator(self.generator)
-            except SymtestError as exc:
-                raise ConfigInvalid(f"bad generator descriptor: {exc}") from exc
-        for name in ("kernel", "kernel_y", "kernel_m"):
-            try:
-                parse_kernel(getattr(self, name))
+                parse(text)
             except SymtestError as exc:
                 raise ConfigInvalid(f"bad {name} descriptor: {exc}") from exc
         if self.y_action not in ("same", "trivial"):
@@ -292,10 +304,19 @@ def run_simulation(config, dataset=None):
 
 
 def run_power_estimate(config, rng=None):
-    """Draw one dataset from the configured generator and estimate power."""
+    """Draw one dataset from the configured generator and estimate power.
+
+    Defined for the methods ``mmd``, ``nmmd`` and ``cw``, whose Monte Carlo
+    invariance test is rerun on each bootstrap resample.
+    """
     config.validate()
     if config.generator is None:
         raise ConfigInvalid("power estimation is defined for generated data")
+    if config.method not in _POWER_STATISTICS:
+        raise ConfigInvalid(
+            f"power estimation is defined for the methods {tuple(_POWER_STATISTICS)}"
+        )
+    statistic = _POWER_STATISTICS[config.method]
     if rng is None:
         rng = _rep_rng(config.seed, 0)
     gen = parse_generator(config.generator)
@@ -305,10 +326,20 @@ def run_power_estimate(config, rng=None):
         Xtr, _ = _draw_data(gen, config.n, rng)
         kernel = resolve_bandwidth(kernel, Xtr)
     spec = parse_group(config.group)
+
+    # ``statistic`` names the test in the estimate's record; ``test_fn`` runs
+    # it with the configured landmark and projection counts
+    def test_fn(sample):
+        return mc_invariance_test(
+            sample, spec, kernel=kernel, m=config.m, B=config.B,
+            alpha=config.alpha, statistic=statistic, rng=rng,
+            n_landmarks=config.n_landmarks, n_projections=config.n_projections,
+        ).p_value
+
     return power_estimate(
         X, spec, kernel=kernel, m=config.m, B=config.B,
-        n_resamples=config.n_resamples, alpha=config.alpha, rng=rng,
-        seed=config.seed,
+        n_resamples=config.n_resamples, alpha=config.alpha,
+        statistic=statistic, rng=rng, test_fn=test_fn, seed=config.seed,
     )
 
 
@@ -408,76 +439,6 @@ def ingest_csv(path, schema):
     X = np.asarray(x_rows, dtype=float)
     Y = np.asarray(y_rows, dtype=float) if ri else None
     return X, Y, header
-
-
-def preprocess_swarm(rows, axis=(0.0, 0.0, 1.0)):
-    """Prepare satellite magnetic-survey records for a rotation-about-axis test.
-
-    ``rows`` has columns (latitude deg, longitude deg, radius, field value).
-    Positions become Cartesian coordinates rescaled so the largest coordinate
-    norm is one, then rotated so that ``axis`` is the third coordinate; the
-    field is standardised.  Returns a PairedDataset with M = (distance from
-    the axis, height along the axis) and Z the standardised field, matching a
-    test of conditional invariance under rotations about the axis.
-    """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != 4:
-        raise SchemaMismatch("expected columns (lat, lon, radius, field)")
-    if np.any(np.abs(rows[:, 0]) > 90.0):
-        raise RangeError("latitudes must lie in [-90, 90] degrees")
-    if np.any((rows[:, 1] < -180.0) | (rows[:, 1] >= 360.0)):
-        raise RangeError("longitudes must lie in [-180, 360) degrees")
-    lat = np.deg2rad(rows[:, 0])
-    lon = np.deg2rad(rows[:, 1])
-    r = rows[:, 2]
-    if np.any(r <= 0):
-        raise RangeError("radii must be positive")
-    xyz = np.stack(
-        [r * np.cos(lat) * np.cos(lon), r * np.cos(lat) * np.sin(lon),
-         r * np.sin(lat)], axis=1,
-    )
-    xyz = xyz / np.linalg.norm(xyz, axis=1).max()
-    basis = _axis_frame(np.asarray(axis, dtype=float))
-    X = xyz @ basis  # columns: two transverse coordinates, then along-axis
-    field_vals = rows[:, 3]
-    sd = field_vals.std()
-    if sd <= 0:
-        raise DegenerateVariance("field values are constant")
-    Z = ((field_vals - field_vals.mean()) / sd)[:, None]
-    M = np.stack([np.hypot(X[:, 0], X[:, 1]), X[:, 2]], axis=1)
-    return PairedDataset(X, Z.copy(), M, Z)
-
-
-def _axis_frame(axis):
-    """Right-handed orthonormal basis (b1, b2, axis/|axis|) as columns."""
-    nrm = np.linalg.norm(axis)
-    if nrm <= 0:
-        raise RangeError("the axis vector must be nonzero")
-    a = axis / nrm
-    helper = np.eye(3)[np.argmin(np.abs(a))]
-    b1 = np.cross(a, helper)
-    b1 /= np.linalg.norm(b1)
-    b2 = np.cross(a, b1)
-    return np.stack([b1, b2, a], axis=1)
-
-
-def preprocess_dijet(rows):
-    """Turn leading-jet (pT, phi) pairs into planar momentum blocks on R^4.
-
-    ``rows`` has columns (pt1, phi1, pt2, phi2); the output rows are
-    (pt1 cos phi1, pt1 sin phi1, pt2 cos phi2, pt2 sin phi2), the layout the
-    paired and independent plane-rotation groups act on.
-    """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != 4:
-        raise SchemaMismatch("expected columns (pt1, phi1, pt2, phi2)")
-    if np.any(rows[:, (0, 2)] < 0):
-        raise RangeError("transverse momenta must be nonnegative")
-    pt1, phi1, pt2, phi2 = rows.T
-    return np.stack(
-        [pt1 * np.cos(phi1), pt1 * np.sin(phi1),
-         pt2 * np.cos(phi2), pt2 * np.sin(phi2)], axis=1,
-    )
 
 
 # ---------------------------------------------------------------------------

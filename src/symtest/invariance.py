@@ -77,16 +77,15 @@ def pvalue_from_nulls(t_obs, nulls, rng=None, tie_break=False):
 
 def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
                        statistic="mmd-u", rng=None, tie_break=False,
-                       n_landmarks=None, n_projections=None,
-                       n_stat_transforms=None, seed=None):
+                       n_landmarks=None, n_projections=None, seed=None):
     """Conditional Monte Carlo test of invariance of the law of X.
 
     ``statistic`` selects the test statistic: ``mmd-u`` (the U-form
     invariance MMD), ``mmd-nystrom`` (its landmark approximation), ``cw``
-    (max Kolmogorov-Smirnov distance over random projections), or a callable
-    ``f(X) -> float``.  The statistic's transform draws and projection
-    directions are drawn once and reused across the B re-randomised copies;
-    the Nyström landmarks are drawn afresh for each.  Each copy moves every
+    (max Kolmogorov-Smirnov distance over random projections and m group
+    elements), or a callable ``f(X) -> float``.  The statistic's transform
+    draws and projection directions are drawn once and reused across the B
+    re-randomised copies; the Nyström landmarks are drawn afresh for each.  Each copy moves every
     row by its own Haar element through ``orbit_draw``.
     """
     X = np.asarray(X, dtype=float)
@@ -126,11 +125,10 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
     elif statistic == "cw":
         method = "mc-invariance/cw"
         j = n_projections if n_projections is not None else int(np.ceil(np.sqrt(n)))
-        n_tr = n_stat_transforms if n_stat_transforms is not None else m
         if j < 1:
             raise BadProjectionCount("need at least one projection direction")
         dirs = _random_directions(j, X.shape[1], rng)
-        transforms = sample_batch(spec, rng, n_tr)
+        transforms = sample_batch(spec, rng, m)
 
         def stat_fn(sample):
             return cw_statistic(sample, transforms, dirs)
@@ -194,8 +192,7 @@ def cw_test(X, spec, n_projections=None, n_transforms=2, B=200, alpha=0.05,
     """Conditional Monte Carlo invariance test on the projected-ECDF statistic."""
     return mc_invariance_test(
         X, spec, kernel=None, m=n_transforms, B=B, alpha=alpha, statistic="cw",
-        rng=rng, n_projections=n_projections, n_stat_transforms=n_transforms,
-        seed=seed,
+        rng=rng, n_projections=n_projections, seed=seed,
     )
 
 

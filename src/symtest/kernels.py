@@ -107,32 +107,9 @@ def _so3_from_trace(tr):
 
 def _check_rotation_stack(X):
     X = np.asarray(X, dtype=float)
-    if X.ndim == 2 and X.shape == (3, 3):
-        X = X[None]
     if X.ndim != 3 or X.shape[1:] != (3, 3):
         raise InvalidRotation("expected a stack of 3x3 rotation matrices")
     return X
-
-
-def eval_kernel(kernel, x, y):
-    """Evaluate a kernel at one pair of points."""
-    if isinstance(kernel, RotationKernelSO3):
-        a = _check_rotation_stack(x)[0]
-        b = _check_rotation_stack(y)[0]
-        tr = np.trace(b.T @ a)
-        return float(_so3_from_trace(np.atleast_1d(tr))[0])
-    if isinstance(kernel, DiscreteDelta):
-        return 1.0 if np.array_equal(np.asarray(x), np.asarray(y)) else 0.0
-    if isinstance(kernel, GaussianRBF):
-        if kernel.bandwidth is None:
-            raise BadParameters("RBF bandwidth has not been resolved")
-        x = np.asarray(x, dtype=float).ravel()
-        y = np.asarray(y, dtype=float).ravel()
-        if x.size != y.size:
-            raise DimensionMismatch("kernel arguments of different dimension")
-        d2 = float(np.sum((x - y) ** 2))
-        return float(np.exp(-d2 / (2.0 * kernel.bandwidth**2)))
-    raise UnsupportedKind(f"unknown kernel type {type(kernel).__name__}")
 
 
 def _rbf_exponent(A, B, bandwidth):

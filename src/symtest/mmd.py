@@ -2,8 +2,9 @@
 
 Contains the classical two-sample U- and V-statistics, the invariance
 statistic that compares a sample with randomly transformed copies of itself,
-an equivariant shortcut valid for group-invariant kernels, and a low-rank
-(landmark) approximation of the invariance statistic.
+and a low-rank (landmark) approximation of that statistic.  Both invariance
+statistics take the transform draws as arguments; ``mc_invariance_test``
+draws them once and reuses them across its re-randomised copies.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .errors import (
     _check_finite,
     _require_rng,
 )
-from .groups import sample_batch
 from .kernels import gram
 
 
@@ -28,9 +28,8 @@ class MmdEstimate:
     """An MMD statistic value together with how it was formed."""
 
     value: float
-    kind: str  # "u" | "v" | "invariance-u" | "invariance-shortcut" | "invariance-nystrom"
+    kind: str  # "u" | "v"
     n: int
-    m: int | None = None
 
 
 def _offdiag_sum(K):
@@ -101,72 +100,6 @@ def invariance_stat_u(X, g_batches, h_batches, kernel):
     return total / (n * (n - 1))
 
 
-def invariance_stat_v(X, g_batches, h_batches, kernel):
-    """V-form of the invariance statistic (1/n^2 normalisation, diagonal kept)."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    m = len(g_batches)
-    xg = [b.apply(X) for b in g_batches]
-    xh = [b.apply(X) for b in h_batches]
-    total = float(gram(kernel, X).sum())
-    for a in xg:
-        for b in xh:
-            total += float(gram(kernel, a, b).sum()) / m**2
-    for b in xg:
-        total -= 2.0 * float(gram(kernel, X, b).sum()) / m
-    return total / n**2
-
-
-def mmd_invariance_u(X, spec, kernel, m=2, rng=None):
-    """Invariance statistic with fresh Haar draws; returns the draws too.
-
-    The retained draws (one TransformBatch of per-observation elements per
-    Monte Carlo slot, separately for the two transformed copies) are returned
-    so a conditional Monte Carlo test can reuse them on re-randomised data.
-    """
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    if m < 1:
-        raise BadParameters("m must be a positive integer")
-    _require_rng(rng)
-    g_batches = [sample_batch(spec, rng, n) for _ in range(m)]
-    h_batches = [sample_batch(spec, rng, n) for _ in range(m)]
-    value = invariance_stat_u(X, g_batches, h_batches, kernel)
-    return MmdEstimate(value, "invariance-u", n, m), g_batches, h_batches
-
-
-def equivariant_shortcut_stat(X, g_batches, kernel):
-    """Shortcut invariance statistic for kernels invariant under the group.
-
-    When k(g x, g y) = k(x, y) for all group elements the full statistic
-    collapses to
-
-        T = (1/(n(n-1))) sum_{i != j} [ k(X_i, X_j)
-                                        - (1/m) sum_l k(X_i, G_{l,j} X_j) ].
-    """
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    if n < 2:
-        raise SampleTooSmall("the invariance statistic needs at least two points")
-    m = len(g_batches)
-    total = _offdiag_sum(gram(kernel, X))
-    for b in g_batches:
-        total -= _offdiag_sum(gram(kernel, X, b.apply(X))) / m
-    return total / (n * (n - 1))
-
-
-def mmd_equivariant_shortcut(X, spec, kernel, m=2, rng=None):
-    """Equivariant shortcut statistic with fresh Haar draws."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    if m < 1:
-        raise BadParameters("m must be a positive integer")
-    _require_rng(rng)
-    g_batches = [sample_batch(spec, rng, n) for _ in range(m)]
-    value = equivariant_shortcut_stat(X, g_batches, kernel)
-    return MmdEstimate(value, "invariance-shortcut", n, m), g_batches
-
-
 _PINV_RCOND = 1e-10
 
 
@@ -178,37 +111,34 @@ def _landmark_embedding(kernel, landmarks, sample):
     return np.linalg.pinv(k_tt, rcond=_PINV_RCOND) @ (k_tx.sum(axis=1) / n)
 
 
-def nystrom_invariance_stat(X, g_batches, h_batches, kernel, n_landmarks,
-                            rng=None, full_landmarks=False):
+def nystrom_invariance_stat(X, g_batches, h_batches, kernel, n_landmarks, rng=None):
     """Landmark (low-rank) approximation of the V-form invariance statistic.
 
-    Landmark points are drawn uniformly with replacement, independently from
-    the plain sample and from each transformed copy.  With
-    ``full_landmarks=True`` every sample point is a landmark (deterministic
-    mode); for characteristic kernels this reproduces the V-form exactly.
+    ``n_landmarks`` points are drawn uniformly with replacement, independently
+    from the plain sample and then from each transformed copy, G before H.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    if not full_landmarks:
-        if not 1 <= n_landmarks <= n:
-            raise BadLandmarkCount("landmark count must lie in [1, n]")
-        _require_rng(rng)
-    m = len(g_batches)
-    xg = [b.apply(X) for b in g_batches]
-    xh = [b.apply(X) for b in h_batches]
+    if not 1 <= n_landmarks <= n:
+        raise BadLandmarkCount("landmark count must lie in [1, n]")
+    _require_rng(rng)
+    samples = [X] + [b.apply(X) for b in g_batches] + [b.apply(X) for b in h_batches]
+    landmarks = [s[rng.integers(0, n, n_landmarks)] for s in samples]
+    return _landmark_stat(kernel, samples, landmarks)
 
-    def pick(sample):
-        if full_landmarks:
-            return sample
-        idx = rng.integers(0, n, n_landmarks)
-        return sample[idx]
 
-    t0 = pick(X)
-    tg = [pick(a) for a in xg]
-    th = [pick(b) for b in xh]
-    psi0 = _landmark_embedding(kernel, t0, X)
-    psig = [_landmark_embedding(kernel, t, a) for t, a in zip(tg, xg)]
-    psih = [_landmark_embedding(kernel, t, b) for t, b in zip(th, xh)]
+def _landmark_stat(kernel, samples, landmarks):
+    """The landmark statistic given each sample's landmark set.
+
+    ``samples`` lists the plain sample, then the m G-copies, then the m
+    H-copies, and ``landmarks`` their landmark sets in the same order.  With
+    every sample point a landmark this is the V-form exactly, for
+    characteristic kernels.
+    """
+    m = (len(samples) - 1) // 2
+    psi = [_landmark_embedding(kernel, t, s) for t, s in zip(landmarks, samples)]
+    t0, tg, th = landmarks[0], landmarks[1:m + 1], landmarks[m + 1:]
+    psi0, psig, psih = psi[0], psi[1:m + 1], psi[m + 1:]
 
     value = float(psi0 @ gram(kernel, t0) @ psi0)
     for l in range(m):
@@ -217,21 +147,3 @@ def nystrom_invariance_stat(X, g_batches, h_batches, kernel, n_landmarks,
     for l in range(m):
         value -= 2.0 * float(psi0 @ gram(kernel, t0, tg[l]) @ psig[l]) / m
     return value
-
-
-def mmd_nystrom(X, spec, kernel, m=2, n_landmarks=None, rng=None,
-                full_landmarks=False):
-    """Low-rank invariance statistic with fresh Haar draws; returns the draws."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    if n < 2:
-        raise SampleTooSmall("the invariance statistic needs at least two points")
-    if n_landmarks is None:
-        n_landmarks = int(np.ceil(np.sqrt(n)))
-    _require_rng(rng)
-    g_batches = [sample_batch(spec, rng, n) for _ in range(m)]
-    h_batches = [sample_batch(spec, rng, n) for _ in range(m)]
-    value = nystrom_invariance_stat(
-        X, g_batches, h_batches, kernel, n_landmarks, rng, full_landmarks
-    )
-    return MmdEstimate(value, "invariance-nystrom", n, m), g_batches, h_batches

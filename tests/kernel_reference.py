@@ -1,5 +1,5 @@
-"""References for the SO(3) rotation kernel's Gram matrix and the median
-heuristic.
+"""References for the kernels: one pair of points at a time, the SO(3)
+rotation kernel's Gram matrix and the median heuristic.
 
 The trace matrix is an einsum over the (n, 3, 3) stacks, and the kernel
 value is taken with boolean masks: theta / sin(theta) from ``np.sin`` away
@@ -10,6 +10,22 @@ heuristic takes one row's differences at a time.
 import numpy as np
 
 from symtest.errors import AllPointsIdentical
+from symtest.kernels import DiscreteDelta, GaussianRBF, RotationKernelSO3
+
+
+def eval_kernel(kernel, x, y):
+    """The kernel at one pair of points."""
+    if isinstance(kernel, RotationKernelSO3):
+        tr = np.trace(np.asarray(y, dtype=float).T @ np.asarray(x, dtype=float))
+        return float(so3_from_trace(np.atleast_1d(tr))[0])
+    if isinstance(kernel, DiscreteDelta):
+        return 1.0 if np.array_equal(np.asarray(x), np.asarray(y)) else 0.0
+    if isinstance(kernel, GaussianRBF):
+        x = np.asarray(x, dtype=float).ravel()
+        y = np.asarray(y, dtype=float).ravel()
+        d2 = float(np.sum((x - y) ** 2))
+        return float(np.exp(-d2 / (2.0 * kernel.bandwidth**2)))
+    raise ValueError(f"no reference for kernel {type(kernel).__name__}")
 
 
 def so3_from_trace(tr):

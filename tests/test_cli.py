@@ -5,8 +5,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -124,6 +122,12 @@ class TestConfigErrors:
         res = run_cli("invariance", "--config", str(path))
         assert res.returncode == 2
 
+    def test_mistyped_value_exit_code(self, tmp_path):
+        cfg = write_config(tmp_path, seed=1.5)
+        res = run_cli("simulate", "--config", cfg)
+        assert res.returncode == 2
+        assert "seed must be" in res.stderr
+
     def test_bad_method(self, tmp_path):
         cfg = write_config(tmp_path, method="anova")
         res = run_cli("invariance", "--config", cfg)
@@ -139,6 +143,40 @@ class TestPowerCommand:
         assert "estimated-power=" in res.stdout
         payload = json.loads(out.read_text())
         assert len(payload["betas"]) == 3
+
+    def power_of(self, tmp_path, method, **fields):
+        cfg = write_config(
+            tmp_path, method=method, generator="gauss-mean(d=2,mu=0.5e1)",
+            n=20, B=19, n_resamples=4, **fields,
+        )
+        out = tmp_path / "power.json"
+        res = run_cli("power", "--config", cfg, "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        return json.loads(out.read_text())
+
+    def test_mmd_estimate_is_pinned(self, tmp_path):
+        payload = self.power_of(tmp_path, "mmd")
+        assert payload["config"]["statistic"] == "mmd-u"
+        assert abs(payload["beta_hat"] - 0.589495085553276) < 1e-12
+
+    def test_nmmd_and_cw_use_their_statistics(self, tmp_path):
+        mmd = self.power_of(tmp_path, "mmd")["beta_hat"]
+        for method, statistic, option in (
+            ("nmmd", "mmd-nystrom", "n_landmarks"),
+            ("cw", "cw", "n_projections"),
+        ):
+            payload = self.power_of(tmp_path, method)
+            assert payload["config"]["statistic"] == statistic
+            assert payload["beta_hat"] != mmd
+            other = self.power_of(tmp_path, method, **{option: 2})
+            assert other["betas"] != payload["betas"]
+
+    def test_methods_without_power_estimate_exit_2(self, tmp_path):
+        for method in ("2smmd", "inversion-mmd", "kci"):
+            cfg = write_config(tmp_path, method=method)
+            res = run_cli("power", "--config", cfg)
+            assert res.returncode == 2
+            assert "power estimation" in res.stderr
 
 
 class TestTuneCommand:

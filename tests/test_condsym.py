@@ -1,5 +1,7 @@
 """Tests for the conditional-symmetry (equivariance) tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from condsym_reference import (
@@ -9,6 +11,7 @@ from condsym_reference import (
     reference_sweeps,
 )
 from group_reference import act_rows
+from kernel_reference import eval_kernel
 
 from symtest import (
     BadMonteCarloBudget,
@@ -35,7 +38,7 @@ from symtest.condsym import (
     kci_null_samples,
 )
 from symtest.groups import so, sym, tau_batch
-from symtest.kernels import center, eval_kernel, gram, resolve_bandwidth
+from symtest.kernels import center, gram, resolve_bandwidth
 from symtest.synthdata import parse_generator, sample
 
 
@@ -138,8 +141,12 @@ class TestKciStatistic:
 class TestKciNull:
     def test_deterministic_given_seed(self):
         data = make_paired(n=10, seed=8)
-        a = kci_null_samples(data, CFG, np.random.default_rng(42), 50)
-        b = kci_null_samples(data, CFG, np.random.default_rng(42), 50)
+        a = kci_null_samples(
+            data, replace(CFG, null_samples=50), np.random.default_rng(42)
+        )
+        b = kci_null_samples(
+            data, replace(CFG, null_samples=50), np.random.default_rng(42)
+        )
         assert np.array_equal(a, b)
 
     def test_weights_are_the_spectrum_of_w(self):
@@ -165,12 +172,16 @@ class TestKciNull:
         data = make_paired(n=10, seed=9)
         a, b = _kci_matrices(data, CFG)
         expect = np.trace(a * b) / 10.0
-        draws = kci_null_samples(data, CFG, np.random.default_rng(0), 40000)
+        draws = kci_null_samples(
+            data, replace(CFG, null_samples=40000), np.random.default_rng(0)
+        )
         assert draws.mean() == pytest.approx(expect, rel=0.05)
 
     def test_all_draws_nonnegative(self):
         data = make_paired(n=10, seed=10)
-        draws = kci_null_samples(data, CFG, np.random.default_rng(1), 200)
+        draws = kci_null_samples(
+            data, replace(CFG, null_samples=200), np.random.default_rng(1)
+        )
         assert np.all(draws >= 0)
 
 

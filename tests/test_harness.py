@@ -9,7 +9,6 @@ import pytest
 from symtest import (
     ConfigInvalid,
     DataFileMissing,
-    DegenerateVariance,
     EmptyGrid,
     ExperimentConfig,
     ParseError,
@@ -18,8 +17,6 @@ from symtest import (
     TooFewValues,
     emit_report,
     ingest_csv,
-    preprocess_dijet,
-    preprocess_swarm,
     pvalue_uniformity_check,
     run_replication,
     run_simulation,
@@ -72,6 +69,16 @@ class TestConfig:
             tiny_config(n=True, B=True)
         with pytest.raises(ConfigInvalid):
             tiny_config(reps=False)
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_landmarks", 2.5), ("n_landmarks", True), ("n_landmarks", 0),
+        ("n_projections", 2.5), ("seed", -1), ("seed", 1.5), ("seed", True),
+        ("alpha", "0.05"), ("epsilon", "x"), ("epsilon", True),
+        ("group", 3), ("generator", 3), ("kernel", None), ("kernel_m", 1.0),
+    ])
+    def test_rejects_values_of_the_wrong_type(self, field, value):
+        with pytest.raises(ConfigInvalid, match=field):
+            tiny_config(**{field: value})
 
     def test_generator_xor_data(self):
         with pytest.raises(ConfigInvalid):
@@ -234,85 +241,6 @@ class TestIngest:
             ingest_csv(str(path), {"features": ["a", "b"]})
 
 
-class TestPreprocess:
-    def test_swarm_geometry(self):
-        # a point on the equator at longitude 0 with unit radius lies on the
-        # first transverse axis; the axis-frame invariant is (1, 0)
-        rows = np.array(
-            [[0.0, 0.0, 1.0, 5.0], [0.0, 90.0, 1.0, 7.0],
-             [90.0, 0.0, 1.0, 9.0]]
-        )
-        data = preprocess_swarm(rows)
-        # the largest norm is scaled to one; here all radii are equal
-        assert np.allclose(np.linalg.norm(data.X, axis=1), 1.0, atol=1e-12)
-        # the pole maps onto the axis coordinate
-        assert data.M[2, 0] == pytest.approx(0.0, abs=1e-12)
-        assert data.M[2, 1] == pytest.approx(1.0, abs=1e-12)
-        # equator points sit at unit distance from the axis, zero height
-        assert np.allclose(data.M[:2, 0], 1.0, atol=1e-12)
-        assert np.allclose(data.M[:2, 1], 0.0, atol=1e-12)
-        # standardised field has mean zero, unit variance
-        assert data.Z.mean() == pytest.approx(0.0, abs=1e-12)
-        assert data.Z.std() == pytest.approx(1.0, abs=1e-12)
-
-    def test_swarm_custom_axis(self):
-        rows = np.array(
-            [[0.0, 0.0, 1.0, 1.0], [45.0, 30.0, 1.0, 2.0], [10.0, 80.0, 1.0, 3.0]]
-        )
-        data = preprocess_swarm(rows, axis=(1.0, 0.0, 0.0))
-        # the equator point at longitude 0 is the new axis direction
-        assert data.M[0, 0] == pytest.approx(0.0, abs=1e-12)
-        assert abs(data.M[0, 1]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_swarm_max_norm_rescale(self):
-        # with radii 2 and 1 the larger point is scaled onto the unit sphere
-        rows = np.array([[0.0, 0.0, 2.0, 1.0], [0.0, 90.0, 1.0, 2.0]])
-        data = preprocess_swarm(rows)
-        norms = np.linalg.norm(data.X, axis=1)
-        assert norms[0] == pytest.approx(1.0, abs=1e-12)
-        assert norms[1] == pytest.approx(0.5, abs=1e-12)
-
-    def test_swarm_lat_lon_ranges(self):
-        with pytest.raises(RangeError):
-            preprocess_swarm(
-                np.array([[91.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 2.0]])
-            )
-        with pytest.raises(RangeError):
-            preprocess_swarm(
-                np.array([[0.0, 360.0, 1.0, 1.0], [0.0, 0.0, 1.0, 2.0]])
-            )
-
-    def test_swarm_validation(self):
-        with pytest.raises(SchemaMismatch):
-            preprocess_swarm(np.zeros((3, 3)))
-        bad_radius = np.array([[0.0, 0.0, -1.0, 1.0], [0.0, 0.0, 1.0, 2.0]])
-        with pytest.raises(RangeError):
-            preprocess_swarm(bad_radius)
-        flat_field = np.array([[0.0, 0.0, 1.0, 2.0], [10.0, 10.0, 1.0, 2.0]])
-        with pytest.raises(DegenerateVariance):
-            preprocess_swarm(flat_field)
-
-    def test_dijet_blocks(self):
-        rows = np.array([[2.0, 0.0, 3.0, np.pi / 2]])
-        X = preprocess_dijet(rows)
-        assert np.allclose(X, [[2.0, 0.0, 0.0, 3.0]], atol=1e-12)
-
-    def test_dijet_validation(self):
-        with pytest.raises(SchemaMismatch):
-            preprocess_dijet(np.zeros((2, 3)))
-        with pytest.raises(RangeError):
-            preprocess_dijet(np.array([[-1.0, 0.0, 1.0, 0.0]]))
-
-    def test_dijet_fixture_round_trip(self):
-        rows, _, _ = ingest_csv(
-            os.path.join(FIXTURES, "dijet.csv"),
-            {"features": ["pt1", "phi1", "pt2", "phi2"]},
-        )
-        X = preprocess_dijet(rows)
-        assert np.allclose(np.hypot(X[:, 0], X[:, 1]), rows[:, 0], atol=1e-9)
-        assert np.allclose(np.hypot(X[:, 2], X[:, 3]), rows[:, 2], atol=1e-9)
-
-
 class TestReports:
     def test_json_report(self, tmp_path):
         rep = run_simulation(tiny_config())
@@ -338,3 +266,42 @@ class TestReports:
         rep = run_simulation(tiny_config())
         with pytest.raises(SymtestIoError):
             emit_report(rep, str(tmp_path / "x"), "yaml")
+
+
+# One small replication per CLI method; the p-values were recorded from the
+# implementation and change only if a method's random stream or statistic does.
+PINNED = [
+    (dict(method="mmd", group="so(3)", generator="gauss-iso(d=3)", m=2,
+          kernel="rbf(median)"), 85 / 100),
+    (dict(method="nmmd", group="so(3)", generator="gauss-iso(d=3)", m=2,
+          kernel="rbf(median)", n_landmarks=6), 28 / 100),
+    (dict(method="cw", group="so(3)", generator="gauss-iso(d=3)", m=2,
+          n_projections=3), 92 / 100),
+    (dict(method="2smmd", group="sym(4)", generator="gauss-iso(d=4)",
+          kernel="rbf(median)"), 74 / 100),
+    (dict(method="inversion-mmd", group="so(3)", generator="gauss-iso(d=3)",
+          kernel="so3"), 87 / 100),
+    (dict(method="kci", group="so(2)", generator="cond-shift(d=2)",
+          null_samples=200), 76 / 201),
+    (dict(method="cp", group="so(2)", generator="cond-shift(d=2)",
+          burn_in=10), 9 / 100),
+]
+
+
+@pytest.mark.parametrize("fields,p_value", PINNED,
+                         ids=[f["method"] for f, _ in PINNED])
+def test_pinned_pvalue(fields, p_value):
+    cfg = ExperimentConfig.from_dict(dict(fields, n=24, reps=1, B=99, seed=11))
+    assert run_replication(cfg, 0).p_value == p_value
+
+
+def test_top_quark_lorentz_invariance():
+    # the Lorentz-invariance test as conditional independence of the jet
+    # labels from the four-vectors given the invariant masses
+    cfg = ExperimentConfig.from_dict(dict(
+        method="kci", group="trivial(8)", generator="top-quark",
+        y_action="trivial", m_kind="minkowski-q", kernel_y="delta", n=60,
+        reps=5, null_samples=200, seed=1,
+    ))
+    pvalues = [run_replication(cfg, rep).p_value for rep in range(5)]
+    assert pvalues == [29 / 201, 4 / 201, 2 / 201, 11 / 201, 42 / 201]

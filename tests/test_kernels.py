@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from kernel_reference import (
+    eval_kernel,
     median_heuristic_by_rows,
     so3_from_trace,
     so3_gram,
@@ -12,7 +13,6 @@ from symtest import (
     GaussianRBF,
     RotationKernelSO3,
     center,
-    eval_kernel,
     gram,
     median_heuristic,
     parse_kernel,

@@ -7,25 +7,23 @@ index reference implementation written directly from the defining sums.
 import numpy as np
 import pytest
 from group_reference import act_rows
+from kernel_reference import eval_kernel
+from mmd_reference import invariance_stat_v
 
 from symtest import (
     BadLandmarkCount,
     BadParameters,
     GaussianRBF,
     SampleTooSmall,
-    equivariant_shortcut_stat,
-    eval_kernel,
     invariance_stat_u,
-    invariance_stat_v,
-    mmd_equivariant_shortcut,
-    mmd_invariance_u,
-    mmd_nystrom,
+    mc_invariance_test,
     mmd_u,
     mmd_v,
     nystrom_invariance_stat,
     sample_batch,
 )
 from symtest.groups import so, sym, trivial
+from symtest.mmd import _landmark_stat
 
 
 KERNEL = GaussianRBF(1.3)
@@ -103,22 +101,6 @@ def naive_invariance_v(X, g_batches, h_batches, kernel):
     return total / n**2
 
 
-def naive_shortcut(X, g_batches, kernel):
-    n = len(X)
-    m = len(g_batches)
-    gx = [act_rows(b, X) for b in g_batches]
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            term = eval_kernel(kernel, X[i], X[j])
-            for l in range(m):
-                term -= eval_kernel(kernel, X[i], gx[l][j]) / m
-            total += term
-    return total / (n * (n - 1))
-
-
 class TestTwoSample:
     def test_u_matches_naive(self):
         rng = np.random.default_rng(10)
@@ -186,14 +168,6 @@ class TestInvarianceStatistic:
         got = invariance_stat_v(X, g, h, KERNEL)
         assert got == pytest.approx(naive_invariance_v(X, g, h, KERNEL), abs=1e-12)
 
-    def test_shortcut_matches_naive(self):
-        rng = np.random.default_rng(22)
-        spec = so(3)
-        X = rng.normal(size=(6, 3))
-        g = [sample_batch(spec, rng, 6) for _ in range(3)]
-        got = equivariant_shortcut_stat(X, g, KERNEL)
-        assert got == pytest.approx(naive_shortcut(X, g, KERNEL), abs=1e-12)
-
     def test_trivial_group_gives_zero(self):
         # identity transforms: the three blocks of the sum cancel exactly
         rng = np.random.default_rng(23)
@@ -202,46 +176,12 @@ class TestInvarianceStatistic:
         g = [sample_batch(spec, rng, 8) for _ in range(2)]
         h = [sample_batch(spec, rng, 8) for _ in range(2)]
         assert invariance_stat_u(X, g, h, KERNEL) == pytest.approx(0.0, abs=1e-12)
-        assert equivariant_shortcut_stat(X, g, KERNEL) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_wrapper_returns_draws(self):
-        rng = np.random.default_rng(24)
-        est, g, h = mmd_invariance_u(
-            rng.normal(size=(10, 3)), so(3), KERNEL, m=2, rng=rng
-        )
-        assert est.kind == "invariance-u"
-        assert len(g) == len(h) == 2
-        assert all(b.count == 10 for b in g + h)
-
-    def test_shortcut_wrapper(self):
-        rng = np.random.default_rng(25)
-        est, g = mmd_equivariant_shortcut(
-            rng.normal(size=(10, 3)), so(3), KERNEL, m=3, rng=rng
-        )
-        assert est.kind == "invariance-shortcut"
-        assert len(g) == 3
-
-    def test_shortcut_agrees_with_full_statistic_in_expectation(self):
-        # for a rotation-invariant kernel both statistics estimate the same
-        # population quantity; check their Monte Carlo means agree
-        rng = np.random.default_rng(26)
-        spec = so(2)
-        X = np.random.default_rng(99).normal(size=(12, 2)) + [1.0, 0.0]
-        full, short = [], []
-        for _ in range(400):
-            g = [sample_batch(spec, rng, 12) for _ in range(2)]
-            h = [sample_batch(spec, rng, 12) for _ in range(2)]
-            full.append(invariance_stat_u(X, g, h, KERNEL))
-            short.append(equivariant_shortcut_stat(X, g, KERNEL))
-        assert np.mean(full) == pytest.approx(np.mean(short), abs=0.005)
 
     def test_bad_m_raises(self):
         rng = np.random.default_rng(27)
         X = rng.normal(size=(6, 3))
         with pytest.raises(BadParameters):
-            mmd_invariance_u(X, so(3), KERNEL, m=0, rng=rng)
+            invariance_stat_u(X, [], [], KERNEL)
         g = [sample_batch(so(3), rng, 6)]
         with pytest.raises(BadParameters):
             invariance_stat_u(X, g, [], KERNEL)
@@ -261,9 +201,8 @@ class TestNystrom:
         X = rng.normal(size=(12, 3))
         g = [sample_batch(spec, rng, 12) for _ in range(2)]
         h = [sample_batch(spec, rng, 12) for _ in range(2)]
-        low = nystrom_invariance_stat(
-            X, g, h, KERNEL, n_landmarks=12, full_landmarks=True
-        )
+        samples = [X] + [b.apply(X) for b in g + h]
+        low = _landmark_stat(KERNEL, samples, samples)
         full = invariance_stat_v(X, g, h, KERNEL)
         assert low == pytest.approx(full, abs=1e-8)
 
@@ -282,11 +221,31 @@ class TestNystrom:
         )
         assert approx == pytest.approx(full, abs=0.02)
 
+    def test_landmarks_drawn_from_x_then_g_then_h(self):
+        rng = np.random.default_rng(35)
+        X = rng.normal(size=(9, 3))
+        g = [sample_batch(so(3), rng, 9) for _ in range(2)]
+        h = [sample_batch(so(3), rng, 9) for _ in range(2)]
+        got = nystrom_invariance_stat(X, g, h, KERNEL, 4, np.random.default_rng(36))
+        draws = np.random.default_rng(36)
+        samples = [X] + [b.apply(X) for b in g + h]
+        landmarks = [s[draws.integers(0, 9, 4)] for s in samples]
+        assert got == _landmark_stat(KERNEL, samples, landmarks)
+
     def test_wrapper_defaults_to_sqrt_n_landmarks(self):
-        rng = np.random.default_rng(32)
-        est, g, h = mmd_nystrom(rng.normal(size=(10, 3)), so(3), KERNEL, rng=rng)
-        assert est.kind == "invariance-nystrom"
-        assert len(g) == len(h) == 2
+        # mc_invariance_test takes ceil(sqrt(10)) = 4 landmarks by default
+        X = np.random.default_rng(32).normal(size=(10, 3))
+
+        def run(n_landmarks):
+            return mc_invariance_test(
+                X, so(3), KERNEL, B=9, statistic="mmd-nystrom",
+                rng=np.random.default_rng(33), n_landmarks=n_landmarks,
+            )
+
+        default = run(None)
+        assert default.statistic == run(4).statistic
+        assert np.array_equal(default.null_stats, run(4).null_stats)
+        assert default.statistic != run(3).statistic
 
     def test_bad_landmark_count(self):
         rng = np.random.default_rng(33)
@@ -300,14 +259,10 @@ class TestNystrom:
 
 class TestInputChecks:
     @pytest.mark.parametrize("call", [
-        lambda X: mmd_invariance_u(X, so(2), KERNEL),
-        lambda X: mmd_equivariant_shortcut(X, so(2), KERNEL),
-        lambda X: mmd_nystrom(X, so(2), KERNEL),
         lambda X: nystrom_invariance_stat(
             X, [sample_batch(so(2), np.random.default_rng(0), 20)],
             [sample_batch(so(2), np.random.default_rng(1), 20)], KERNEL, 5),
-    ], ids=["mmd_invariance_u", "mmd_equivariant_shortcut", "mmd_nystrom",
-            "nystrom_invariance_stat"])
+    ], ids=["nystrom_invariance_stat"])
     def test_missing_rng_raises(self, call):
         X = np.random.default_rng(34).normal(size=(20, 2))
         with pytest.raises(BadParameters, match="rng"):
@@ -317,8 +272,8 @@ class TestInputChecks:
         rng = np.random.default_rng(35)
         X = rng.normal(size=(8, 2))
         g = [sample_batch(so(2), rng, 8)]
-        value = nystrom_invariance_stat(X, g, g, KERNEL, 8, full_landmarks=True)
-        assert np.isfinite(value)
+        samples = [X, g[0].apply(X), g[0].apply(X)]
+        assert np.isfinite(_landmark_stat(KERNEL, samples, samples))
 
     @pytest.mark.parametrize("estimator", [mmd_u, mmd_v], ids=["mmd_u", "mmd_v"])
     def test_non_finite_sample_raises(self, estimator):
