@@ -30,6 +30,8 @@ from .errors import (
 )
 from .harness import (
     ExperimentConfig,
+    _is_int,
+    _is_real,
     emit_report,
     run_power_estimate,
     run_simulation,
@@ -53,16 +55,21 @@ def _add_common(parser):
         parser.add_argument(f"--{name}", type=typ, dest=name.replace("-", "_"))
 
 
-def _load_config(args, allowed_methods=None):
+def _read_json_object(path):
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             raw = json.load(fh)
     except FileNotFoundError:
-        raise ConfigInvalid(f"no such configuration file: {args.config}") from None
+        raise ConfigInvalid(f"no such configuration file: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"configuration is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigInvalid("configuration must be a JSON object")
+    return raw
+
+
+def _load_config(args, allowed_methods=None):
+    raw = _read_json_object(args.config)
     for name in ("method", "group", "generator", "data", "kernel", "n", "reps",
                  "m", "B", "alpha", "seed", "n_resamples",
                  "null_samples", "burn_in"):
@@ -118,18 +125,26 @@ def _cmd_power(args):
 
 
 def _cmd_tune(args):
-    try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigInvalid(f"no such configuration file: {args.config}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigInvalid(f"configuration is not valid JSON: {exc}") from exc
+    raw = _read_json_object(args.config)
     for key in ("grids", "h0", "h1"):
         if key not in raw:
             raise ConfigInvalid(f"tuning configuration needs {key!r}")
     grids = raw["grids"]
-    train_reps = int(raw.get("train_reps", 100))
+    if not isinstance(grids, dict) or not all(
+        isinstance(v, list) and v for v in grids.values()
+    ):
+        raise ConfigInvalid(
+            "grids must map parameter names to nonempty lists of candidates"
+        )
+    for key in ("h0", "h1"):
+        if not isinstance(raw[key], dict):
+            raise ConfigInvalid(f"{key} must be a configuration object")
+    train_reps = raw.get("train_reps", 100)
+    if not _is_int(train_reps) or train_reps < 1:
+        raise ConfigInvalid("train_reps must be a positive integer")
+    h0_cap = raw.get("h0_cap", 0.1)
+    if not _is_real(h0_cap):
+        raise ConfigInvalid("h0_cap must be a number")
     base_h0 = dict(raw["h0"])
     base_h1 = dict(raw["h1"])
 
@@ -144,7 +159,7 @@ def _cmd_tune(args):
             rates.append(run_simulation(cfg).rejection_rate)
         return rates[0], rates[1]
 
-    best, records = tune_bandwidths(grids, measure, float(raw.get("h0_cap", 0.1)))
+    best, records = tune_bandwidths(grids, measure, float(h0_cap))
     for rec in records:
         print(f"combo={rec['combo']} h0={rec['h0_rate']:.3f} h1={rec['h1_rate']:.3f}")
     print(f"selected: {best}")

@@ -21,7 +21,9 @@ groups, and the trivial group.  For each family the module offers
 
 A batch stores rotations as matrices, permutations as index arrays where entry
 ``p[i]`` is the image of position ``i``; the action places coordinate ``i``
-of the input at coordinate ``p[i]`` of the output.
+of the input at coordinate ``p[i]`` of the output.  SO(3) elements also have
+a unit quaternion form, the points of the SO(3) kernel: ``haar_quaternions``
+draws them and ``rotation_quaternions`` converts a matrix stack.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 from .errors import (
     BadParameters,
     DimensionMismatch,
+    InvalidRotation,
     UnsupportedFamily,
     UnsupportedKind,
     VariantMismatch,
@@ -43,6 +46,9 @@ from .errors import (
 _ZERO_TOL = 1e-12
 
 FAMILIES = ("so", "sym", "paired-so2", "so2xso2", "rot-discrete", "trivial")
+
+# the maximal invariants ``invariant_batch`` computes
+INVARIANT_KINDS = ("norm", "sorted", "minkowski-q", "per-block-norm", "paired-rotation")
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +160,42 @@ def haar_rotations(d, count, rng):
     neg = np.linalg.det(q) < 0
     q[neg, :, -1] *= -1.0
     return q
+
+
+def haar_quaternions(count, rng):
+    """``count`` unit quaternions (w, x, y, z), as (count, 4), Haar on SO(3).
+
+    A normalised standard Gaussian in R^4 is uniform on S^3, the double cover
+    of SO(3), so its rotation is Haar (Shoemake 1992, "Uniform random
+    rotations").  q and -q are the same rotation.
+    """
+    q = rng.standard_normal((count, 4))
+    return q / np.linalg.norm(q, axis=1, keepdims=True)
+
+
+def rotation_quaternions(R):
+    """Unit quaternions (w, x, y, z) of an (n, 3, 3) stack of rotations, as (n, 4).
+
+    Shepperd's method: the symmetric matrix 4 q q^T is linear in R; its row
+    with the largest diagonal entry, 4 q_k q with q_k^2 >= 1/4, is divided by
+    its norm, so every branch is well conditioned.  The sign makes q_k > 0.
+    """
+    R = np.asarray(R, dtype=float)
+    if R.ndim != 3 or R.shape[1:] != (3, 3):
+        raise InvalidRotation("expected a stack of 3x3 rotation matrices")
+    r00, r11, r22 = R[:, 0, 0], R[:, 1, 1], R[:, 2, 2]
+    tr = r00 + r11 + r22
+    wx, wy, wz = R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0], R[:, 1, 0] - R[:, 0, 1]
+    xy, xz, yz = R[:, 0, 1] + R[:, 1, 0], R[:, 0, 2] + R[:, 2, 0], R[:, 1, 2] + R[:, 2, 1]
+    outer = np.stack([
+        np.stack([1.0 + tr, wx, wy, wz], axis=1),
+        np.stack([wx, 1.0 + 2.0 * r00 - tr, xy, xz], axis=1),
+        np.stack([wy, xy, 1.0 + 2.0 * r11 - tr, yz], axis=1),
+        np.stack([wz, xz, yz, 1.0 + 2.0 * r22 - tr], axis=1),
+    ], axis=1)
+    k = np.argmax(np.diagonal(outer, axis1=1, axis2=2), axis=1)
+    row = outer[np.arange(R.shape[0]), k]
+    return row / np.linalg.norm(row, axis=1, keepdims=True)
 
 
 def _rot2(theta):
@@ -402,6 +444,8 @@ def invariant_batch(spec, kind, X):
     cross product, for the shared SO(2) action on R^4).
     """
     X = np.asarray(X, dtype=float)
+    if kind not in INVARIANT_KINDS:
+        raise UnsupportedKind(f"unknown maximal invariant kind {kind!r}")
     if kind == "norm":
         return np.linalg.norm(X, axis=1, keepdims=True)
     if kind == "sorted":
@@ -411,8 +455,6 @@ def invariant_batch(spec, kind, X):
             raise DimensionMismatch("expected rows of four-vectors")
         p = X.reshape(X.shape[0], -1, 4)
         return p[..., 0] ** 2 - np.sum(p[..., 1:] ** 2, axis=2)
-    if kind not in ("per-block-norm", "paired-rotation"):
-        raise UnsupportedKind(f"unknown maximal invariant kind {kind!r}")
     if X.shape[1] != 4:
         raise DimensionMismatch(f"the {kind} invariant lives on R^4")
     p1, p2 = X[:, 0:2], X[:, 2:4]

@@ -32,7 +32,7 @@ from .errors import (
     SymtestError,
     TooFewValues,
 )
-from .groups import parse_group
+from .groups import INVARIANT_KINDS, parse_group
 from .invariance import (
     cw_test,
     inversion_mc_test,
@@ -134,6 +134,8 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"bad {name} descriptor: {exc}") from exc
         if self.y_action not in ("same", "trivial"):
             raise ConfigInvalid("y_action must be 'same' or 'trivial'")
+        if self.m_kind is not None and self.m_kind not in INVARIANT_KINDS:
+            raise ConfigInvalid(f"m_kind must be null or one of {INVARIANT_KINDS}")
 
 
 @dataclass

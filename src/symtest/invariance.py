@@ -29,9 +29,11 @@ from .errors import (
     _require_rng,
 )
 from .groups import (
+    haar_quaternions,
     haar_rotations,
     inversion_kernel_batch,
     orbit_draw,
+    rotation_quaternions,
     sample_batch,
 )
 from .kernels import RotationKernelSO3
@@ -250,10 +252,15 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None, seed=None):
     For each observation one element is drawn from the conditional law of
     the element mapping the orbit representative to the point; under
     invariance these draws are jointly Haar.  Their sample is compared with
-    a fresh Haar sample by the two-sample MMD U-statistic on the group, and
-    null copies are formed by left-multiplying the drawn elements with fresh
-    Haar elements, which makes observed and null statistics exchangeable
-    under the null.
+    a fresh Haar sample by the two-sample MMD U-statistic on the group.
+
+    Each null copy is another fresh Haar sample, drawn like the reference.
+    Left-multiplying the drawn elements by independent Haar elements would
+    give the same law: by the invariance of Haar measure, h tau is Haar and
+    independent of (tau, ref) whatever the law of tau.  So observed and null
+    statistics are exchangeable under the null, and the null copies do not
+    depend on the data.  SO(3) elements are unit quaternions for the
+    rotation kernel, and matrices otherwise.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -262,32 +269,35 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None, seed=None):
     _check_finite(X)
     _check_budget(B)
     _require_rng(rng)
-    if spec.family == "so":
-        if isinstance(kernel, RotationKernelSO3) and spec.dim != 3:
+    if spec.family == "so" and isinstance(kernel, RotationKernelSO3):
+        if spec.dim != 3:
             raise UnsupportedFamily("the rotation kernel is defined on SO(3)")
-        tau = inversion_kernel_batch(spec, X, rng).data
-        ref = haar_rotations(spec.dim, n, rng)
+        tau = rotation_quaternions(inversion_kernel_batch(spec, X, rng).data)
 
-        def null_copy():
-            return np.einsum("nij,njk->nik", haar_rotations(spec.dim, n, rng), tau)
+        def draw():
+            return haar_quaternions(n, rng)
+
+    elif spec.family == "so":
+        tau = inversion_kernel_batch(spec, X, rng).data
+
+        def draw():
+            return haar_rotations(spec.dim, n, rng)
 
     elif spec.family == "sym":
-        perm = inversion_kernel_batch(spec, X, rng).data
-        tau = perm.astype(float)
+        tau = inversion_kernel_batch(spec, X, rng).data.astype(float)
         base = np.tile(np.arange(spec.dim), (n, 1))
-        ref = rng.permuted(base, axis=1).astype(float)
 
-        def null_copy():
-            # the product of g with each drawn permutation: (g p)[i] = g[p[i]]
-            return np.take_along_axis(rng.permuted(base, axis=1), perm, axis=1)
+        def draw():
+            return rng.permuted(base, axis=1).astype(float)
 
     else:
         raise UnsupportedFamily(
             f"no inversion sampler for the {spec.family!r} family"
         )
+    ref = draw()
     kyy = _mean_offdiag(kernel, ref)
     t_obs = _mmd_u_value(tau, ref, kernel, kyy)
-    nulls = np.array([_mmd_u_value(null_copy(), ref, kernel, kyy) for _ in range(B)])
+    nulls = np.array([_mmd_u_value(draw(), ref, kernel, kyy) for _ in range(B)])
     p = pvalue_from_nulls(t_obs, nulls)
     return TestResult(t_obs, p, nulls, alpha, p <= alpha, "inversion-mmd", seed)
 

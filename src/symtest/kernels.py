@@ -1,7 +1,7 @@
 """Positive definite kernels and Gram matrix utilities.
 
 Three kernel families cover every test in the package: a Gaussian RBF on
-Euclidean points, a heat-kernel-style kernel on rotation matrices in SO(3),
+Euclidean points, a heat-kernel-style kernel on SO(3) in unit quaternions,
 and an exact-match (delta) kernel for discrete values.  Helpers compute Gram
 matrices, the median-distance bandwidth heuristic, and double centering.
 """
@@ -42,9 +42,11 @@ class GaussianRBF:
 class RotationKernelSO3:
     """A positive definite kernel on SO(3) built from the rotation angle.
 
-    With theta in [0, pi/2] the half-angle of the relative rotation between
-    the two arguments (cos theta = sqrt((1 + trace)/4) on the 3x3 matrices,
-    equivalently half the trace of the corresponding unit quaternion),
+    Its points are unit quaternions, as (n, 4) arrays (``rotation_quaternions``
+    converts rotation matrices).  With theta in [0, pi/2] the half-angle of
+    the relative rotation between the two arguments, cos theta = |q . q'|
+    (equal to sqrt((1 + trace(R'^T R)) / 4) on the 3x3 matrices; Huynh 2009,
+    "Metrics for 3D rotations"), and
 
         k = pi * theta * (pi - theta) / (8 sin theta),
 
@@ -90,25 +92,25 @@ def _as_points(X):
     return X
 
 
-def _so3_from_trace(tr):
-    """Kernel value from the 3x3 relative-rotation trace, elementwise.
+def _so3_from_cos(c):
+    """Kernel value from the half-angle cosine c = |q . q'|, elementwise.
 
-    The half-angle satisfies cos(theta) = c = sqrt((1 + tr) / 4), so theta
-    lies in [0, pi/2].  Both theta and sin(theta) = sqrt((1 - c)(1 + c)) are
-    taken from the same c, which keeps theta / sin(theta) accurate near 0;
-    below theta = 1e-6 the series 1 + theta^2 / 6 replaces the ratio.
+    theta = arccos(c) lies in [0, pi/2].  Both theta and
+    sin(theta) = sqrt((1 - c)(1 + c)) are taken from the same c, which keeps
+    theta / sin(theta) accurate near 0; below theta = 1e-6 the series
+    1 + theta^2 / 6 replaces the ratio.
     """
-    c = np.sqrt(np.clip((1.0 + tr) / 4.0, 0.0, 1.0))
+    c = np.clip(c, 0.0, 1.0)
     theta = np.arccos(c)
     sin = np.sqrt((1.0 - c) * (1.0 + c))
     ratio = np.divide(theta, sin, out=1.0 + theta**2 / 6.0, where=theta >= 1e-6)
     return np.pi / 8.0 * (np.pi - theta) * ratio
 
 
-def _check_rotation_stack(X):
+def _check_quaternions(X):
     X = np.asarray(X, dtype=float)
-    if X.ndim != 3 or X.shape[1:] != (3, 3):
-        raise InvalidRotation("expected a stack of 3x3 rotation matrices")
+    if X.ndim != 2 or X.shape[1] != 4:
+        raise InvalidRotation("expected an (n, 4) array of unit quaternions")
     return X
 
 
@@ -135,10 +137,13 @@ def _rbf_exponent(A, B, bandwidth):
 def gram(kernel, X, Y=None):
     """Gram matrix K[i, j] = k(X[i], Y[j]); Y defaults to X."""
     if isinstance(kernel, RotationKernelSO3):
-        A = _check_rotation_stack(X)
-        B = A if Y is None else _check_rotation_stack(Y)
-        # the trace of B_j^T A_i is the inner product of the flattened matrices
-        return _so3_from_trace(A.reshape(-1, 9) @ B.reshape(-1, 9).T)
+        A = _check_quaternions(X)
+        c = np.abs(A @ (A if Y is None else _check_quaternions(Y)).T)
+        if Y is None:
+            # the exact cos(0) = 1: |q . q| rounds to 1 - 2e-16 on some rows,
+            # which arccos turns into a half-angle of 2e-8
+            np.fill_diagonal(c, 1.0)
+        return _so3_from_cos(c)
     if isinstance(kernel, DiscreteDelta):
         A = _as_points(X)
         B = A if Y is None else _as_points(Y)

@@ -2,7 +2,8 @@
 
 Each element's matrix is built from ``batch.kind`` and ``batch.data`` alone,
 without calling ``TransformBatch.apply``, so the vectorised actions can be
-checked against one plain matrix-vector product per row.
+checked against one plain matrix-vector product per row.  Unit quaternions
+are turned into rotation matrices by the textbook formula.
 """
 
 import numpy as np
@@ -45,3 +46,15 @@ def act_each(batch, X):
     X = np.asarray(X, dtype=float)
     mats = element_matrices(batch, X.shape[1])
     return np.stack([np.stack([m @ x for x in X]) for m in mats])
+
+
+def quaternion_matrix(q):
+    """The rotation matrix of each unit quaternion (w, x, y, z) of a stack."""
+    mats = []
+    for w, x, y, z in np.asarray(q, dtype=float):
+        mats.append([
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ])
+    return np.array(mats)

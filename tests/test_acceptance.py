@@ -294,6 +294,24 @@ class TestInversionIdentities:
         assert worst_inv <= 1e-9
 
 
+class TestInversionSize:
+    def test_size_under_an_invariant_law(self):
+        # the null copies are exchangeable with the observed statistic, so
+        # the size is exactly floor(alpha (B + 1)) / (B + 1) = 1 / 20
+        from scipy.stats import binom
+
+        reps, B = 300, 19
+        rep = simulate(
+            method="inversion-mmd", group="so(3)", generator="gauss-iso(d=3)",
+            n=50, reps=reps, B=B, kernel="so3", seed=120,
+        )
+        target = np.floor(0.05 * (B + 1)) / (B + 1)
+        lo, hi = binom.ppf([0.0005, 0.9995], reps, target) / reps
+        print(f"[inversion size] rate={rep.rejection_rate:.4f} target={target:.4f} "
+              f"interval=[{lo:.4f}, {hi:.4f}]")
+        assert lo <= rep.rejection_rate <= hi
+
+
 class TestConditionalTests:
     def test_tuned_conditional_independence_rates(self):
         grids = {"kernel": [2.0, 4.0], "kernel_y": [2.0, 4.0],

@@ -128,6 +128,17 @@ class TestConfigErrors:
         assert res.returncode == 2
         assert "seed must be" in res.stderr
 
+    def test_bad_m_kind_exit_code(self, tmp_path):
+        for m_kind in (3, "banana"):
+            cfg = write_config(
+                tmp_path, method="kci", generator="cond-shift(d=2)", n=16,
+                kernel_y="rbf(1.0)", kernel_m="rbf(1.0)", null_samples=50,
+                m_kind=m_kind,
+            )
+            res = run_cli("simulate", "--config", cfg)
+            assert res.returncode == 2, res.stderr
+            assert "m_kind must be" in res.stderr
+
     def test_bad_method(self, tmp_path):
         cfg = write_config(tmp_path, method="anova")
         res = run_cli("invariance", "--config", cfg)
@@ -203,6 +214,35 @@ class TestTuneCommand:
         cfg.write_text(json.dumps({"grids": {"kernel": [1.0]}}))
         res = run_cli("tune", "--config", str(cfg))
         assert res.returncode == 2
+
+    def run_tune(self, tmp_path, **fields):
+        h0 = dict(method="mmd", group="so(2)", n=10, m=1, B=9,
+                  generator="gauss-iso(d=2)", seed=1)
+        raw = dict(grids={"kernel": [1.0]}, h0=h0, h1=h0, train_reps=2)
+        raw.update(fields)
+        cfg = tmp_path / "tune.json"
+        cfg.write_text(json.dumps(raw))
+        return run_cli("tune", "--config", str(cfg))
+
+    def test_non_integer_train_reps_exit_2(self, tmp_path):
+        res = self.run_tune(tmp_path, train_reps="x")
+        assert res.returncode == 2, res.stderr
+        assert "train_reps must be" in res.stderr
+
+    def test_grids_that_are_not_an_object_exit_2(self, tmp_path):
+        res = self.run_tune(tmp_path, grids=[1])
+        assert res.returncode == 2, res.stderr
+        assert "grids must" in res.stderr
+
+    def test_empty_grid_exit_2(self, tmp_path):
+        res = self.run_tune(tmp_path, grids={"kernel": []})
+        assert res.returncode == 2, res.stderr
+        assert "grids must" in res.stderr
+
+    def test_hypothesis_that_is_not_an_object_exit_2(self, tmp_path):
+        res = self.run_tune(tmp_path, h1=3)
+        assert res.returncode == 2, res.stderr
+        assert "h1 must be" in res.stderr
 
 
 class TestImport:

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from group_reference import act_each, act_rows, element_matrices, rot2
+from group_reference import (
+    act_each,
+    act_rows,
+    element_matrices,
+    quaternion_matrix,
+    rot2,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -19,6 +25,7 @@ from symtest import (
 from symtest.errors import (
     BadParameters,
     DimensionMismatch,
+    InvalidRotation,
     UnsupportedFamily,
     UnsupportedKind,
     VariantMismatch,
@@ -28,9 +35,11 @@ from symtest.groups import (
     GroupSpec,
     _axis_rotation,
     gamma_batch,
+    haar_quaternions,
     haar_rotations,
     invariant_batch,
     orbit_draw,
+    rotation_quaternions,
     sample_batch,
     tau_batch,
 )
@@ -194,6 +203,28 @@ class TestHaar:
         f = lambda m: np.trace(m, axis1=1, axis2=2)
         assert abs(f(mats).mean() - f(shifted).mean()) < 0.1
 
+    def test_quaternions_are_unit_and_give_rotations(self):
+        q = haar_quaternions(40, np.random.default_rng(12))
+        assert q.shape == (40, 4)
+        np.testing.assert_allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-15)
+        for m in quaternion_matrix(q):
+            np.testing.assert_allclose(m.T @ m, np.eye(3), atol=1e-14)
+            assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-14)
+
+    def test_quaternions_have_the_haar_law(self):
+        # the half-angle cosine to a fixed rotation, |q . q0| for quaternions
+        # and sqrt((1 + tr(R0^T R)) / 4) for matrices, has the same law
+        from scipy.stats import ks_2samp
+
+        rng = np.random.default_rng(13)
+        n = 100_000
+        fixed = haar_rotations(3, 1, rng)
+        q0 = rotation_quaternions(fixed)[0]
+        cos_q = np.abs(haar_quaternions(n, rng) @ q0)
+        tr = np.einsum("ij,nij->n", fixed[0], haar_rotations(3, n, rng))
+        cos_m = np.sqrt(np.clip((1.0 + tr) / 4.0, 0.0, 1.0))
+        assert ks_2samp(cos_q, cos_m).pvalue > 0.001
+
     def test_permutations_uniform(self):
         rng = np.random.default_rng(6)
         perms = sample_batch(sym(3), rng, 6000).data
@@ -247,6 +278,49 @@ class TestHaar:
             per_row = np.stack([_axis_rotation(t, spec.dim, spec.axis) for t in theta])
             batch = sample_batch(spec, np.random.default_rng(seed), 200)
             assert np.array_equal(batch.data, per_row)
+
+
+def half_turns_and_neighbours(rng):
+    """The identity and the half-turns about each axis, alone and composed
+    with tiny rotations, so that every branch of Shepperd's method is taken."""
+    base = [np.eye(3)] + [_axis_rotation(np.pi, 3, axis) for axis in (1, 2, 3)]
+    out = list(base)
+    for m in base:
+        for phi in (1e-10, 1e-6, 1e-2):
+            out.append(m @ _axis_rotation(phi, 3, int(rng.integers(1, 4))))
+    return np.array(out)
+
+
+class TestRotationQuaternions:
+    def test_round_trip_on_every_branch(self):
+        rng = np.random.default_rng(14)
+        mats = np.concatenate([half_turns_and_neighbours(rng),
+                               haar_rotations(3, 200, rng)])
+        q = rotation_quaternions(mats)
+        np.testing.assert_allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-15)
+        np.testing.assert_allclose(quaternion_matrix(q), mats, atol=1e-14)
+        # each of the four components is the largest one somewhere
+        assert set(np.argmax(np.abs(q), axis=1)) == {0, 1, 2, 3}
+
+    def test_quaternion_and_its_negative_give_one_rotation(self):
+        q = haar_quaternions(50, np.random.default_rng(15))
+        back = rotation_quaternions(quaternion_matrix(q))
+        signs = np.sign(np.sum(back * q, axis=1))
+        np.testing.assert_allclose(back, signs[:, None] * q, atol=1e-14)
+        np.testing.assert_allclose(rotation_quaternions(quaternion_matrix(-q)),
+                                   back, atol=1e-14)
+
+    def test_frozen_examples(self):
+        quarter_z = _axis_rotation(np.pi / 2, 3, 3)
+        np.testing.assert_allclose(
+            rotation_quaternions(np.stack([np.eye(3), quarter_z])),
+            [[1, 0, 0, 0], [np.sqrt(0.5), 0, 0, np.sqrt(0.5)]], atol=1e-15,
+        )
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4, 4), (5, 9)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(InvalidRotation):
+            rotation_quaternions(np.zeros(shape))
 
 
 class TestOrbitDraw:

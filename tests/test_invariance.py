@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from group_reference import quaternion_matrix
 from kernel_reference import so3_gram
 from scipy.stats import ks_2samp
 
@@ -29,9 +30,10 @@ from symtest import (
 )
 from symtest.groups import (
     TransformBatch,
-    haar_rotations,
+    haar_quaternions,
     inversion_kernel_batch,
     paired_so2,
+    rotation_quaternions,
     so,
     sym,
     trivial,
@@ -327,23 +329,30 @@ class TestInversion:
             inversion_mc_test(X, so(3), RotationKernelSO3(), B=0, rng=rng)
 
     def test_observed_statistic_is_mmd_u(self):
-        # the reference sample's within term is computed once per test
+        # tau and the reference in unit quaternions; each null copy is a
+        # fresh Haar sample, drawn like the reference
         X = np.random.default_rng(25).normal(size=(40, 3))
         kernel = RotationKernelSO3()
         rng = np.random.default_rng(26)
-        tau = inversion_kernel_batch(so(3), X, rng).data
-        ref = haar_rotations(3, 40, rng)
+        tau = rotation_quaternions(inversion_kernel_batch(so(3), X, rng).data)
+        ref = haar_quaternions(40, rng)
         res = inversion_mc_test(X, so(3), kernel, B=9, rng=np.random.default_rng(26))
         assert res.statistic == pytest.approx(
             mmd_u(tau, ref, kernel).value, rel=1e-12, abs=1e-12
         )
+        for null in res.null_stats:
+            assert null == pytest.approx(
+                mmd_u(haar_quaternions(40, rng), ref, kernel).value,
+                rel=1e-12, abs=1e-12,
+            )
 
     def test_pvalues_match_the_reference_gram(self, monkeypatch):
-        # the one-GEMM SO(3) Gram gives the einsum-plus-mask reference's
-        # p-values on the same draws
+        # the quaternion SO(3) Gram gives the p-values of the matrix
+        # einsum-plus-mask reference on the same draws
         def reference_gram(kernel, X, Y=None):
             if isinstance(kernel, RotationKernelSO3):
-                return so3_gram(np.asarray(X), None if Y is None else np.asarray(Y))
+                return so3_gram(quaternion_matrix(X),
+                                None if Y is None else quaternion_matrix(Y))
             return gram(kernel, X, Y)
 
         kernel = RotationKernelSO3()
@@ -359,6 +368,20 @@ class TestInversion:
             assert new.statistic == pytest.approx(ref.statistic, rel=1e-9, abs=1e-12)
             np.testing.assert_allclose(new.null_stats, ref.null_stats,
                                        rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("spec,kernel", [
+        (so(3), RotationKernelSO3()),
+        (so(4), GaussianRBF(2.0)),
+        (sym(5), GaussianRBF(2.0)),
+    ], ids=["so3-so3", "so4-rbf", "sym5-rbf"])
+    def test_null_copies_do_not_depend_on_the_data(self, spec, kernel):
+        rng = np.random.default_rng(27)
+        X1 = rng.normal(size=(30, spec.dim))
+        X2 = rng.normal(size=(30, spec.dim)) * 3.0 + 1.0
+        a = inversion_mc_test(X1, spec, kernel, B=19, rng=np.random.default_rng(28))
+        b = inversion_mc_test(X2, spec, kernel, B=19, rng=np.random.default_rng(28))
+        assert a.statistic != b.statistic
+        np.testing.assert_array_equal(a.null_stats, b.null_stats)
 
 
 class TestPower:

@@ -21,12 +21,13 @@ from symtest.errors import (
     AllPointsIdentical,
     BadParameters,
     DimensionMismatch,
+    InvalidRotation,
     SampleTooSmall,
     UnsupportedKind,
 )
 from symtest import kernels
-from symtest.groups import haar_rotations
-from symtest.kernels import _so3_from_trace
+from symtest.groups import haar_rotations, rotation_quaternions
+from symtest.kernels import _so3_from_cos
 
 
 def axis_rotation(theta):
@@ -91,56 +92,65 @@ class TestRbf:
         assert K[0, 1] == 0.0 and K[0, 0] == 1.0
 
 
+def quats(*mats):
+    """Unit quaternions of one or more rotation matrices."""
+    return rotation_quaternions(np.array(mats, dtype=float))
+
+
+def so3_value(a, b):
+    """The rotation kernel at one pair of rotation matrices, through gram."""
+    return gram(RotationKernelSO3(), quats(a), quats(b))[0, 0]
+
+
 class TestRotationKernel:
     def test_value_at_identity(self):
-        k = RotationKernelSO3()
-        v = eval_kernel(k, np.eye(3), np.eye(3))
+        v = so3_value(np.eye(3), np.eye(3))
         assert v == pytest.approx(np.pi**2 / 8.0, rel=1e-12)
 
     def test_quarter_turn_closed_form(self):
         # rotation angle pi/2 -> half-angle pi/4:
         # k = pi * (pi/4) * (3pi/4) / (8 * sin(pi/4)) = 3 sqrt(2) pi^3 / 128
-        k = RotationKernelSO3()
-        v = eval_kernel(k, axis_rotation(np.pi / 2), np.eye(3))
+        v = so3_value(axis_rotation(np.pi / 2), np.eye(3))
         assert v == pytest.approx(3.0 * np.sqrt(2.0) * np.pi**3 / 128.0, rel=1e-12)
 
     def test_generic_angle_closed_form(self):
-        k = RotationKernelSO3()
         for phi in (0.3, 1.2, 2.9):
-            v = eval_kernel(k, axis_rotation(phi), np.eye(3))
+            v = so3_value(axis_rotation(phi), np.eye(3))
             half = phi / 2.0
             expect = np.pi * half * (np.pi - half) / (8 * np.sin(half))
             assert v == pytest.approx(expect, rel=1e-12)
 
     def test_stable_near_zero_angle(self):
-        k = RotationKernelSO3()
         for phi in (1e-9, 1e-7, 1e-5):
-            v = eval_kernel(k, axis_rotation(phi), np.eye(3))
+            v = so3_value(axis_rotation(phi), np.eye(3))
             assert np.isfinite(v)
             assert v == pytest.approx(np.pi**2 / 8.0, rel=1e-5)
 
     def test_half_turn_closed_form(self):
         # rotation angle pi -> half-angle pi/2: k = pi^3 / 32
-        k = RotationKernelSO3()
         for phi in (np.pi, np.pi - 1e-9):
-            v = eval_kernel(k, axis_rotation(phi), np.eye(3))
+            v = so3_value(axis_rotation(phi), np.eye(3))
             assert v == pytest.approx(np.pi**3 / 32.0, rel=1e-6)
 
     def test_invariance_under_left_translation(self):
         rng = np.random.default_rng(3)
-        k = RotationKernelSO3()
         a, b, q = haar_rotations(3, 3, rng)
-        v1 = eval_kernel(k, a, b)
-        v2 = eval_kernel(k, q @ a, q @ b)
+        v1 = so3_value(a, b)
+        v2 = so3_value(q @ a, q @ b)
         assert v1 == pytest.approx(v2, rel=1e-9)
 
     def test_gram_matches_eval(self):
         rng = np.random.default_rng(4)
         stack = haar_rotations(3, 5, rng)
         k = RotationKernelSO3()
-        K = gram(k, stack)
+        K = gram(k, rotation_quaternions(stack))
         for i in range(5):
             for j in range(5):
+                if i == j:
+                    # the exact value; the matrix reference's trace can
+                    # round below 3 here, which moves its value by 6e-9
+                    assert K[i, j] == pytest.approx(np.pi**2 / 8.0, rel=1e-12)
+                    continue
                 assert K[i, j] == pytest.approx(
                     eval_kernel(k, stack[i], stack[j]), rel=1e-12
                 )
@@ -148,8 +158,17 @@ class TestRotationKernel:
     def test_gram_psd(self):
         rng = np.random.default_rng(5)
         stack = haar_rotations(3, 30, rng)
-        K = gram(RotationKernelSO3(), stack)
+        K = gram(RotationKernelSO3(), rotation_quaternions(stack))
         assert np.linalg.eigvalsh(K).min() > -1e-8
+
+    def test_rejects_matrices(self):
+        # the kernel's points are (n, 4) quaternions, not rotation matrices
+        stack = haar_rotations(3, 5, np.random.default_rng(6))
+        for bad in (stack, stack.reshape(5, 9), np.zeros(4)):
+            with pytest.raises(InvalidRotation):
+                gram(RotationKernelSO3(), bad)
+        with pytest.raises(InvalidRotation):
+            gram(RotationKernelSO3(), rotation_quaternions(stack), stack)
 
 
 def _near(stack, angles, rng):
@@ -164,8 +183,18 @@ def _near(stack, angles, rng):
     return np.array(out)
 
 
+def _half_turns():
+    """The identity and the half-turns about each coordinate axis."""
+    turns = [np.eye(3)]
+    for axis in range(3):
+        m = -np.eye(3)
+        m[axis, axis] = 1.0
+        turns.append(m)
+    return np.array(turns)
+
+
 class TestRotationGramReference:
-    """The one-GEMM Gram against the einsum-plus-mask reference."""
+    """The quaternion Gram against the matrix einsum-plus-mask reference."""
 
     def test_generic_pairs(self):
         rng = np.random.default_rng(40)
@@ -176,22 +205,53 @@ class TestRotationGramReference:
             half = np.arccos(np.sqrt(np.clip((1 + so3_trace(A, B)) / 4, 0, 1)))
             far = half >= 1e-3
             assert far.mean() > 0.99
-            np.testing.assert_allclose(gram(k, A, B)[far], ref[far], rtol=1e-12)
-            K = gram(k, A)
-            np.testing.assert_allclose(K, so3_gram(A), rtol=1e-12, atol=1e-7)
+            qa, qb = rotation_quaternions(A), rotation_quaternions(B)
+            np.testing.assert_allclose(gram(k, qa, qb)[far], ref[far], rtol=1e-12)
+            np.testing.assert_allclose(gram(k, qa), so3_gram(A), rtol=1e-12, atol=1e-7)
 
     def test_identical_and_near_identical(self):
         rng = np.random.default_rng(41)
         k = RotationKernelSO3()
         A = haar_rotations(3, 40, rng)
-        np.testing.assert_allclose(np.diag(gram(k, A)), np.diag(so3_gram(A)),
+        qa = rotation_quaternions(A)
+        np.testing.assert_allclose(np.diag(gram(k, qa)), np.diag(so3_gram(A)),
                                    rtol=0, atol=1e-7)
-        np.testing.assert_allclose(np.diag(gram(k, A, A.copy())), np.pi**2 / 8,
+        np.testing.assert_allclose(np.diag(gram(k, qa, qa.copy())), np.pi**2 / 8,
                                    rtol=0, atol=1e-7)
         angles = np.geomspace(1e-10, 2e-3, 40)
         B = _near(A, angles, rng)
-        np.testing.assert_allclose(np.diag(gram(k, A, B)), np.diag(so3_gram(A, B)),
+        np.testing.assert_allclose(
+            np.diag(gram(k, qa, rotation_quaternions(B))), np.diag(so3_gram(A, B)),
+            rtol=0, atol=1e-7,
+        )
+
+    def test_quaternion_sign_does_not_matter(self):
+        # q and -q are one rotation, so they give the same kernel values
+        rng = np.random.default_rng(42)
+        k = RotationKernelSO3()
+        A = haar_rotations(3, 30, rng)
+        qa = rotation_quaternions(A)
+        np.testing.assert_array_equal(gram(k, qa, -qa), gram(k, qa, qa.copy()))
+        np.testing.assert_allclose(np.diag(gram(k, qa, -qa)), np.pi**2 / 8,
                                    rtol=0, atol=1e-7)
+
+    def test_half_turns_and_their_neighbours(self):
+        # every branch of Shepperd's conversion, the identity and rotations
+        # within 1e-10 rad of each half-turn
+        rng = np.random.default_rng(43)
+        k = RotationKernelSO3()
+        turns = _half_turns()
+        A = np.concatenate([turns, _near(turns, np.full(4, 1e-10), rng),
+                            _near(turns, np.full(4, 1e-5), rng),
+                            haar_rotations(3, 20, rng)])
+        qa = rotation_quaternions(A)
+        assert set(np.argmax(np.abs(qa[:4]), axis=1)) == {0, 1, 2, 3}
+        ref = so3_gram(A)
+        K = gram(k, qa)
+        np.testing.assert_allclose(K, ref, rtol=1e-12, atol=1e-7)
+        half = np.arccos(np.sqrt(np.clip((1 + so3_trace(A, A)) / 4, 0, 1)))
+        far = half >= 1e-3
+        np.testing.assert_allclose(K[far], ref[far], rtol=1e-12)
 
     def test_kernel_value_matches_masked_reference(self):
         # trace values across [-1, 3], both sides of the theta = 1e-6 switch
@@ -199,17 +259,18 @@ class TestRotationGramReference:
             np.linspace(-1.0, 3.0, 2001),
             3.0 - np.geomspace(1e-16, 1e-4, 200),
         ])
-        np.testing.assert_allclose(_so3_from_trace(tr), so3_from_trace(tr),
-                                   rtol=1e-12)
+        c = np.sqrt(np.clip((1.0 + tr) / 4.0, 0.0, 1.0))
+        np.testing.assert_allclose(_so3_from_cos(c), so3_from_trace(tr), rtol=1e-12)
 
     def test_accurate_on_both_sides_of_the_series_switch(self):
         # near theta = 1e-6 the series for theta / sin(theta) is exact to
         # rounding, so both branches must agree with it
         tr = 3.0 - np.linspace(3.8e-12, 4.2e-12, 201)
-        theta = np.arccos(np.sqrt((1.0 + tr) / 4.0))
+        c = np.sqrt((1.0 + tr) / 4.0)
+        theta = np.arccos(c)
         assert theta.min() < 1e-6 < theta.max()
         expect = np.pi / 8 * (np.pi - theta) * (1 + theta**2 / 6)
-        np.testing.assert_allclose(_so3_from_trace(tr), expect, rtol=1e-14)
+        np.testing.assert_allclose(_so3_from_cos(c), expect, rtol=1e-14)
 
 
 class TestDelta:
