@@ -83,12 +83,15 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
     """Conditional Monte Carlo test of invariance of the law of X.
 
     ``statistic`` selects the test statistic: ``mmd-u`` (the U-form
-    invariance MMD), ``mmd-nystrom`` (its landmark approximation), ``cw``
-    (max Kolmogorov-Smirnov distance over random projections and m group
-    elements), or a callable ``f(X) -> float``.  The statistic's transform
-    draws and projection directions are drawn once and reused across the B
-    re-randomised copies; the Nyström landmarks are drawn afresh for each.  Each copy moves every
-    row by its own Haar element through ``orbit_draw``.
+    invariance MMD in its invariant-kernel form, over m transform draws G),
+    ``mmd-nystrom`` (a landmark approximation of the V-form, over m draws
+    each of G and H), ``cw`` (max Kolmogorov-Smirnov distance over random
+    projections and m group elements), or a callable ``f(X) -> float``.
+    The statistic's transform draws and projection directions are drawn
+    once and reused across the B re-randomised copies; the Nyström
+    landmarks are drawn afresh for each.  Each copy moves every row by its
+    own Haar element through ``orbit_draw``.  The p-value is exact for any
+    statistic, since the copies are exchangeable with X under the null.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -110,10 +113,9 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
     elif statistic == "mmd-u":
         method = "mc-invariance/mmd-u"
         g = [sample_batch(spec, rng, n) for _ in range(m)]
-        h = [sample_batch(spec, rng, n) for _ in range(m)]
 
         def stat_fn(sample):
-            return invariance_stat_u(sample, g, h, kernel)
+            return invariance_stat_u(sample, g, kernel)
 
     elif statistic == "mmd-nystrom":
         method = "mc-invariance/mmd-nystrom"

@@ -102,9 +102,20 @@ def _so3_from_cos(c):
     """
     c = np.clip(c, 0.0, 1.0)
     theta = np.arccos(c)
-    sin = np.sqrt((1.0 - c) * (1.0 + c))
-    ratio = np.divide(theta, sin, out=1.0 + theta**2 / 6.0, where=theta >= 1e-6)
-    return np.pi / 8.0 * (np.pi - theta) * ratio
+    # the operations of (1 - c)(1 + c), 1 + theta^2 / 6 and
+    # pi / 8 (pi - theta) ratio, in place: fewer (n, n) temporaries keep the
+    # Gram's cost flat for the unit-norm check in ``gram``
+    sin = np.subtract(1.0, c)
+    sin *= np.add(c, 1.0, out=c)
+    np.sqrt(sin, out=sin)
+    ratio = np.square(theta)
+    ratio /= 6.0
+    ratio += 1.0
+    np.divide(theta, sin, out=ratio, where=theta >= 1e-6)
+    value = np.subtract(np.pi, theta, out=theta)
+    value *= np.pi / 8.0
+    value *= ratio
+    return value
 
 
 def _check_quaternions(X):
@@ -112,6 +123,18 @@ def _check_quaternions(X):
     if X.ndim != 2 or X.shape[1] != 4:
         raise InvalidRotation("expected an (n, 4) array of unit quaternions")
     return X
+
+
+# The squared norms of quaternions whose norm lies within 1e-8 of 1.
+_UNIT_SQ_RANGE = ((1.0 - 1e-8) ** 2, (1.0 + 1e-8) ** 2)
+
+
+def _check_unit(sq):
+    """Raise InvalidRotation unless every squared norm in ``sq`` is in range."""
+    lo, hi = _UNIT_SQ_RANGE
+    # a NaN minimum or maximum fails the comparison and raises
+    if sq.size and not (lo <= sq.min() and sq.max() <= hi):
+        raise InvalidRotation("quaternion rows must have unit norm")
 
 
 def _rbf_exponent(A, B, bandwidth):
@@ -138,12 +161,18 @@ def gram(kernel, X, Y=None):
     """Gram matrix K[i, j] = k(X[i], Y[j]); Y defaults to X."""
     if isinstance(kernel, RotationKernelSO3):
         A = _check_quaternions(X)
-        c = np.abs(A @ (A if Y is None else _check_quaternions(Y)).T)
         if Y is None:
+            c = A @ A.T
+            _check_unit(c.diagonal())  # the squared norms, at no extra product
             # the exact cos(0) = 1: |q . q| rounds to 1 - 2e-16 on some rows,
             # which arccos turns into a half-angle of 2e-8
             np.fill_diagonal(c, 1.0)
-        return _so3_from_cos(c)
+        else:
+            B = _check_quaternions(Y)
+            AB = np.concatenate([A, B])
+            _check_unit(np.einsum("ij,ij->i", AB, AB))
+            c = A @ B.T
+        return _so3_from_cos(np.abs(c, out=c))
     if isinstance(kernel, DiscreteDelta):
         A = _as_points(X)
         B = A if Y is None else _as_points(Y)

@@ -2,9 +2,12 @@
 
 Contains the classical two-sample U- and V-statistics, the invariance
 statistic that compares a sample with randomly transformed copies of itself,
-and a low-rank (landmark) approximation of that statistic.  Both invariance
-statistics take the transform draws as arguments; ``mc_invariance_test``
-draws them once and reuses them across its re-randomised copies.
+and a low-rank (landmark) approximation of that statistic's V-form.  The
+U-form statistic uses the invariant-kernel identity
+MMD^2(P, P_G) = E k(X, X') - E k(X, G X') and takes m transform draws G;
+the landmark statistic keeps the full V-form and takes two sets, G and H.
+Both take their draws as arguments; ``mc_invariance_test`` draws them once
+and reuses them across its re-randomised copies.
 """
 
 from __future__ import annotations
@@ -73,30 +76,32 @@ def mmd_v(X, Y, kernel):
     return MmdEstimate(kxx + kyy - kxy, "v", n1)
 
 
-def invariance_stat_u(X, g_batches, h_batches, kernel):
+def invariance_stat_u(X, g_batches, kernel):
     """U-form invariance statistic given per-observation transform draws.
 
-    With G and H each holding m independent per-observation draws,
+    With G holding m independent per-observation draws,
 
         T = (1/(n(n-1))) sum_{i != j} [ k(X_i, X_j)
-              + (1/m^2) sum_{l,r} k(G_{l,i} X_i, H_{r,j} X_j)
-              - (2/m)   sum_l     k(X_i, G_{l,j} X_j) ].
+              - (1/m) sum_l k(X_i, G_{l,j} X_j) ].
+
+    This estimates MMD^2(P, P_G) = E k(X, X') - E k(X, G X') when the
+    kernel is invariant under the group, k(g x, g y) = k(x, y) for every
+    element g: then E k(G X, H X') = E k(X, G^{-1} H X') = E k(X, G X') by
+    the invariance of Haar measure, so the U-form's G-H term equals its
+    cross term in expectation and only adds variance.  Every kernel and
+    group family of the package meets this, since every action is
+    orthogonal.  It costs 1 + m Gram matrices.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if n < 2:
         raise SampleTooSmall("the invariance statistic needs at least two points")
     m = len(g_batches)
-    if m < 1 or len(h_batches) != m:
-        raise BadParameters("need m >= 1 transform draws for both G and H")
-    xg = [b.apply(X) for b in g_batches]
-    xh = [b.apply(X) for b in h_batches]
+    if m < 1:
+        raise BadParameters("need m >= 1 transform draws")
     total = _offdiag_sum(gram(kernel, X))
-    for a in xg:
-        for b in xh:
-            total += _offdiag_sum(gram(kernel, a, b)) / m**2
-    for b in xg:
-        total -= 2.0 * _offdiag_sum(gram(kernel, X, b)) / m
+    for b in g_batches:
+        total -= _offdiag_sum(gram(kernel, X, b.apply(X))) / m
     return total / (n * (n - 1))
 
 

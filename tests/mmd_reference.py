@@ -1,11 +1,36 @@
-"""The V-form of the invariance statistic, a reference for the landmark
-statistic.
+"""Reference forms of the invariance statistic.
 
-With every sample point a landmark, the landmark statistic equals this
-V-form for characteristic kernels.
+``invariance_stat_full_u`` is the U-form with both transform sets G and H,
+which the package's invariant-kernel form matches in expectation.  The
+V-form is a reference for the landmark statistic: with every sample point a
+landmark, the landmark statistic equals it for characteristic kernels.
 """
 
 from symtest.kernels import gram
+
+
+def _offdiag_sum(K):
+    return float(K.sum() - K.trace())
+
+
+def invariance_stat_full_u(X, g_batches, h_batches, kernel):
+    """U-form with G and H: 1 + m + m^2 Gram matrices.
+
+        T = (1/(n(n-1))) sum_{i != j} [ k(X_i, X_j)
+              + (1/m^2) sum_{l,r} k(G_{l,i} X_i, H_{r,j} X_j)
+              - (2/m)   sum_l     k(X_i, G_{l,j} X_j) ].
+    """
+    n = X.shape[0]
+    m = len(g_batches)
+    xg = [b.apply(X) for b in g_batches]
+    xh = [b.apply(X) for b in h_batches]
+    total = _offdiag_sum(gram(kernel, X))
+    for a in xg:
+        for b in xh:
+            total += _offdiag_sum(gram(kernel, a, b)) / m**2
+    for b in xg:
+        total -= 2.0 * _offdiag_sum(gram(kernel, X, b)) / m
+    return total / (n * (n - 1))
 
 
 def invariance_stat_v(X, g_batches, h_batches, kernel):

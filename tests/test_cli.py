@@ -168,7 +168,7 @@ class TestPowerCommand:
     def test_mmd_estimate_is_pinned(self, tmp_path):
         payload = self.power_of(tmp_path, "mmd")
         assert payload["config"]["statistic"] == "mmd-u"
-        assert abs(payload["beta_hat"] - 0.589495085553276) < 1e-12
+        assert abs(payload["beta_hat"] - 0.8394950855508659) < 1e-12
 
     def test_nmmd_and_cw_use_their_statistics(self, tmp_path):
         mmd = self.power_of(tmp_path, "mmd")["beta_hat"]

@@ -26,7 +26,19 @@ from symtest.errors import (
     UnsupportedKind,
 )
 from symtest import kernels
-from symtest.groups import haar_rotations, rotation_quaternions
+from symtest.groups import (
+    FAMILIES,
+    discrete_rotations,
+    haar_quaternions,
+    haar_rotations,
+    paired_so2,
+    rotation_quaternions,
+    sample_batch,
+    so,
+    so2xso2,
+    sym,
+    trivial,
+)
 from symtest.kernels import _so3_from_cos
 
 
@@ -170,6 +182,19 @@ class TestRotationKernel:
         with pytest.raises(InvalidRotation):
             gram(RotationKernelSO3(), rotation_quaternions(stack), stack)
 
+    def test_rejects_quaternions_off_unit_norm(self):
+        # unnormalised rows would clip every cosine to 1 and give pi^2/8
+        q = rotation_quaternions(haar_rotations(3, 3, np.random.default_rng(7)))
+        k = RotationKernelSO3()
+        for bad in (2 * q, q * (1 + 2e-8), np.where(np.eye(3, 4) > 0, np.nan, q)):
+            with pytest.raises(InvalidRotation, match="unit norm"):
+                gram(k, bad)
+            with pytest.raises(InvalidRotation, match="unit norm"):
+                gram(k, q, bad)
+        # a norm off 1 by less than the tolerance is accepted
+        near = q * (1 + 5e-9)
+        assert np.all(np.isfinite(gram(k, near, q))) and np.all(np.isfinite(gram(k, near)))
+
 
 def _near(stack, angles, rng):
     """Each rotation of the stack composed with a rotation by a tiny angle."""
@@ -261,6 +286,20 @@ class TestRotationGramReference:
         ])
         c = np.sqrt(np.clip((1.0 + tr) / 4.0, 0.0, 1.0))
         np.testing.assert_allclose(_so3_from_cos(c), so3_from_trace(tr), rtol=1e-12)
+
+    def test_in_place_form_is_bit_identical(self):
+        # _so3_from_cos forms its terms in place; the values must equal the
+        # plain expressions exactly, and the caller's array stay as it was
+        c = np.concatenate([np.linspace(-0.1, 1.1, 1001),
+                            1.0 - np.geomspace(1e-16, 1e-4, 200)])
+        before = c.copy()
+        clipped = np.clip(c, 0.0, 1.0)
+        theta = np.arccos(clipped)
+        sin = np.sqrt((1.0 - clipped) * (1.0 + clipped))
+        ratio = np.divide(theta, sin, out=1.0 + theta**2 / 6.0, where=theta >= 1e-6)
+        np.testing.assert_array_equal(
+            _so3_from_cos(c), np.pi / 8.0 * (np.pi - theta) * ratio)
+        np.testing.assert_array_equal(c, before)
 
     def test_accurate_on_both_sides_of_the_series_switch(self):
         # near theta = 1e-6 the series for theta / sin(theta) is exact to
@@ -366,3 +405,53 @@ class TestParsing:
         for bad in ("rbf", "gauss(1)", "rbf(x)", ""):
             with pytest.raises(UnsupportedKind):
                 parse_kernel(bad)
+
+
+# One group of each family, and one acting on R^4 where the family has one:
+# the rotation kernel's points are unit quaternions in R^4.
+_GROUPS = {
+    "so": (so(3), so(4)),
+    "sym": (sym(5), sym(4)),
+    "paired-so2": (paired_so2(), paired_so2()),
+    "so2xso2": (so2xso2(), so2xso2()),
+    "rot-discrete": (discrete_rotations(90.0, 3, axis=3), None),
+    "trivial": (trivial(3), trivial(4)),
+}
+
+
+def _invariance_cases():
+    for descriptor in ("rbf(1.5)", "delta", "so3"):
+        for family in FAMILIES:
+            spec = _GROUPS[family][descriptor == "so3"]
+            if spec is not None:
+                yield pytest.param(descriptor, spec, id=f"{descriptor}-{family}")
+
+
+class TestGroupInvariance:
+    """k(g x, g y) = k(x, y): the condition behind the invariance MMD."""
+
+    def test_every_family_is_covered(self):
+        assert set(_GROUPS) == set(FAMILIES)
+
+    @pytest.mark.parametrize("descriptor,spec", list(_invariance_cases()))
+    def test_gram_is_invariant_under_one_shared_element(self, descriptor, spec):
+        rng = np.random.default_rng(50)
+        kernel = parse_kernel(descriptor)
+        d = spec.dim
+        if descriptor == "so3":
+            X, Y = haar_quaternions(9, rng), haar_quaternions(7, rng)
+        elif descriptor == "delta":
+            # few distinct rows, so that X and Y share some of them
+            rows = rng.integers(-2, 3, size=(4, d)).astype(float)
+            X, Y = rows[rng.integers(0, 4, 9)], rows[rng.integers(0, 4, 7)]
+        else:
+            X, Y = rng.normal(size=(9, d)), rng.normal(size=(7, d))
+        g = sample_batch(spec, rng, 1)
+        gx, gy = g.apply_all(X)[0], g.apply_all(Y)[0]
+        for moved, plain in ((gram(kernel, gx, gy), gram(kernel, X, Y)),
+                             (gram(kernel, gx), gram(kernel, X))):
+            if descriptor == "delta":
+                assert 0 < plain.sum() < plain.size  # some matches, not all
+                np.testing.assert_array_equal(moved, plain)
+            else:
+                np.testing.assert_allclose(moved, plain, rtol=1e-12, atol=0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from group_reference import act_rows
 from kernel_reference import eval_kernel
-from mmd_reference import invariance_stat_v
+from mmd_reference import invariance_stat_full_u, invariance_stat_v
 
 from symtest import (
     BadLandmarkCount,
@@ -63,7 +63,23 @@ def naive_mmd_v(X, Y, kernel):
     return kxx + kyy - 2 * kxy
 
 
-def naive_invariance_u(X, g_batches, h_batches, kernel):
+def naive_invariance_u(X, g_batches, kernel):
+    n = len(X)
+    m = len(g_batches)
+    gx = [act_rows(b, X) for b in g_batches]
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            term = eval_kernel(kernel, X[i], X[j])
+            for l in range(m):
+                term -= eval_kernel(kernel, X[i], gx[l][j]) / m
+            total += term
+    return total / (n * (n - 1))
+
+
+def naive_invariance_full_u(X, g_batches, h_batches, kernel):
     n = len(X)
     m = len(g_batches)
     gx = [act_rows(b, X) for b in g_batches]
@@ -155,9 +171,20 @@ class TestInvarianceStatistic:
         spec = spec_fn(d)
         X = rng.normal(size=(6, d))
         g = [sample_batch(spec, rng, 6) for _ in range(2)]
+        got = invariance_stat_u(X, g, KERNEL)
+        assert got == pytest.approx(naive_invariance_u(X, g, KERNEL), abs=1e-12)
+
+    @pytest.mark.parametrize("spec_fn,d", [(so, 3), (sym, 4)])
+    def test_full_reference_matches_naive(self, spec_fn, d):
+        rng = np.random.default_rng(22)
+        spec = spec_fn(d)
+        X = rng.normal(size=(6, d))
+        g = [sample_batch(spec, rng, 6) for _ in range(2)]
         h = [sample_batch(spec, rng, 6) for _ in range(2)]
-        got = invariance_stat_u(X, g, h, KERNEL)
-        assert got == pytest.approx(naive_invariance_u(X, g, h, KERNEL), abs=1e-12)
+        got = invariance_stat_full_u(X, g, h, KERNEL)
+        assert got == pytest.approx(
+            naive_invariance_full_u(X, g, h, KERNEL), abs=1e-12
+        )
 
     def test_v_matches_naive(self):
         rng = np.random.default_rng(21)
@@ -169,29 +196,46 @@ class TestInvarianceStatistic:
         assert got == pytest.approx(naive_invariance_v(X, g, h, KERNEL), abs=1e-12)
 
     def test_trivial_group_gives_zero(self):
-        # identity transforms: the three blocks of the sum cancel exactly
+        # identity transforms: the two blocks of the sum cancel exactly
         rng = np.random.default_rng(23)
         spec = trivial()
         X = rng.normal(size=(8, 3))
         g = [sample_batch(spec, rng, 8) for _ in range(2)]
-        h = [sample_batch(spec, rng, 8) for _ in range(2)]
-        assert invariance_stat_u(X, g, h, KERNEL) == pytest.approx(0.0, abs=1e-12)
+        assert invariance_stat_u(X, g, KERNEL) == pytest.approx(0.0, abs=1e-12)
+
+    def test_agrees_with_full_statistic_in_expectation(self):
+        # the RBF kernel is rotation invariant, so for a fixed X both forms
+        # estimate the same quantity over the draws of G and H; each draw's
+        # G is shared, and the mean difference must lie within 4 standard
+        # errors of 0
+        rng = np.random.default_rng(26)
+        spec = so(3)
+        X = np.random.default_rng(99).normal(size=(12, 3)) + [1.0, 0.0, 0.0]
+        invariant, full = [], []
+        for _ in range(2000):
+            g = [sample_batch(spec, rng, 12) for _ in range(2)]
+            h = [sample_batch(spec, rng, 12) for _ in range(2)]
+            invariant.append(invariance_stat_u(X, g, KERNEL))
+            full.append(invariance_stat_full_u(X, g, h, KERNEL))
+        diff = np.subtract(full, invariant)
+        assert abs(diff.mean()) <= 4 * diff.std(ddof=1) / np.sqrt(diff.size)
+        # the shift makes the common mean clearly positive, and dropping the
+        # G-H term lowers the variance
+        assert np.mean(invariant) > 10 * np.std(invariant) / np.sqrt(2000)
+        assert np.var(invariant) < np.var(full)
 
     def test_bad_m_raises(self):
         rng = np.random.default_rng(27)
         X = rng.normal(size=(6, 3))
         with pytest.raises(BadParameters):
-            invariance_stat_u(X, [], [], KERNEL)
-        g = [sample_batch(so(3), rng, 6)]
-        with pytest.raises(BadParameters):
-            invariance_stat_u(X, g, [], KERNEL)
+            invariance_stat_u(X, [], KERNEL)
 
     def test_too_small_raises(self):
         rng = np.random.default_rng(28)
         X = rng.normal(size=(1, 3))
         g = [sample_batch(so(3), rng, 1)]
         with pytest.raises(SampleTooSmall):
-            invariance_stat_u(X, g, g, KERNEL)
+            invariance_stat_u(X, g, KERNEL)
 
 
 class TestNystrom:

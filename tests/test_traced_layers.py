@@ -65,3 +65,27 @@ def test_cp_null_copies_pass_through_the_traced_statistic(monkeypatch):
     assert sum(scored) == 1 + 19  # the observed statistic and every copy
     assert values["condsym.multiple_correlation_statistic.calls"] == len(scored)
     assert values["condsym.multiple_correlation_statistic.ms"] > 0.0
+
+
+def test_mmd_u_draws_g_only_and_makes_one_plus_m_grams_per_copy():
+    # the invariant-kernel statistic: one plain Gram and m cross Grams for
+    # the observed sample and each of the B copies, and m transform draws of
+    # n elements; the U-form with H as well would make 1 + m + m^2 Grams
+    from symtest import GaussianRBF, mc_invariance_test
+    from symtest.groups import so
+
+    n, m, B = 12, 2, 9
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        X = np.random.default_rng(6).normal(size=(n, 3))
+        res = mc_invariance_test(X, so(3), GaussianRBF(1.0), m=m, B=B,
+                                 statistic="mmd-u", rng=np.random.default_rng(7))
+    finally:
+        tracer.uninstall()
+    values = tracer.end()
+    assert res.null_stats.size == B
+    assert values["mmd.invariance_stat_u.calls"] == B + 1
+    assert values["kernels.gram.calls"] == (B + 1) * (1 + m)
+    assert values["kernels.gram.entries"] == (B + 1) * (1 + m) * n * n
+    assert values["groups.sample_batch.elements"] == m * n
