@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BadMonteCarloBudget,
     BadParameters,
     DegenerateDensity,
     RankDeficientDesign,
@@ -63,8 +62,7 @@ class KciConfig:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise BadParameters("the ridge epsilon must be positive")
-        if self.null_samples < 1:
-            raise BadMonteCarloBudget("need at least one null sample")
+        _check_budget(self.null_samples, "null_samples")
 
 
 def transform_responses(X, Y, spec, y_action="same", m_kind=None):

@@ -110,6 +110,8 @@ class ExperimentConfig:
                 continue
             if not _is_int(v) or v < 1:
                 raise ConfigInvalid(f"{name} must be a positive integer")
+        if self.n_landmarks is not None and self.n_landmarks > self.n:
+            raise ConfigInvalid("n_landmarks must not exceed n")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigInvalid("seed must be a nonnegative integer")
         if not _is_real(self.alpha) or not 0 < self.alpha < 1:

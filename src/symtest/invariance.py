@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     BadParameters,
     BadProjectionCount,
+    DimensionMismatch,
     SampleTooSmall,
     UnsupportedFamily,
     _check_budget,
@@ -82,11 +83,12 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
                        n_landmarks=None, n_projections=None, seed=None):
     """Conditional Monte Carlo test of invariance of the law of X.
 
-    ``statistic`` selects the test statistic: ``mmd-u`` (the U-form
-    invariance MMD in its invariant-kernel form, over m transform draws G),
-    ``mmd-nystrom`` (a landmark approximation of the V-form, over m draws
-    each of G and H), ``cw`` (max Kolmogorov-Smirnov distance over random
-    projections and m group elements), or a callable ``f(X) -> float``.
+    ``statistic`` selects the test statistic: ``mmd-u`` (the mean
+    off-diagonal Gram entry, ``invariance_stat_u``; it draws no transforms
+    and ignores m), ``mmd-nystrom`` (a landmark approximation of the
+    invariance MMD's V-form, over m draws each of G and H), ``cw`` (max
+    Kolmogorov-Smirnov distance over random projections and m group
+    elements), or a callable ``f(X) -> float``.
     The statistic's transform draws and projection directions are drawn
     once and reused across the B re-randomised copies; the Nyström
     landmarks are drawn afresh for each.  Each copy moves every row by its
@@ -94,6 +96,8 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
     statistic, since the copies are exchangeable with X under the null.
     """
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatch("the sample must be an (n, d) array")
     n = X.shape[0]
     if n < 2:
         raise SampleTooSmall("need at least two observations")
@@ -112,10 +116,9 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
 
     elif statistic == "mmd-u":
         method = "mc-invariance/mmd-u"
-        g = [sample_batch(spec, rng, n) for _ in range(m)]
 
         def stat_fn(sample):
-            return invariance_stat_u(sample, g, kernel)
+            return invariance_stat_u(sample, kernel)
 
     elif statistic == "mmd-nystrom":
         method = "mc-invariance/mmd-nystrom"

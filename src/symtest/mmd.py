@@ -1,13 +1,11 @@
 """Maximum mean discrepancy statistics.
 
 Contains the classical two-sample U- and V-statistics, the invariance
-statistic that compares a sample with randomly transformed copies of itself,
-and a low-rank (landmark) approximation of that statistic's V-form.  The
-U-form statistic uses the invariant-kernel identity
-MMD^2(P, P_G) = E k(X, X') - E k(X, G X') and takes m transform draws G;
-the landmark statistic keeps the full V-form and takes two sets, G and H.
-Both take their draws as arguments; ``mc_invariance_test`` draws them once
-and reuses them across its re-randomised copies.
+statistic (the sample's mean off-diagonal Gram entry, ranked against the
+same on orbit copies), and a low-rank (landmark) approximation of the
+invariance MMD's V-form.  The landmark statistic takes two sets of
+transform draws, G and H, as arguments; ``mc_invariance_test`` draws them
+once and reuses them across its re-randomised copies.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import numpy as np
 
 from .errors import (
     BadLandmarkCount,
-    BadParameters,
     SampleTooSmall,
     _check_finite,
     _require_rng,
@@ -76,33 +73,26 @@ def mmd_v(X, Y, kernel):
     return MmdEstimate(kxx + kyy - kxy, "v", n1)
 
 
-def invariance_stat_u(X, g_batches, kernel):
-    """U-form invariance statistic given per-observation transform draws.
+def invariance_stat_u(X, kernel):
+    """Invariance statistic: the mean off-diagonal Gram entry S(X) / (n(n-1)).
 
-    With G holding m independent per-observation draws,
-
-        T = (1/(n(n-1))) sum_{i != j} [ k(X_i, X_j)
-              - (1/m) sum_l k(X_i, G_{l,j} X_j) ].
-
-    This estimates MMD^2(P, P_G) = E k(X, X') - E k(X, G X') when the
-    kernel is invariant under the group, k(g x, g y) = k(x, y) for every
-    element g: then E k(G X, H X') = E k(X, G^{-1} H X') = E k(X, G X') by
-    the invariance of Haar measure, so the U-form's G-H term equals its
-    cross term in expectation and only adds variance.  Every kernel and
-    group family of the package meets this, since every action is
-    orthogonal.  It costs 1 + m Gram matrices.
+    Here S(X) = sum_{i != j} k(X_i, X_j).  The U-form invariance MMD
+    subtracts from it the mean off-diagonal entry of
+    kbar(x, y) = E_G k(x, G y), G Haar.  When k(g x, g y) = k(x, y), the
+    invariance of Haar measure gives kbar(g x, h y) = kbar(x, y) for all
+    g, h, so that term is the same for X and for every orbit copy g_i X_i.
+    Ranking S among the copies' S is then the conditional Monte Carlo test
+    on the U-form with its transform draws taken to infinity, at one Gram
+    per copy.  The statistic minus the mean over orbit copies estimates
+    MMD^2(P, P_G); that reading needs the invariant kernel, and every
+    kernel and group family of the package gives one, since every action
+    is orthogonal.
     """
     X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    if n < 2:
+    if X.shape[0] < 2:
         raise SampleTooSmall("the invariance statistic needs at least two points")
-    m = len(g_batches)
-    if m < 1:
-        raise BadParameters("need m >= 1 transform draws")
-    total = _offdiag_sum(gram(kernel, X))
-    for b in g_batches:
-        total -= _offdiag_sum(gram(kernel, X, b.apply(X))) / m
-    return total / (n * (n - 1))
+    _check_finite(X)
+    return _mean_offdiag(kernel, X)
 
 
 _PINV_RCOND = 1e-10

@@ -1,9 +1,12 @@
 """Reference forms of the invariance statistic.
 
-``invariance_stat_full_u`` is the U-form with both transform sets G and H,
-which the package's invariant-kernel form matches in expectation.  The
-V-form is a reference for the landmark statistic: with every sample point a
-landmark, the landmark statistic equals it for characteristic kernels.
+``invariance_stat_g_u`` is the U-form over m transform draws G and
+``invariance_stat_full_u`` the U-form with both sets G and H.  For an
+invariant kernel both have mean T(X) - E T(g X) over their draws, where
+T = ``symtest.invariance_stat_u`` is the package's statistic and g X an
+orbit copy.  The V-form is a reference for the landmark statistic: with
+every sample point a landmark, the landmark statistic equals it for
+characteristic kernels.
 """
 
 from symtest.kernels import gram
@@ -11,6 +14,20 @@ from symtest.kernels import gram
 
 def _offdiag_sum(K):
     return float(K.sum() - K.trace())
+
+
+def invariance_stat_g_u(X, g_batches, kernel):
+    """U-form with G only: 1 + m Gram matrices.
+
+        T = (1/(n(n-1))) sum_{i != j} [ k(X_i, X_j)
+              - (1/m) sum_l k(X_i, G_{l,j} X_j) ].
+    """
+    n = X.shape[0]
+    m = len(g_batches)
+    total = _offdiag_sum(gram(kernel, X))
+    for b in g_batches:
+        total -= _offdiag_sum(gram(kernel, X, b.apply(X))) / m
+    return total / (n * (n - 1))
 
 
 def invariance_stat_full_u(X, g_batches, h_batches, kernel):

@@ -139,6 +139,15 @@ class TestConfigErrors:
             assert res.returncode == 2, res.stderr
             assert "m_kind must be" in res.stderr
 
+    def test_more_landmarks_than_points_exit_code(self, tmp_path):
+        # caught by validate, so no replication runs into BadLandmarkCount
+        cfg = write_config(tmp_path, method="nmmd", n=12, n_landmarks=13)
+        res = run_cli("simulate", "--config", cfg)
+        assert res.returncode == 2, res.stderr
+        assert "n_landmarks must not exceed n" in res.stderr
+        ok = write_config(tmp_path, method="nmmd", n=12, n_landmarks=12, reps=1)
+        assert run_cli("simulate", "--config", ok).returncode == 0
+
     def test_bad_method(self, tmp_path):
         cfg = write_config(tmp_path, method="anova")
         res = run_cli("invariance", "--config", cfg)
@@ -168,7 +177,7 @@ class TestPowerCommand:
     def test_mmd_estimate_is_pinned(self, tmp_path):
         payload = self.power_of(tmp_path, "mmd")
         assert payload["config"]["statistic"] == "mmd-u"
-        assert abs(payload["beta_hat"] - 0.8394950855508659) < 1e-12
+        assert abs(payload["beta_hat"] - 0.7802100258407207) < 1e-12
 
     def test_nmmd_and_cw_use_their_statistics(self, tmp_path):
         mmd = self.power_of(tmp_path, "mmd")["beta_hat"]

@@ -237,8 +237,10 @@ class TestKciTest:
     def test_config_validation(self):
         with pytest.raises(BadParameters):
             KciConfig(CFG.kernel_x, CFG.kernel_y, CFG.kernel_m, epsilon=0.0)
-        with pytest.raises(BadMonteCarloBudget):
-            KciConfig(CFG.kernel_x, CFG.kernel_y, CFG.kernel_m, null_samples=0)
+        for bad in (0, 2.5, True, "7"):
+            with pytest.raises(BadMonteCarloBudget):
+                KciConfig(CFG.kernel_x, CFG.kernel_y, CFG.kernel_m,
+                          null_samples=bad)
 
 
 class TestSwapOdds:

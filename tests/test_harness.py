@@ -273,7 +273,7 @@ class TestReports:
 # implementation and change only if a method's random stream or statistic does.
 PINNED = [
     (dict(method="mmd", group="so(3)", generator="gauss-iso(d=3)", m=2,
-          kernel="rbf(median)"), 92 / 100),
+          kernel="rbf(median)"), 96 / 100),
     (dict(method="nmmd", group="so(3)", generator="gauss-iso(d=3)", m=2,
           kernel="rbf(median)", n_landmarks=6), 28 / 100),
     (dict(method="cw", group="so(3)", generator="gauss-iso(d=3)", m=2,

@@ -10,6 +10,7 @@ from symtest import (
     BadMonteCarloBudget,
     mmd_u,
     BadParameters,
+    DimensionMismatch,
     GaussianRBF,
     KciConfig,
     PowerEstimate,
@@ -205,6 +206,17 @@ class TestMcInvariance:
             mc_invariance_test(X, so(2), KERNEL, B=9, alpha=1.5, rng=rng)
         with pytest.raises(BadParameters):
             mc_invariance_test(X, so(2), KERNEL, B=9, statistic="nope", rng=rng)
+
+    @pytest.mark.parametrize("spec", [trivial(), so(3)], ids=["trivial", "so3"])
+    @pytest.mark.parametrize("statistic", [
+        "mmd-u", "mmd-nystrom", "cw", lambda sample: float(sample.sum()),
+    ], ids=["mmd-u", "mmd-nystrom", "cw", "callable"])
+    def test_sample_that_is_not_two_dimensional_raises(self, statistic, spec):
+        X = np.random.default_rng(13).normal(size=(10, 3))
+        for bad in (X[:, 0], X[None]):
+            with pytest.raises(DimensionMismatch):
+                mc_invariance_test(bad, spec, KERNEL, B=9, statistic=statistic,
+                                   rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("m", [2.5, True, 0])
     def test_transform_count_validation(self, m):

@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 from group_reference import act_rows
 from kernel_reference import eval_kernel
-from mmd_reference import invariance_stat_full_u, invariance_stat_v
+from mmd_reference import (
+    invariance_stat_full_u,
+    invariance_stat_g_u,
+    invariance_stat_v,
+)
 
 from symtest import (
     BadLandmarkCount,
@@ -22,7 +26,7 @@ from symtest import (
     nystrom_invariance_stat,
     sample_batch,
 )
-from symtest.groups import so, sym, trivial
+from symtest.groups import orbit_draw, so, sym, trivial
 from symtest.mmd import _landmark_stat
 
 
@@ -63,7 +67,18 @@ def naive_mmd_v(X, Y, kernel):
     return kxx + kyy - 2 * kxy
 
 
-def naive_invariance_u(X, g_batches, kernel):
+def naive_invariance_u(X, kernel):
+    n = len(X)
+    total = sum(
+        eval_kernel(kernel, X[i], X[j])
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    )
+    return total / (n * (n - 1))
+
+
+def naive_invariance_g_u(X, g_batches, kernel):
     n = len(X)
     m = len(g_batches)
     gx = [act_rows(b, X) for b in g_batches]
@@ -167,12 +182,22 @@ class TestTwoSample:
 class TestInvarianceStatistic:
     @pytest.mark.parametrize("spec_fn,d", [(so, 3), (sym, 4)])
     def test_u_matches_naive(self, spec_fn, d):
+        # on the sample and on one of its orbit copies
         rng = np.random.default_rng(20)
+        X = rng.normal(size=(6, d))
+        for sample in (X, orbit_draw(spec_fn(d), X, rng)):
+            got = invariance_stat_u(sample, KERNEL)
+            assert got == pytest.approx(naive_invariance_u(sample, KERNEL),
+                                        abs=1e-12)
+
+    @pytest.mark.parametrize("spec_fn,d", [(so, 3), (sym, 4)])
+    def test_g_reference_matches_naive(self, spec_fn, d):
+        rng = np.random.default_rng(24)
         spec = spec_fn(d)
         X = rng.normal(size=(6, d))
         g = [sample_batch(spec, rng, 6) for _ in range(2)]
-        got = invariance_stat_u(X, g, KERNEL)
-        assert got == pytest.approx(naive_invariance_u(X, g, KERNEL), abs=1e-12)
+        got = invariance_stat_g_u(X, g, KERNEL)
+        assert got == pytest.approx(naive_invariance_g_u(X, g, KERNEL), abs=1e-12)
 
     @pytest.mark.parametrize("spec_fn,d", [(so, 3), (sym, 4)])
     def test_full_reference_matches_naive(self, spec_fn, d):
@@ -196,46 +221,50 @@ class TestInvarianceStatistic:
         assert got == pytest.approx(naive_invariance_v(X, g, h, KERNEL), abs=1e-12)
 
     def test_trivial_group_gives_zero(self):
-        # identity transforms: the two blocks of the sum cancel exactly
-        rng = np.random.default_rng(23)
-        spec = trivial()
-        X = rng.normal(size=(8, 3))
-        g = [sample_batch(spec, rng, 8) for _ in range(2)]
-        assert invariance_stat_u(X, g, KERNEL) == pytest.approx(0.0, abs=1e-12)
+        # identity copies: every null statistic equals the observed one, so
+        # the MMD^2 estimate, statistic minus the copies' mean, is 0
+        X = np.random.default_rng(23).normal(size=(8, 3))
+        res = mc_invariance_test(X, trivial(), KERNEL, B=9,
+                                 rng=np.random.default_rng(25))
+        assert np.all(res.null_stats == res.statistic)
+        assert res.p_value == 1.0
 
     def test_agrees_with_full_statistic_in_expectation(self):
-        # the RBF kernel is rotation invariant, so for a fixed X both forms
-        # estimate the same quantity over the draws of G and H; each draw's
-        # G is shared, and the mean difference must lie within 4 standard
-        # errors of 0
+        # the RBF kernel is rotation invariant, so for a fixed X the 1 + m
+        # form over its draws of G, and the full form over G and H, have
+        # mean T(X) - E T(orbit copy); each mean must lie within 4 Monte
+        # Carlo standard errors of that difference, estimated from copies
+        # drawn independently of G and H
         rng = np.random.default_rng(26)
         spec = so(3)
         X = np.random.default_rng(99).normal(size=(12, 3)) + [1.0, 0.0, 0.0]
-        invariant, full = [], []
-        for _ in range(2000):
+        draws = 2000
+        g_form, full, copies = [], [], []
+        for _ in range(draws):
             g = [sample_batch(spec, rng, 12) for _ in range(2)]
             h = [sample_batch(spec, rng, 12) for _ in range(2)]
-            invariant.append(invariance_stat_u(X, g, KERNEL))
+            g_form.append(invariance_stat_g_u(X, g, KERNEL))
             full.append(invariance_stat_full_u(X, g, h, KERNEL))
-        diff = np.subtract(full, invariant)
-        assert abs(diff.mean()) <= 4 * diff.std(ddof=1) / np.sqrt(diff.size)
-        # the shift makes the common mean clearly positive, and dropping the
-        # G-H term lowers the variance
-        assert np.mean(invariant) > 10 * np.std(invariant) / np.sqrt(2000)
-        assert np.var(invariant) < np.var(full)
+            copies.append(invariance_stat_u(orbit_draw(spec, X, rng), KERNEL))
+        target = invariance_stat_u(X, KERNEL) - np.mean(copies)
+        for form in (g_form, full):
+            se = np.sqrt((np.var(form, ddof=1) + np.var(copies, ddof=1)) / draws)
+            assert abs(np.mean(form) - target) <= 4 * se
+        # the shift makes the common mean clearly positive
+        assert target > 10 * np.std(g_form) / np.sqrt(draws)
 
-    def test_bad_m_raises(self):
-        rng = np.random.default_rng(27)
-        X = rng.normal(size=(6, 3))
-        with pytest.raises(BadParameters):
-            invariance_stat_u(X, [], KERNEL)
+    def test_non_finite_raises(self):
+        X = np.random.default_rng(27).normal(size=(6, 3))
+        for bad in (np.nan, np.inf):
+            Xb = X.copy()
+            Xb[2, 0] = bad
+            with pytest.raises(BadParameters):
+                invariance_stat_u(Xb, KERNEL)
 
     def test_too_small_raises(self):
-        rng = np.random.default_rng(28)
-        X = rng.normal(size=(1, 3))
-        g = [sample_batch(so(3), rng, 1)]
+        X = np.random.default_rng(28).normal(size=(1, 3))
         with pytest.raises(SampleTooSmall):
-            invariance_stat_u(X, g, KERNEL)
+            invariance_stat_u(X, KERNEL)
 
 
 class TestNystrom:
