@@ -24,6 +24,7 @@ from .errors import (
     RankDeficientDesign,
     SampleTooSmall,
     UnsupportedKind,
+    _check_alpha,
     _check_budget,
     _check_finite,
     _require_rng,
@@ -160,6 +161,7 @@ def kci_test_data(data, config, alpha=0.05, rng=None, seed=None):
         raise SampleTooSmall("need at least two observations")
     _check_finite(data.X, data.Z, data.M)
     _require_rng(rng)
+    _check_alpha(alpha)
     t_obs = kci_statistic(data, config)
     nulls = kci_null_samples(data, config, rng)
     p = pvalue_from_nulls(t_obs, nulls)
@@ -289,6 +291,7 @@ def cp_test(X, Y, spec, config, alpha=0.05, burn_in=50, B=100, rng=None,
     _check_budget(B)
     _check_budget(burn_in, "burn_in")
     _require_rng(rng)
+    _check_alpha(alpha)
     data = transform_responses(X, Y, spec, y_action, m_kind)
     n = data.X.shape[0]
     if n < 4:

@@ -7,6 +7,8 @@ interface maps them to distinct exit codes.  The input checks shared by the
 statistics and the tests live here too, so every module can import them.
 """
 
+import numbers
+
 import numpy as np
 
 
@@ -145,3 +147,10 @@ def _check_budget(B, name="B", minimum=1):
         raise BadMonteCarloBudget(
             f"the Monte Carlo budget {name} must be a {kind} integer"
         )
+
+
+def _check_alpha(alpha):
+    """Raise BadParameters unless the level alpha is a number in (0, 1)."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) \
+            or not 0 < alpha < 1:
+        raise BadParameters("alpha must lie in (0, 1)")

@@ -7,10 +7,12 @@ comparing the observed statistic against statistics of re-randomised copies
 yields an exactly valid p-value at any Monte Carlo budget.
 
 Also here: a projected-ECDF (Kolmogorov-Smirnov style) statistic over random
-directions, a bootstrap two-sample MMD test, a test built on transformed
-copies of the sample, a test of the conditional law of the inverting group
-element for non-free actions, and a power estimator that reuses the null
-exchangeability to predict rejection rates from a single dataset.
+directions, a test that pairs each observation with a transformed copy and
+randomises by swapping within pairs, a test of the conditional law of the
+inverting group element for non-free actions, and a power estimator that
+reuses the null exchangeability to predict rejection rates from a single
+dataset.  Every test ranks its observed statistic among exchangeable null
+copies, so each p-value is exact.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     SampleTooSmall,
     UnsupportedFamily,
+    _check_alpha,
     _check_budget,
     _check_finite,
     _require_rng,
@@ -38,13 +41,7 @@ from .groups import (
     sample_batch,
 )
 from .kernels import RotationKernelSO3
-from .mmd import (
-    _mean_offdiag,
-    _mmd_u_value,
-    invariance_stat_u,
-    mmd_u,
-    nystrom_invariance_stat,
-)
+from .mmd import _paired_swap_stats, invariance_stat_u, nystrom_invariance_stat
 
 
 @dataclass
@@ -105,8 +102,7 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
     _check_budget(B)
     _check_budget(m, "m")
     _require_rng(rng)
-    if not 0 < alpha < 1:
-        raise BadParameters("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
 
     if callable(statistic):
         method = getattr(statistic, "__name__", "custom")
@@ -204,47 +200,38 @@ def cw_test(X, spec, n_projections=None, n_transforms=2, B=200, alpha=0.05,
 
 
 # ---------------------------------------------------------------------------
-# two-sample tests
-
-
-def two_sample_mmd_test(X, Y, kernel, B=200, alpha=0.05, rng=None, seed=None):
-    """Two-sample MMD test with a pooled bootstrap null.
-
-    Null copies are formed by resampling both samples with replacement from
-    the pooled data, which mimics the null of equal distributions.
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    n1, n2 = X.shape[0], Y.shape[0]
-    if n1 < 2 or n2 < 2:
-        raise SampleTooSmall("both samples need at least two points")
-    _check_finite(X, Y)
-    _require_rng(rng)
-    _check_budget(B, minimum=0)
-    t_obs = mmd_u(X, Y, kernel).value
-    pool = np.concatenate([X, Y], axis=0)
-    nulls = np.empty(B)
-    for b in range(B):
-        xi = pool[rng.integers(0, n1 + n2, n1)]
-        yi = pool[rng.integers(0, n1 + n2, n2)]
-        nulls[b] = mmd_u(xi, yi, kernel).value
-    p = pvalue_from_nulls(t_obs, nulls)
-    return TestResult(t_obs, p, nulls, alpha, p <= alpha, "two-sample-mmd", seed)
+# two-sample test on orbit copies
 
 
 def transformation_two_sample_test(X, spec, kernel, B=200, alpha=0.05, rng=None,
                                    seed=None):
     """Invariance test comparing X against a randomly transformed copy.
 
-    Each observation is hit by an independent Haar element to form a second
-    sample; under invariance the two samples share a distribution, which is
-    checked by the bootstrap two-sample MMD test.
+    Each observation is hit by an independent Haar element, Y_i = g_i X_i,
+    and the pairs (X_i, Y_i) are scored by their paired MMD U-statistic
+    (``mmd._paired_swap_stats`` with all signs +1).  Under invariance Y_i
+    is independent of g_i, so (X_i, Y_i) and (Y_i, X_i) have the same law:
+    flipping each pair by an independent fair sign gives null copies
+    exchangeable with the observed pairs, and the p-value is exact.  The B
+    copies are the statistics of B sign vectors, all read from one kernel
+    matrix built from three Grams.
     """
     X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    if n < 2:
+        raise SampleTooSmall("need at least two observations")
+    _check_finite(X)
+    _check_budget(B)
     _require_rng(rng)
-    res = two_sample_mmd_test(X, orbit_draw(spec, X, rng), kernel, B, alpha, rng, seed)
-    res.method = "transformation-two-sample-mmd"
-    return res
+    _check_alpha(alpha)
+    Y = orbit_draw(spec, X, rng)
+    signs = np.ones((B + 1, n))
+    signs[1:] -= 2.0 * rng.integers(0, 2, size=(B, n))
+    stats = _paired_swap_stats(X, Y, kernel, signs)
+    t_obs, nulls = float(stats[0]), stats[1:]
+    p = pvalue_from_nulls(t_obs, nulls)
+    return TestResult(t_obs, p, nulls, alpha, p <= alpha,
+                      "transformation-two-sample-mmd", seed)
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +241,22 @@ def transformation_two_sample_test(X, spec, kernel, B=200, alpha=0.05, rng=None,
 def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None, seed=None):
     """Test that the inverting group element is conditionally Haar.
 
-    For each observation one element is drawn from the conditional law of
-    the element mapping the orbit representative to the point; under
-    invariance these draws are jointly Haar.  Their sample is compared with
-    a fresh Haar sample by the two-sample MMD U-statistic on the group.
+    For each observation one element tau_i is drawn from the conditional
+    law of the element mapping the orbit representative to the point; under
+    invariance these draws are jointly Haar.  The statistic is the mean
+    off-diagonal Gram entry ``invariance_stat_u(tau, kernel)``, ranked among
+    the same on B fresh Haar samples of size n.
 
-    Each null copy is another fresh Haar sample, drawn like the reference.
-    Left-multiplying the drawn elements by independent Haar elements would
-    give the same law: by the invariance of Haar measure, h tau is Haar and
-    independent of (tau, ref) whatever the law of tau.  So observed and null
-    statistics are exchangeable under the null, and the null copies do not
-    depend on the data.  SO(3) elements are unit quaternions for the
-    rotation kernel, and matrices otherwise.
+    The null copies are i.i.d. Haar samples, so under the null they are
+    exchangeable with tau and the p-value is exact; they do not depend on
+    the data.  The statistic is the MMD to exact Haar measure up to a
+    constant: for a kernel with k(g h, g' h) = k(g, g'), the right
+    invariance of Haar measure gives E k(t, G) = E k(1, G t^-1) = E k(1, G)
+    for every t, so MMD^2(law of tau, Haar) is E k(tau, tau') minus a
+    constant, and the statistic estimates E k(tau, tau') without bias.  The
+    ``so3`` kernel, ``rbf`` on rotation matrices or on permutations stored
+    as index arrays, and ``delta`` all have this property.  SO(3) elements
+    are unit quaternions for the rotation kernel, and matrices otherwise.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -274,6 +265,7 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None, seed=None):
     _check_finite(X)
     _check_budget(B)
     _require_rng(rng)
+    _check_alpha(alpha)
     if spec.family == "so" and isinstance(kernel, RotationKernelSO3):
         if spec.dim != 3:
             raise UnsupportedFamily("the rotation kernel is defined on SO(3)")
@@ -299,10 +291,8 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None, seed=None):
         raise UnsupportedFamily(
             f"no inversion sampler for the {spec.family!r} family"
         )
-    ref = draw()
-    kyy = _mean_offdiag(kernel, ref)
-    t_obs = _mmd_u_value(tau, ref, kernel, kyy)
-    nulls = np.array([_mmd_u_value(draw(), ref, kernel, kyy) for _ in range(B)])
+    t_obs = invariance_stat_u(tau, kernel)
+    nulls = np.array([invariance_stat_u(draw(), kernel) for _ in range(B)])
     p = pvalue_from_nulls(t_obs, nulls)
     return TestResult(t_obs, p, nulls, alpha, p <= alpha, "inversion-mmd", seed)
 
@@ -335,6 +325,7 @@ def conditional_power_binomial(p0, B, alpha):
     if not 0 <= p0 <= 1:
         raise BadParameters("p0 must lie in [0, 1]")
     _check_budget(B)
+    _check_alpha(alpha)
     kmax = int(np.floor(alpha * (B + 1))) - 1
     if kmax < 0:
         return 0.0
@@ -361,6 +352,7 @@ def power_estimate(X, spec, kernel=None, m=2, B=200, n_resamples=50,
     _check_budget(m, "m")
     _check_budget(n_resamples, "n_resamples")
     _require_rng(rng)
+    _check_alpha(alpha)
     betas = np.empty(n_resamples)
     p_nulls = np.empty(n_resamples)
     for c in range(n_resamples):

@@ -1,16 +1,17 @@
 """Maximum mean discrepancy statistics.
 
-Contains the classical two-sample U- and V-statistics, the invariance
-statistic (the sample's mean off-diagonal Gram entry, ranked against the
-same on orbit copies), and a low-rank (landmark) approximation of the
-invariance MMD's V-form.  The landmark statistic takes two sets of
-transform draws, G and H, as arguments; ``mc_invariance_test`` draws them
-once and reuses them across its re-randomised copies.
+Contains the two-sample U-statistic; the invariance statistic, the
+sample's mean off-diagonal Gram entry, which the invariance test ranks
+against the same on orbit copies and the inversion test, on a sample of
+group elements, against the same on fresh Haar samples; the paired
+U-statistic of a sample against its orbit copy under within-pair swaps;
+and a low-rank (landmark) approximation of the invariance MMD's V-form.
+The landmark statistic takes two sets of transform draws, G and H, as
+arguments; ``mc_invariance_test`` draws them once and reuses them across
+its re-randomised copies.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,15 +24,6 @@ from .errors import (
 from .kernels import gram
 
 
-@dataclass(frozen=True)
-class MmdEstimate:
-    """An MMD statistic value together with how it was formed."""
-
-    value: float
-    kind: str  # "u" | "v"
-    n: int
-
-
 def _offdiag_sum(K):
     return float(K.sum() - np.trace(K))
 
@@ -42,35 +34,33 @@ def _mean_offdiag(kernel, X):
     return _offdiag_sum(gram(kernel, X)) / (n * (n - 1))
 
 
-def _mmd_u_value(X, Y, kernel, kyy):
-    """The value of ``mmd_u(X, Y, kernel)`` given kyy = _mean_offdiag(kernel, Y)."""
-    kxy = float(gram(kernel, X, Y).sum()) * 2.0 / (X.shape[0] * Y.shape[0])
-    return _mean_offdiag(kernel, X) + kyy - kxy
-
-
 def mmd_u(X, Y, kernel):
     """Unbiased two-sample MMD^2 estimate."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    n1, n2 = X.shape[0], Y.shape[0]
-    if n1 < 2 or n2 < 2:
+    if X.shape[0] < 2 or Y.shape[0] < 2:
         raise SampleTooSmall("the U-statistic needs at least two points per sample")
     _check_finite(X, Y)
-    return MmdEstimate(_mmd_u_value(X, Y, kernel, _mean_offdiag(kernel, Y)), "u", n1)
+    kxy = float(gram(kernel, X, Y).sum()) * 2.0 / (X.shape[0] * Y.shape[0])
+    return _mean_offdiag(kernel, X) + _mean_offdiag(kernel, Y) - kxy
 
 
-def mmd_v(X, Y, kernel):
-    """Biased (V-statistic) two-sample MMD^2 estimate; always nonnegative."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    n1, n2 = X.shape[0], Y.shape[0]
-    if n1 < 1 or n2 < 1:
-        raise SampleTooSmall("both samples must be nonempty")
-    _check_finite(X, Y)
-    kxx = float(gram(kernel, X).sum()) / n1**2
-    kyy = float(gram(kernel, Y).sum()) / n2**2
-    kxy = float(gram(kernel, X, Y).sum()) * 2.0 / (n1 * n2)
-    return MmdEstimate(kxx + kyy - kxy, "v", n1)
+def _paired_swap_stats(X, Y, kernel, signs):
+    """Paired MMD U-statistics of the pairs (X_i, Y_i), each flipped by a sign.
+
+    Row s of the (c, n) array ``signs`` keeps pair i as (X_i, Y_i) where
+    s_i = +1 and swaps it to (Y_i, X_i) where s_i = -1.  With
+    H = Kxx + Kyy - Kxy - Kxy^T and its diagonal set to zero, the statistic
+    of the flipped pairs is s^T H s / (n(n-1)), the mean over i != j of
+    s_i s_j [k(X_i, X_j) + k(Y_i, Y_j) - k(X_i, Y_j) - k(Y_i, X_j)].  All
+    rows come from three Grams and one (c, n) @ (n, n) product; for s all
+    ones it is the paired U-statistic of the unflipped pairs.
+    """
+    n = X.shape[0]
+    kxy = gram(kernel, X, Y)
+    h = gram(kernel, X) + gram(kernel, Y) - kxy - kxy.T
+    np.fill_diagonal(h, 0.0)
+    return np.einsum("ci,ci->c", signs @ h, signs) / (n * (n - 1))
 
 
 def invariance_stat_u(X, kernel):

@@ -1,4 +1,4 @@
-"""Reference forms of the invariance statistic.
+"""Reference forms of the invariance statistic, and the two-sample V-form.
 
 ``invariance_stat_g_u`` is the U-form over m transform draws G and
 ``invariance_stat_full_u`` the U-form with both sets G and H.  For an
@@ -6,9 +6,13 @@ invariant kernel both have mean T(X) - E T(g X) over their draws, where
 T = ``symtest.invariance_stat_u`` is the package's statistic and g X an
 orbit copy.  The V-form is a reference for the landmark statistic: with
 every sample point a landmark, the landmark statistic equals it for
-characteristic kernels.
+characteristic kernels.  ``mmd_v`` is the biased two-sample MMD^2
+estimate, a reference for the package's ``mmd_u``.
 """
 
+import numpy as np
+
+from symtest.errors import SampleTooSmall, _check_finite
 from symtest.kernels import gram
 
 
@@ -63,3 +67,17 @@ def invariance_stat_v(X, g_batches, h_batches, kernel):
     for b in xg:
         total -= 2.0 * float(gram(kernel, X, b).sum()) / m
     return total / n**2
+
+
+def mmd_v(X, Y, kernel):
+    """Biased (V-statistic) two-sample MMD^2 estimate; always nonnegative."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    n1, n2 = X.shape[0], Y.shape[0]
+    if n1 < 1 or n2 < 1:
+        raise SampleTooSmall("both samples must be nonempty")
+    _check_finite(X, Y)
+    kxx = float(gram(kernel, X).sum()) / n1**2
+    kyy = float(gram(kernel, Y).sum()) / n2**2
+    kxy = float(gram(kernel, X, Y).sum()) * 2.0 / (n1 * n2)
+    return kxx + kyy - kxy

@@ -15,7 +15,7 @@ import pytest
 from condsym_reference import kcde_swap_odds
 from group_reference import act_each, act_rows
 from kernel_reference import eval_kernel
-from mmd_reference import invariance_stat_v
+from mmd_reference import invariance_stat_v, mmd_v
 
 from symtest import (
     DiscreteDelta,
@@ -29,7 +29,6 @@ from symtest import (
     kci_test_data,
     mc_invariance_test,
     mmd_u,
-    mmd_v,
     power_estimate,
     run_simulation,
     sample_batch,
@@ -160,8 +159,8 @@ class TestOracleEquivalence:
             - 2 * pair_sum(X, Y, False) / 20
         v = pair_sum(X, X, False) / 25 + pair_sum(Y, Y, False) / 16 \
             - 2 * pair_sum(X, Y, False) / 20
-        assert mmd_u(X, Y, k).value == pytest.approx(u, rel=1e-12, abs=1e-15)
-        assert mmd_v(X, Y, k).value == pytest.approx(v, rel=1e-12, abs=1e-15)
+        assert mmd_u(X, Y, k) == pytest.approx(u, rel=1e-12, abs=1e-15)
+        assert mmd_v(X, Y, k) == pytest.approx(v, rel=1e-12, abs=1e-15)
         print("[oracles] two-sample u/v match naive enumeration")
 
     def test_invariance_statistic(self):
@@ -298,6 +297,25 @@ class TestInversionSize:
         target = np.floor(0.05 * (B + 1)) / (B + 1)
         lo, hi = binom.ppf([0.0005, 0.9995], reps, target) / reps
         print(f"[inversion size] rate={rep.rejection_rate:.4f} target={target:.4f} "
+              f"interval=[{lo:.4f}, {hi:.4f}]")
+        assert lo <= rep.rejection_rate <= hi
+
+
+class TestTwoSampleSize:
+    def test_size_under_an_invariant_law(self):
+        # flipping each pair (X_i, g_i X_i) by a fair sign gives null copies
+        # exchangeable with the observed pairs, so the size is exactly
+        # floor(alpha (B + 1)) / (B + 1) = 1 / 20
+        from scipy.stats import binom
+
+        reps, B = 300, 19
+        rep = simulate(
+            method="2smmd", group="so(4)", generator="gauss-iso(d=4)",
+            n=50, reps=reps, B=B, kernel="rbf(median)", seed=121,
+        )
+        target = np.floor(0.05 * (B + 1)) / (B + 1)
+        lo, hi = binom.ppf([0.0005, 0.9995], reps, target) / reps
+        print(f"[2smmd size] rate={rep.rejection_rate:.4f} target={target:.4f} "
               f"interval=[{lo:.4f}, {hi:.4f}]")
         assert lo <= rep.rejection_rate <= hi
 

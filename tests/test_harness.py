@@ -279,9 +279,9 @@ PINNED = [
     (dict(method="cw", group="so(3)", generator="gauss-iso(d=3)", m=2,
           n_projections=3), 92 / 100),
     (dict(method="2smmd", group="sym(4)", generator="gauss-iso(d=4)",
-          kernel="rbf(median)"), 74 / 100),
+          kernel="rbf(median)"), 51 / 100),
     (dict(method="inversion-mmd", group="so(3)", generator="gauss-iso(d=3)",
-          kernel="so3"), 70 / 100),
+          kernel="so3"), 98 / 100),
     (dict(method="kci", group="so(2)", generator="cond-shift(d=2)",
           null_samples=200), 76 / 201),
     (dict(method="cp", group="so(2)", generator="cond-shift(d=2)",

@@ -1,14 +1,15 @@
 """Tests for the Monte Carlo invariance tests and power estimation."""
 
+import functools
+
 import numpy as np
 import pytest
 from group_reference import quaternion_matrix
-from kernel_reference import so3_gram
+from kernel_reference import eval_kernel, so3_gram
 from scipy.stats import ks_2samp
 
 from symtest import (
     BadMonteCarloBudget,
-    mmd_u,
     BadParameters,
     DimensionMismatch,
     GaussianRBF,
@@ -19,6 +20,7 @@ from symtest import (
     cp_test,
     cw_statistic,
     cw_test,
+    invariance_stat_u,
     inversion_mc_test,
     kci_test,
     ks_distance,
@@ -27,12 +29,12 @@ from symtest import (
     pvalue_from_nulls,
     sample_batch,
     transformation_two_sample_test,
-    two_sample_mmd_test,
 )
 from symtest.groups import (
     TransformBatch,
     haar_quaternions,
     inversion_kernel_batch,
+    orbit_draw,
     paired_so2,
     rotation_quaternions,
     so,
@@ -235,12 +237,10 @@ class TestRngRequired:
         lambda X, Y: kci_test(X, Y, so(2), _KCI_CFG),
         lambda X, Y: cp_test(X, Y, so(2), _KCI_CFG, burn_in=2, B=9),
         lambda X, Y: inversion_mc_test(X, so(2), KERNEL, B=9),
-        lambda X, Y: two_sample_mmd_test(X, Y, KERNEL, B=9),
         lambda X, Y: transformation_two_sample_test(X, so(2), KERNEL, B=9),
         lambda X, Y: power_estimate(X, so(2), KERNEL, B=9, n_resamples=2),
     ], ids=["mc_invariance_test", "kci_test", "cp_test", "inversion_mc_test",
-            "two_sample_mmd_test", "transformation_two_sample_test",
-            "power_estimate"])
+            "transformation_two_sample_test", "power_estimate"])
     def test_missing_rng_raises(self, call):
         rng = np.random.default_rng(25)
         X, Y = rng.normal(size=(20, 2)), rng.normal(size=(20, 2))
@@ -265,40 +265,81 @@ class TestNonFiniteInput:
             inversion_mc_test(self.sample_with_nan(), so(4), KERNEL, B=19,
                               rng=np.random.default_rng(0))
 
-    def test_two_sample_mmd_test(self):
-        X = self.sample_with_nan()
+    def test_transformation_two_sample_test(self):
         with pytest.raises(BadParameters):
-            two_sample_mmd_test(np.nan_to_num(X), X, KERNEL, B=19,
-                                rng=np.random.default_rng(0))
+            transformation_two_sample_test(self.sample_with_nan(), so(4), KERNEL,
+                                           B=19, rng=np.random.default_rng(0))
+
+
+class TestAlphaValidation:
+    @pytest.mark.parametrize("call", [
+        lambda X, Y, a: mc_invariance_test(X, so(2), KERNEL, B=9, alpha=a,
+                                           rng=np.random.default_rng(0)),
+        lambda X, Y, a: cw_test(X, so(2), B=9, alpha=a,
+                                rng=np.random.default_rng(0)),
+        lambda X, Y, a: transformation_two_sample_test(
+            X, so(2), KERNEL, B=9, alpha=a, rng=np.random.default_rng(0)),
+        lambda X, Y, a: inversion_mc_test(X, so(2), KERNEL, B=9, alpha=a,
+                                          rng=np.random.default_rng(0)),
+        lambda X, Y, a: kci_test(X, Y, so(2), _KCI_CFG, alpha=a,
+                                 rng=np.random.default_rng(0)),
+        lambda X, Y, a: cp_test(X, Y, so(2), _KCI_CFG, alpha=a, burn_in=2, B=9,
+                                rng=np.random.default_rng(0)),
+        lambda X, Y, a: power_estimate(X, so(2), KERNEL, B=9, n_resamples=2,
+                                       alpha=a, rng=np.random.default_rng(0)),
+        lambda X, Y, a: conditional_power_binomial(0.5, 9, a),
+    ], ids=["mc_invariance_test", "cw_test", "transformation_two_sample_test",
+            "inversion_mc_test", "kci_test", "cp_test", "power_estimate",
+            "conditional_power_binomial"])
+    @pytest.mark.parametrize("alpha", [0, 1, 2, -1, np.nan, True],
+                             ids=["0", "1", "2", "-1", "nan", "True"])
+    def test_alpha_outside_the_unit_interval_raises(self, call, alpha):
+        rng = np.random.default_rng(29)
+        X, Y = rng.normal(size=(20, 2)), rng.normal(size=(20, 2))
+        with pytest.raises(BadParameters, match="alpha"):
+            call(X, Y, alpha)
+
+
+def _naive_paired_stat(X, Y, kernel, signs):
+    # the paired U-statistic of the pairs after swapping those with sign -1
+    A = np.where(signs[:, None] > 0, X, Y)
+    C = np.where(signs[:, None] > 0, Y, X)
+    n = len(X)
+    k = functools.partial(eval_kernel, kernel)
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                total += (k(A[i], A[j]) + k(C[i], C[j])
+                          - k(A[i], C[j]) - k(C[i], A[j]))
+    return total / (n * (n - 1))
 
 
 class TestTwoSample:
     def test_null_pvalue_not_extreme(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(30, 2))
-        Y = rng.normal(size=(30, 2))
-        res = two_sample_mmd_test(X, Y, KERNEL, B=99, rng=rng)
+        res = transformation_two_sample_test(X, so(2), KERNEL, B=99, rng=rng)
         assert res.p_value > 0.05
 
     def test_detects_shift(self):
         rng = np.random.default_rng(13)
-        X = rng.normal(size=(50, 2))
-        Y = rng.normal(size=(50, 2)) + 2.0
-        res = two_sample_mmd_test(X, Y, KERNEL, B=99, rng=rng)
+        X = rng.normal(size=(50, 2)) + [2.0, 0.0]
+        res = transformation_two_sample_test(X, so(2), KERNEL, B=99, rng=rng)
         assert res.p_value == pytest.approx(0.01)
 
-    def test_zero_budget_gives_pvalue_one(self):
+    def test_zero_budget_raises(self):
         rng = np.random.default_rng(14)
         X = rng.normal(size=(10, 2))
-        res = two_sample_mmd_test(X, X + 5.0, KERNEL, B=0, rng=rng)
-        assert res.p_value == 1.0
+        with pytest.raises(BadMonteCarloBudget):
+            transformation_two_sample_test(X, so(2), KERNEL, B=0, rng=rng)
 
     @pytest.mark.parametrize("B", [2.5, True, -1])
     def test_budget_validation(self, B):
         rng = np.random.default_rng(14)
-        X, Y = rng.normal(size=(20, 2)), rng.normal(size=(20, 2))
+        X = rng.normal(size=(20, 2))
         with pytest.raises(BadMonteCarloBudget):
-            two_sample_mmd_test(X, Y, KERNEL, B=B, rng=rng)
+            transformation_two_sample_test(X, so(2), KERNEL, B=B, rng=rng)
 
     def test_transformation_variant(self):
         rng = np.random.default_rng(15)
@@ -306,6 +347,32 @@ class TestTwoSample:
         res = transformation_two_sample_test(X, so(2), KERNEL, B=99, rng=rng)
         assert res.method == "transformation-two-sample-mmd"
         assert res.p_value <= 0.05
+
+    @pytest.mark.parametrize("spec", [so(3), sym(3)], ids=["so3", "sym3"])
+    def test_swap_statistics_match_naive_double_loop(self, spec):
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(7, 3)) + [0.5, 0.0, 0.0]
+        Y = orbit_draw(spec, X, rng)
+        signs = np.vstack([np.ones(7), 1.0 - 2.0 * rng.integers(0, 2, (5, 7))])
+        got = mmd._paired_swap_stats(X, Y, KERNEL, signs)
+        for s, value in zip(signs, got):
+            assert value == pytest.approx(_naive_paired_stat(X, Y, KERNEL, s),
+                                          rel=1e-12, abs=1e-15)
+
+    def test_observed_and_null_statistics_are_sign_flips(self):
+        # the observed statistic has every sign +1, and the null copies
+        # flip the pairs of Y = orbit_draw(X) by the signs drawn after Y
+        X = np.random.default_rng(17).normal(size=(12, 3))
+        res = transformation_two_sample_test(X, so(3), KERNEL, B=9,
+                                             rng=np.random.default_rng(18))
+        rng = np.random.default_rng(18)
+        Y = orbit_draw(so(3), X, rng)
+        signs = 1.0 - 2.0 * rng.integers(0, 2, size=(9, 12))
+        assert res.statistic == pytest.approx(
+            _naive_paired_stat(X, Y, KERNEL, np.ones(12)), rel=1e-12, abs=1e-15)
+        for s, null in zip(signs, res.null_stats):
+            assert null == pytest.approx(_naive_paired_stat(X, Y, KERNEL, s),
+                                         rel=1e-12, abs=1e-15)
 
 
 class TestInversion:
@@ -341,20 +408,20 @@ class TestInversion:
             inversion_mc_test(X, so(3), RotationKernelSO3(), B=0, rng=rng)
 
     def test_observed_statistic_is_mmd_u(self):
-        # tau and the reference in unit quaternions; each null copy is a
-        # fresh Haar sample, drawn like the reference
+        # the statistic is the U-form MMD^2 to Haar measure up to a constant:
+        # invariance_stat_u of tau in unit quaternions; each null copy is
+        # the same on a fresh Haar sample, and no reference sample is drawn
         X = np.random.default_rng(25).normal(size=(40, 3))
         kernel = RotationKernelSO3()
         rng = np.random.default_rng(26)
         tau = rotation_quaternions(inversion_kernel_batch(so(3), X, rng).data)
-        ref = haar_quaternions(40, rng)
         res = inversion_mc_test(X, so(3), kernel, B=9, rng=np.random.default_rng(26))
         assert res.statistic == pytest.approx(
-            mmd_u(tau, ref, kernel).value, rel=1e-12, abs=1e-12
+            invariance_stat_u(tau, kernel), rel=1e-12, abs=1e-12
         )
         for null in res.null_stats:
             assert null == pytest.approx(
-                mmd_u(haar_quaternions(40, rng), ref, kernel).value,
+                invariance_stat_u(haar_quaternions(40, rng), kernel),
                 rel=1e-12, abs=1e-12,
             )
 

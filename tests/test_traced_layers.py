@@ -89,3 +89,47 @@ def test_mmd_u_makes_one_gram_per_copy_and_no_transform_draws():
     assert values["kernels.gram.calls"] == B + 1
     assert values["kernels.gram.entries"] == (B + 1) * n * n
     assert values["groups.sample_batch.elements"] == 0
+
+
+def test_inversion_ranks_one_gram_per_sample_and_no_mmd_u():
+    # the inverting elements and each of the B fresh Haar samples are
+    # scored by one invariance_stat_u call, one Gram each; no reference
+    # sample and no two-sample mmd_u
+    from symtest import RotationKernelSO3, inversion_mc_test
+    from symtest.groups import so
+
+    B = 9
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        X = np.random.default_rng(8).normal(size=(15, 3))
+        res = inversion_mc_test(X, so(3), RotationKernelSO3(), B=B,
+                                rng=np.random.default_rng(9))
+    finally:
+        tracer.uninstall()
+    values = tracer.end()
+    assert res.null_stats.size == B
+    assert values["kernels.gram.calls"] == B + 1
+    assert values["mmd.invariance_stat_u.calls"] == B + 1
+    assert values["mmd.mmd_u.calls"] == 0
+
+
+@pytest.mark.parametrize("B", [1, 19, 199])
+def test_two_sample_makes_three_grams_whatever_b(B):
+    # the paired statistic and all B sign-flipped copies read one kernel
+    # matrix built from Kxx, Kyy and Kxy
+    from symtest import GaussianRBF, transformation_two_sample_test
+    from symtest.groups import so
+
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        X = np.random.default_rng(10).normal(size=(12, 3))
+        res = transformation_two_sample_test(X, so(3), GaussianRBF(1.0), B=B,
+                                             rng=np.random.default_rng(11))
+    finally:
+        tracer.uninstall()
+    values = tracer.end()
+    assert res.null_stats.size == B
+    assert values["kernels.gram.calls"] == 3
+    assert values["mmd.mmd_u.calls"] == 0
