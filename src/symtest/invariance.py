@@ -238,6 +238,11 @@ def transformation_two_sample_test(X, spec, kernel, B=200, alpha=0.05, rng=None,
 # inversion test for non-free actions
 
 
+# The inversion test draws its null samples in blocks of at most this many
+# floats, which bounds their memory and that of the sampler's temporaries.
+_NULL_BLOCK_ENTRIES = 1 << 18
+
+
 def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None, seed=None):
     """Test that the inverting group element is conditionally Haar.
 
@@ -245,7 +250,8 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None, seed=None):
     law of the element mapping the orbit representative to the point; under
     invariance these draws are jointly Haar.  The statistic is the mean
     off-diagonal Gram entry ``invariance_stat_u(tau, kernel)``, ranked among
-    the same on B fresh Haar samples of size n.
+    the same on B fresh Haar samples of size n, drawn in as few sampler
+    calls as a bound on their memory allows.
 
     The null copies are i.i.d. Haar samples, so under the null they are
     exchangeable with tau and the p-value is exact; they do not depend on
@@ -271,20 +277,20 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None, seed=None):
             raise UnsupportedFamily("the rotation kernel is defined on SO(3)")
         tau = rotation_quaternions(inversion_kernel_batch(spec, X, rng).data)
 
-        def draw():
-            return haar_quaternions(n, rng)
+        def draw(rows):
+            return haar_quaternions(rows, rng)
 
     elif spec.family == "so":
         tau = inversion_kernel_batch(spec, X, rng).data
 
-        def draw():
-            return haar_rotations(spec.dim, n, rng)
+        def draw(rows):
+            return haar_rotations(spec.dim, rows, rng)
 
     elif spec.family == "sym":
         tau = inversion_kernel_batch(spec, X, rng).data.astype(float)
-        base = np.tile(np.arange(spec.dim), (n, 1))
 
-        def draw():
+        def draw(rows):
+            base = np.tile(np.arange(spec.dim), (rows, 1))
             return rng.permuted(base, axis=1).astype(float)
 
     else:
@@ -292,7 +298,15 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None, seed=None):
             f"no inversion sampler for the {spec.family!r} family"
         )
     t_obs = invariance_stat_u(tau, kernel)
-    nulls = np.array([invariance_stat_u(draw(), kernel) for _ in range(B)])
+    # the null samples of a block come from one sampler call of count * n
+    # rows, whose values and generator state are those of count calls of n
+    step = max(1, _NULL_BLOCK_ENTRIES // tau.size)
+    nulls = np.empty(B)
+    for lo in range(0, B, step):
+        count = min(step, B - lo)
+        null = draw(count * n)
+        for b, sample in enumerate(null.reshape(count, n, *null.shape[1:])):
+            nulls[lo + b] = invariance_stat_u(sample, kernel)
     p = pvalue_from_nulls(t_obs, nulls)
     return TestResult(t_obs, p, nulls, alpha, p <= alpha, "inversion-mmd", seed)
 

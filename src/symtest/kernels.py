@@ -3,13 +3,15 @@
 Three kernel families cover every test in the package: a Gaussian RBF on
 Euclidean points, a heat-kernel-style kernel on SO(3) in unit quaternions,
 and an exact-match (delta) kernel for discrete values.  Helpers compute Gram
-matrices, the median-distance bandwidth heuristic, and double centering.
+matrices, a sample's kernel values on its pairs i < j, the median-distance
+bandwidth heuristic, and double centering.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,16 +104,17 @@ def _so3_from_cos(c):
     """
     c = np.clip(c, 0.0, 1.0)
     theta = np.arccos(c)
-    # the operations of (1 - c)(1 + c), 1 + theta^2 / 6 and
-    # pi / 8 (pi - theta) ratio, in place: fewer (n, n) temporaries keep the
-    # Gram's cost flat for the unit-norm check in ``gram``
+    # (1 - c)(1 + c) and pi / 8 (pi - theta) ratio in place, to keep the
+    # temporaries few; the ratio is one unmasked divide, which runs in SIMD,
+    # with sin set to 1 where theta is small so that no 0 / 0 is formed, and
+    # the series written at those entries only
     sin = np.subtract(1.0, c)
     sin *= np.add(c, 1.0, out=c)
     np.sqrt(sin, out=sin)
-    ratio = np.square(theta)
-    ratio /= 6.0
-    ratio += 1.0
-    np.divide(theta, sin, out=ratio, where=theta >= 1e-6)
+    small = np.flatnonzero(theta < 1e-6)
+    sin.flat[small] = 1.0
+    ratio = np.divide(theta, sin, out=sin)
+    ratio.flat[small] = 1.0 + np.square(theta.flat[small]) / 6.0
     value = np.subtract(np.pi, theta, out=theta)
     value *= np.pi / 8.0
     value *= ratio
@@ -194,6 +197,42 @@ def gram(kernel, X, Y=None):
     raise UnsupportedKind(f"unknown kernel type {type(kernel).__name__}")
 
 
+@lru_cache(maxsize=8)
+def _pair_index(n):
+    """Flat indices i * n + j of the pairs i < j of an (n, n) array, row by row."""
+    i, j = np.triu_indices(n, 1)
+    index = i * n + j
+    index.flags.writeable = False
+    return index
+
+
+def pair_values(kernel, X):
+    """k(X_i, X_j) over the pairs i < j, row by row (scipy ``pdist`` order).
+
+    Equal bit for bit to ``gram(kernel, X)[np.triu_indices(n, 1)]``.  The
+    RBF and rotation kernels are evaluated on those n(n-1)/2 pairs only,
+    after the one matrix product that gives every pair's exponent or
+    cosine; the delta kernel reads them from its Gram.
+    """
+    if isinstance(kernel, RotationKernelSO3):
+        A = _check_quaternions(X)
+        c = A @ A.T
+        _check_unit(c.diagonal())
+        c = c.take(_pair_index(A.shape[0]))
+        return _so3_from_cos(np.abs(c, out=c))
+    if isinstance(kernel, GaussianRBF):
+        if kernel.bandwidth is None:
+            raise BadParameters("RBF bandwidth has not been resolved")
+        A = _as_points(X)
+        e = _rbf_exponent(A, None, kernel.bandwidth).take(_pair_index(A.shape[0]))
+        # the clamp of ``gram``, run only when some exponent needs it
+        if e.size and e.min() < -708.0:
+            np.copyto(e, -1000.0, where=e < -708.0)
+        return np.exp(e, out=e)
+    K = gram(kernel, X)
+    return K.take(_pair_index(K.shape[0]))
+
+
 # The median heuristic takes its row differences in blocks of at most this
 # many floats.
 _MEDIAN_BLOCK_ENTRIES = 1 << 20
@@ -215,8 +254,20 @@ def median_heuristic(X):
         i = np.repeat(rows, counts)
         # row i's partners i + 1, ..., n - 1, from each entry's offset in its run
         j = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts) + i + 1
-        dists.append(np.linalg.norm(X[j] - X[i], axis=1))
-    med = float(np.median(np.concatenate(dists)))
+        dists.append(np.linalg.norm(X.take(j, axis=0) - X.take(i, axis=0), axis=1))
+    dists = np.concatenate(dists)
+    # the median as np.median takes it, from one partition at the upper
+    # middle h: for an even count the lower middle is the largest entry
+    # before h.  NaN sorts last, so a NaN distance lands at h or after it,
+    # where np.median would return NaN
+    h = dists.size // 2
+    part = np.partition(dists, h)
+    if np.isnan(part[h:]).any():
+        med = np.nan
+    elif dists.size % 2:
+        med = float(part[h])
+    else:
+        med = float((part[:h].max() + part[h]) / 2.0)
     if med <= 0.0:
         raise AllPointsIdentical("all points coincide; no usable bandwidth")
     return med

@@ -1,11 +1,12 @@
 """Maximum mean discrepancy statistics.
 
 Contains the two-sample U-statistic; the invariance statistic, the
-sample's mean off-diagonal Gram entry, which the invariance test ranks
-against the same on orbit copies and the inversion test, on a sample of
-group elements, against the same on fresh Haar samples; the paired
-U-statistic of a sample against its orbit copy under within-pair swaps;
-and a low-rank (landmark) approximation of the invariance MMD's V-form.
+sample's mean off-diagonal Gram entry, summed over the pairs i < j with no
+Gram built, which the invariance test ranks against the same on orbit
+copies and the inversion test, on a sample of group elements, against the
+same on fresh Haar samples; the paired U-statistic of a sample against its
+orbit copy under within-pair swaps; and a low-rank (landmark)
+approximation of the invariance MMD's V-form.
 The landmark statistic takes two sets of transform draws, G and H, as
 arguments; ``mc_invariance_test`` draws them once and reuses them across
 its re-randomised copies.
@@ -21,17 +22,13 @@ from .errors import (
     _check_finite,
     _require_rng,
 )
-from .kernels import gram
-
-
-def _offdiag_sum(K):
-    return float(K.sum() - np.trace(K))
+from .kernels import gram, pair_values
 
 
 def _mean_offdiag(kernel, X):
-    """Mean of k(X_i, X_j) over i != j."""
+    """Mean of k(X_i, X_j) over i != j, from the pairs i < j."""
     n = X.shape[0]
-    return _offdiag_sum(gram(kernel, X)) / (n * (n - 1))
+    return 2.0 * float(pair_values(kernel, X).sum()) / (n * (n - 1))
 
 
 def mmd_u(X, Y, kernel):
@@ -66,14 +63,15 @@ def _paired_swap_stats(X, Y, kernel, signs):
 def invariance_stat_u(X, kernel):
     """Invariance statistic: the mean off-diagonal Gram entry S(X) / (n(n-1)).
 
-    Here S(X) = sum_{i != j} k(X_i, X_j).  The U-form invariance MMD
-    subtracts from it the mean off-diagonal entry of
+    Here S(X) = sum_{i != j} k(X_i, X_j), twice the sum over the pairs
+    i < j, which ``pair_values`` gives without a Gram.  The U-form
+    invariance MMD subtracts from it the mean off-diagonal entry of
     kbar(x, y) = E_G k(x, G y), G Haar.  When k(g x, g y) = k(x, y), the
     invariance of Haar measure gives kbar(g x, h y) = kbar(x, y) for all
     g, h, so that term is the same for X and for every orbit copy g_i X_i.
     Ranking S among the copies' S is then the conditional Monte Carlo test
-    on the U-form with its transform draws taken to infinity, at one Gram
-    per copy.  The statistic minus the mean over orbit copies estimates
+    on the U-form with its transform draws taken to infinity, at one kernel
+    sum per copy.  The statistic minus the mean over orbit copies estimates
     MMD^2(P, P_G); that reading needs the invariant kernel, and every
     kernel and group family of the package gives one, since every action
     is orthogonal.

@@ -33,6 +33,7 @@ from symtest import (
 from symtest.groups import (
     TransformBatch,
     haar_quaternions,
+    haar_rotations,
     inversion_kernel_batch,
     orbit_draw,
     paired_so2,
@@ -41,8 +42,8 @@ from symtest.groups import (
     sym,
     trivial,
 )
-from symtest import mmd
-from symtest.kernels import RotationKernelSO3, gram
+from symtest import invariance, mmd
+from symtest.kernels import RotationKernelSO3
 
 
 KERNEL = GaussianRBF(1.0)
@@ -426,13 +427,11 @@ class TestInversion:
             )
 
     def test_pvalues_match_the_reference_gram(self, monkeypatch):
-        # the quaternion SO(3) Gram gives the p-values of the matrix
-        # einsum-plus-mask reference on the same draws
-        def reference_gram(kernel, X, Y=None):
-            if isinstance(kernel, RotationKernelSO3):
-                return so3_gram(quaternion_matrix(X),
-                                None if Y is None else quaternion_matrix(Y))
-            return gram(kernel, X, Y)
+        # the quaternion SO(3) pair values give the p-values of the upper
+        # triangle of the matrix einsum-plus-mask reference on the same draws
+        def reference_pairs(kernel, X):
+            K = so3_gram(quaternion_matrix(X))
+            return K[np.triu_indices(K.shape[0], 1)]
 
         kernel = RotationKernelSO3()
         for seed in range(8):
@@ -440,13 +439,57 @@ class TestInversion:
             new = inversion_mc_test(X, so(3), kernel, B=29,
                                     rng=np.random.default_rng(100 + seed))
             with monkeypatch.context() as m:
-                m.setattr(mmd, "gram", reference_gram)
+                m.setattr(mmd, "pair_values", reference_pairs)
                 ref = inversion_mc_test(X, so(3), kernel, B=29,
                                         rng=np.random.default_rng(100 + seed))
             assert new.p_value == ref.p_value
             assert new.statistic == pytest.approx(ref.statistic, rel=1e-9, abs=1e-12)
             np.testing.assert_allclose(new.null_stats, ref.null_stats,
                                        rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("spec,kernel", [
+        (so(3), RotationKernelSO3()),
+        (so(4), GaussianRBF(2.0)),
+        (sym(5), GaussianRBF(2.0)),
+    ], ids=["so3-so3", "so4-rbf", "sym5-rbf"])
+    @pytest.mark.parametrize("block", [None, 1, 1000])
+    def test_one_null_draw_matches_a_draw_per_sample(self, spec, kernel, block,
+                                                     monkeypatch):
+        # the null samples come from one sampler call per block, all B of
+        # them in one block by default; they must be the samples of B calls
+        # of size n on the same seed, and leave the generator where those
+        # calls leave it.  1000 floats hold 2 to 8 samples here.
+        if block is not None:
+            monkeypatch.setattr(invariance, "_NULL_BLOCK_ENTRIES", block)
+        n, B = 30, 19
+        X = np.random.default_rng(29).normal(size=(n, spec.dim))
+        rng = np.random.default_rng(30)
+        res = inversion_mc_test(X, spec, kernel, B=B, rng=rng)
+
+        ref_rng = np.random.default_rng(30)
+        tau = inversion_kernel_batch(spec, X, ref_rng).data
+        if isinstance(kernel, RotationKernelSO3):
+            tau = rotation_quaternions(tau)
+
+            def draw():
+                return haar_quaternions(n, ref_rng)
+
+        elif spec.family == "so":
+            def draw():
+                return haar_rotations(spec.dim, n, ref_rng)
+
+        else:
+            base = np.tile(np.arange(spec.dim), (n, 1))
+
+            def draw():
+                return ref_rng.permuted(base, axis=1).astype(float)
+
+        t_obs = invariance_stat_u(tau.astype(float), kernel)
+        nulls = np.array([invariance_stat_u(draw(), kernel) for _ in range(B)])
+        assert res.statistic == t_obs
+        np.testing.assert_allclose(res.null_stats, nulls, rtol=1e-12, atol=0.0)
+        assert res.p_value == pvalue_from_nulls(t_obs, nulls)
+        assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("spec,kernel", [
         (so(3), RotationKernelSO3()),

@@ -39,7 +39,7 @@ from symtest.groups import (
     sym,
     trivial,
 )
-from symtest.kernels import _so3_from_cos
+from symtest.kernels import _so3_from_cos, pair_values
 
 
 def axis_rotation(theta):
@@ -325,6 +325,49 @@ class TestDelta:
         np.testing.assert_allclose(K, [[1, 0, 1], [0, 1, 0], [1, 0, 1]])
 
 
+class TestPairValues:
+    # pair_values must equal the upper triangle of gram, row by row, bit for
+    # bit, for every kernel
+
+    @staticmethod
+    def upper(K):
+        return K[np.triu_indices(K.shape[0], 1)]
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 200])
+    @pytest.mark.parametrize("bandwidth", [1.0, 0.1])
+    def test_rbf(self, n, bandwidth):
+        # at bandwidth 0.1 most exponents lie past -708, where gram clamps
+        X = np.random.default_rng(n).normal(size=(n, 3))
+        k = GaussianRBF(bandwidth)
+        np.testing.assert_array_equal(pair_values(k, X), self.upper(gram(k, X)))
+
+    def test_rbf_clamp_is_reached(self):
+        X = np.random.default_rng(200).normal(size=(200, 3))
+        values = pair_values(GaussianRBF(0.1), X)
+        assert (values == 0.0).any() and (values > 0.0).any()
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 200])
+    def test_so3_with_a_duplicate_row(self, n):
+        Q = haar_quaternions(n, np.random.default_rng(n))
+        Q[-1] = Q[0]  # a half-angle below 1e-6, on the series branch
+        k = RotationKernelSO3()
+        values = pair_values(k, Q)
+        np.testing.assert_array_equal(values, self.upper(gram(k, Q)))
+        assert values[n - 2] == pytest.approx(np.pi**2 / 8.0, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 200])
+    def test_delta(self, n):
+        X = np.random.default_rng(n).integers(0, 3, size=(n, 2)).astype(float)
+        k = DiscreteDelta()
+        np.testing.assert_array_equal(pair_values(k, X), self.upper(gram(k, X)))
+
+    def test_rejects_what_gram_rejects(self):
+        with pytest.raises(BadParameters):
+            pair_values(GaussianRBF(), np.zeros((3, 2)))
+        with pytest.raises(InvalidRotation):
+            pair_values(RotationKernelSO3(), np.full((3, 4), 0.6))
+
+
 class TestMedianHeuristic:
     def test_frozen_example(self):
         # pairwise distances {1, 3, 2} -> median 2
@@ -359,6 +402,12 @@ class TestMedianHeuristic:
             if n > 2:
                 X[n // 2] = X[0]  # one duplicate row
             assert median_heuristic(X) == median_heuristic_by_rows(X), (n, d)
+
+    def test_nan_distance_gives_nan_as_np_median_does(self):
+        X = np.random.default_rng(10).normal(size=(9, 3))
+        X[4, 1] = np.nan
+        assert np.isnan(median_heuristic_by_rows(X))
+        assert np.isnan(median_heuristic(X))
 
     @pytest.mark.parametrize("block", [None, 1, 50])
     def test_duplicate_rows_raise_in_blocks(self, block, monkeypatch):
