@@ -103,8 +103,9 @@ def transform_responses(X, Y, spec, y_action="same", m_kind=None):
 
 def _kci_matrices(data, config):
     k_y = center(gram(config.kernel_y, data.Z))
-    k_m = center(gram(config.kernel_m, data.M))
-    k_xm = center(gram(config.kernel_x, data.X) * gram(config.kernel_m, data.M))
+    g_m = gram(config.kernel_m, data.M)
+    k_m = center(g_m)
+    k_xm = center(gram(config.kernel_x, data.X) * g_m)
     n = k_y.shape[0]
     eps = config.epsilon
     r_m = eps * np.linalg.inv(k_m + eps * np.eye(n))

@@ -32,7 +32,7 @@ from .errors import (
     SymtestError,
     TooFewValues,
 )
-from .groups import INVARIANT_KINDS, parse_group
+from .groups import INVARIANT_KINDS, inversion_kernel_batch, parse_group
 from .invariance import (
     cw_test,
     inversion_mc_test,
@@ -217,7 +217,11 @@ def run_replication(config, rep, dataset=None):
             Xtr, Ytr = _draw_data(gen, config.n, rng)
 
     if isinstance(kernel, GaussianRBF) and kernel.bandwidth is None:
-        kernel = resolve_bandwidth(kernel, Xtr if Xtr is not None else X)
+        train = Xtr if Xtr is not None else X
+        if config.method == "inversion-mmd":
+            # the kernel acts on the inverting elements, not on the data
+            train = inversion_kernel_batch(spec, train, rng).data
+        kernel = resolve_bandwidth(kernel, train)
 
     if config.method == "mmd":
         return mc_invariance_test(

@@ -81,16 +81,18 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
     """Conditional Monte Carlo test of invariance of the law of X.
 
     ``statistic`` selects the test statistic: ``mmd-u`` (the mean
-    off-diagonal Gram entry, ``invariance_stat_u``; it draws no transforms
-    and ignores m), ``mmd-nystrom`` (a landmark approximation of the
-    invariance MMD's V-form, over m draws each of G and H), ``cw`` (max
+    off-diagonal Gram entry, ``invariance_stat_u``), ``mmd-nystrom`` (the
+    squared norm of the sample's Nyström mean embedding over
+    ``n_landmarks`` landmarks drawn from the sample, by default ceil(sqrt n),
+    a low-rank form of the ``mmd-u`` statistic), ``cw`` (max
     Kolmogorov-Smirnov distance over random projections and m group
-    elements), or a callable ``f(X) -> float``.
-    The statistic's transform draws and projection directions are drawn
-    once and reused across the B re-randomised copies; the Nyström
-    landmarks are drawn afresh for each.  Each copy moves every row by its
-    own Haar element through ``orbit_draw``.  The p-value is exact for any
-    statistic, since the copies are exchangeable with X under the null.
+    elements), or a callable ``f(X) -> float``.  Only ``cw`` draws
+    transforms, so m matters only to it; its transforms and projection
+    directions are drawn once and reused across the B re-randomised copies,
+    while the Nyström landmarks are drawn afresh for each.  Each copy moves
+    every row by its own Haar element through ``orbit_draw``.  The p-value
+    is exact for any statistic, since the copies are exchangeable with X
+    under the null.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -119,11 +121,9 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
     elif statistic == "mmd-nystrom":
         method = "mc-invariance/mmd-nystrom"
         j = n_landmarks if n_landmarks is not None else int(np.ceil(np.sqrt(n)))
-        g = [sample_batch(spec, rng, n) for _ in range(m)]
-        h = [sample_batch(spec, rng, n) for _ in range(m)]
 
         def stat_fn(sample):
-            return nystrom_invariance_stat(sample, g, h, kernel, j, rng)
+            return nystrom_invariance_stat(sample, kernel, j, rng)
 
     elif statistic == "cw":
         method = "mc-invariance/cw"

@@ -5,11 +5,10 @@ sample's mean off-diagonal Gram entry, summed over the pairs i < j with no
 Gram built, which the invariance test ranks against the same on orbit
 copies and the inversion test, on a sample of group elements, against the
 same on fresh Haar samples; the paired U-statistic of a sample against its
-orbit copy under within-pair swaps; and a low-rank (landmark)
-approximation of the invariance MMD's V-form.
-The landmark statistic takes two sets of transform draws, G and H, as
-arguments; ``mc_invariance_test`` draws them once and reuses them across
-its re-randomised copies.
+orbit copy under within-pair swaps; and the squared norm of the sample's
+Nyström (landmark) mean embedding, a low-rank form of the invariance
+statistic that takes no transform draws and costs two small Grams per
+sample.
 """
 
 from __future__ import annotations
@@ -86,47 +85,24 @@ def invariance_stat_u(X, kernel):
 _PINV_RCOND = 1e-10
 
 
-def _landmark_embedding(kernel, landmarks, sample):
-    """psi = (1/n) K_tt^+ K_tx 1_n for one landmark set and its sample."""
-    n = sample.shape[0]
-    k_tt = gram(kernel, landmarks)
-    k_tx = gram(kernel, landmarks, sample)
-    return np.linalg.pinv(k_tt, rcond=_PINV_RCOND) @ (k_tx.sum(axis=1) / n)
+def nystrom_invariance_stat(X, kernel, n_landmarks, rng=None):
+    """Squared norm of the sample's Nyström kernel mean embedding.
 
-
-def nystrom_invariance_stat(X, g_batches, h_batches, kernel, n_landmarks, rng=None):
-    """Landmark (low-rank) approximation of the V-form invariance statistic.
-
-    ``n_landmarks`` points are drawn uniformly with replacement, independently
-    from the plain sample and then from each transformed copy, G before H.
+    ``n_landmarks`` landmarks t are drawn uniformly with replacement from the
+    sample.  Projecting the mean embedding (1/n) sum_i k(X_i, .) onto the span
+    of the k(t_a, .) gives the squared norm m^T K_tt^+ m with m = K_tx 1 / n
+    (Chatalic et al. 2022, "Nyström Kernel Mean Embeddings"), at two Grams
+    of j x j and j x n entries.  With every sample point a landmark it is the
+    mean of all n^2 Gram entries: (n-1)/n times ``invariance_stat_u`` plus
+    the mean diagonal entry, which an invariant kernel keeps the same on X
+    and on its orbit copies, so the test ranks a low-rank form of the same
+    statistic.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if not 1 <= n_landmarks <= n:
         raise BadLandmarkCount("landmark count must lie in [1, n]")
     _require_rng(rng)
-    samples = [X] + [b.apply(X) for b in g_batches] + [b.apply(X) for b in h_batches]
-    landmarks = [s[rng.integers(0, n, n_landmarks)] for s in samples]
-    return _landmark_stat(kernel, samples, landmarks)
-
-
-def _landmark_stat(kernel, samples, landmarks):
-    """The landmark statistic given each sample's landmark set.
-
-    ``samples`` lists the plain sample, then the m G-copies, then the m
-    H-copies, and ``landmarks`` their landmark sets in the same order.  With
-    every sample point a landmark this is the V-form exactly, for
-    characteristic kernels.
-    """
-    m = (len(samples) - 1) // 2
-    psi = [_landmark_embedding(kernel, t, s) for t, s in zip(landmarks, samples)]
-    t0, tg, th = landmarks[0], landmarks[1:m + 1], landmarks[m + 1:]
-    psi0, psig, psih = psi[0], psi[1:m + 1], psi[m + 1:]
-
-    value = float(psi0 @ gram(kernel, t0) @ psi0)
-    for l in range(m):
-        for r in range(m):
-            value += float(psig[l] @ gram(kernel, tg[l], th[r]) @ psih[r]) / m**2
-    for l in range(m):
-        value -= 2.0 * float(psi0 @ gram(kernel, t0, tg[l]) @ psig[l]) / m
-    return value
+    t = X[rng.integers(0, n, n_landmarks)]
+    mean = gram(kernel, t, X).sum(axis=1) / n
+    return float(mean @ np.linalg.pinv(gram(kernel, t), rcond=_PINV_RCOND) @ mean)

@@ -4,10 +4,8 @@
 ``invariance_stat_full_u`` the U-form with both sets G and H.  For an
 invariant kernel both have mean T(X) - E T(g X) over their draws, where
 T = ``symtest.invariance_stat_u`` is the package's statistic and g X an
-orbit copy.  The V-form is a reference for the landmark statistic: with
-every sample point a landmark, the landmark statistic equals it for
-characteristic kernels.  ``mmd_v`` is the biased two-sample MMD^2
-estimate, a reference for the package's ``mmd_u``.
+orbit copy.  ``mmd_v`` is the biased two-sample MMD^2 estimate, a
+reference for the package's ``mmd_u``.
 """
 
 import numpy as np
@@ -52,21 +50,6 @@ def invariance_stat_full_u(X, g_batches, h_batches, kernel):
     for b in xg:
         total -= 2.0 * _offdiag_sum(gram(kernel, X, b)) / m
     return total / (n * (n - 1))
-
-
-def invariance_stat_v(X, g_batches, h_batches, kernel):
-    """V-form of the invariance statistic (1/n^2 normalisation, diagonal kept)."""
-    n = X.shape[0]
-    m = len(g_batches)
-    xg = [b.apply(X) for b in g_batches]
-    xh = [b.apply(X) for b in h_batches]
-    total = float(gram(kernel, X).sum())
-    for a in xg:
-        for b in xh:
-            total += float(gram(kernel, a, b).sum()) / m**2
-    for b in xg:
-        total -= 2.0 * float(gram(kernel, X, b).sum()) / m
-    return total / n**2
 
 
 def mmd_v(X, Y, kernel):

@@ -15,7 +15,7 @@ import pytest
 from condsym_reference import kcde_swap_odds
 from group_reference import act_each, act_rows
 from kernel_reference import eval_kernel
-from mmd_reference import invariance_stat_v, mmd_v
+from mmd_reference import mmd_v
 
 from symtest import (
     DiscreteDelta,
@@ -24,18 +24,19 @@ from symtest import (
     KciConfig,
     PairedDataset,
     cw_statistic,
+    gram,
     invariance_stat_u,
     kci_statistic,
     kci_test_data,
     mc_invariance_test,
     mmd_u,
+    nystrom_invariance_stat,
     power_estimate,
     run_simulation,
     sample_batch,
     tune_bandwidths,
 )
 from symtest.groups import gamma_batch, orbit_draw, so, sym, tau_batch
-from symtest.mmd import _landmark_stat
 
 
 def simulate(**fields):
@@ -251,14 +252,16 @@ class TestOracleEquivalence:
 
 class TestLandmarkConsistency:
     def test_full_landmark_mode_equals_v_form(self):
-        rng = np.random.default_rng(112)
-        X = rng.normal(size=(50, 3))
+        # with every sample point a landmark the Nystrom mean embedding is
+        # the mean embedding itself, whose squared norm is the mean Gram entry
+        class AllPoints:
+            def integers(self, low, high, size):
+                return np.arange(size)
+
+        X = np.random.default_rng(112).normal(size=(50, 3))
         k = GaussianRBF(1.5)
-        g = [sample_batch(so(3), rng, 50) for _ in range(2)]
-        h = [sample_batch(so(3), rng, 50) for _ in range(2)]
-        samples = [X] + [b.apply(X) for b in g + h]
-        low = _landmark_stat(k, samples, samples)
-        full = invariance_stat_v(X, g, h, k)
+        low = nystrom_invariance_stat(X, k, 50, rng=AllPoints())
+        full = float(gram(k, X).sum()) / 50**2
         print(f"[landmarks] |low-rank - V-form| = {abs(low - full):.2e}")
         assert low == pytest.approx(full, abs=1e-8)
 
@@ -316,6 +319,25 @@ class TestTwoSampleSize:
         target = np.floor(0.05 * (B + 1)) / (B + 1)
         lo, hi = binom.ppf([0.0005, 0.9995], reps, target) / reps
         print(f"[2smmd size] rate={rep.rejection_rate:.4f} target={target:.4f} "
+              f"interval=[{lo:.4f}, {hi:.4f}]")
+        assert lo <= rep.rejection_rate <= hi
+
+
+class TestNystromSize:
+    def test_size_under_an_invariant_law(self):
+        # the landmarks are drawn afresh for X and for each orbit copy, so the
+        # copies' statistics stay exchangeable with the observed one and the
+        # size is exactly floor(alpha (B + 1)) / (B + 1) = 1 / 20
+        from scipy.stats import binom
+
+        reps, B = 300, 19
+        rep = simulate(
+            method="nmmd", group="so(4)", generator="gauss-iso(d=4)",
+            n=50, reps=reps, B=B, kernel="rbf(median)", seed=122,
+        )
+        target = np.floor(0.05 * (B + 1)) / (B + 1)
+        lo, hi = binom.ppf([0.0005, 0.9995], reps, target) / reps
+        print(f"[nmmd size] rate={rep.rejection_rate:.4f} target={target:.4f} "
               f"interval=[{lo:.4f}, {hi:.4f}]")
         assert lo <= rep.rejection_rate <= hi
 

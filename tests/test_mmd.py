@@ -8,18 +8,14 @@ import numpy as np
 import pytest
 from group_reference import act_rows
 from kernel_reference import eval_kernel
-from mmd_reference import (
-    invariance_stat_full_u,
-    invariance_stat_g_u,
-    invariance_stat_v,
-    mmd_v,
-)
+from mmd_reference import invariance_stat_full_u, invariance_stat_g_u, mmd_v
 
 from symtest import (
     BadLandmarkCount,
     BadParameters,
     GaussianRBF,
     SampleTooSmall,
+    gram,
     invariance_stat_u,
     mc_invariance_test,
     mmd_u,
@@ -27,7 +23,6 @@ from symtest import (
     sample_batch,
 )
 from symtest.groups import orbit_draw, so, sym, trivial
-from symtest.mmd import _landmark_stat
 
 
 KERNEL = GaussianRBF(1.3)
@@ -114,24 +109,6 @@ def naive_invariance_full_u(X, g_batches, h_batches, kernel):
     return total / (n * (n - 1))
 
 
-def naive_invariance_v(X, g_batches, h_batches, kernel):
-    n = len(X)
-    m = len(g_batches)
-    gx = [act_rows(b, X) for b in g_batches]
-    hx = [act_rows(b, X) for b in h_batches]
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            term = eval_kernel(kernel, X[i], X[j])
-            for l in range(m):
-                for r in range(m):
-                    term += eval_kernel(kernel, gx[l][i], hx[r][j]) / m**2
-            for l in range(m):
-                term -= 2.0 * eval_kernel(kernel, X[i], gx[l][j]) / m
-            total += term
-    return total / n**2
-
-
 class TestTwoSample:
     def test_u_matches_naive(self):
         rng = np.random.default_rng(10)
@@ -210,15 +187,6 @@ class TestInvarianceStatistic:
             naive_invariance_full_u(X, g, h, KERNEL), abs=1e-12
         )
 
-    def test_v_matches_naive(self):
-        rng = np.random.default_rng(21)
-        spec = so(2)
-        X = rng.normal(size=(5, 2))
-        g = [sample_batch(spec, rng, 5) for _ in range(2)]
-        h = [sample_batch(spec, rng, 5) for _ in range(2)]
-        got = invariance_stat_v(X, g, h, KERNEL)
-        assert got == pytest.approx(naive_invariance_v(X, g, h, KERNEL), abs=1e-12)
-
     def test_trivial_group_gives_zero(self):
         # identity copies: every null statistic equals the observed one, so
         # the MMD^2 estimate, statistic minus the copies' mean, is 0
@@ -266,43 +234,43 @@ class TestInvarianceStatistic:
             invariance_stat_u(X, KERNEL)
 
 
+class AllPoints:
+    """Stands in for a Generator whose landmark draw takes every point once."""
+
+    def integers(self, low, high, size):
+        return np.arange(size)
+
+
 class TestNystrom:
     def test_full_landmarks_match_v_form(self):
-        rng = np.random.default_rng(30)
-        spec = so(3)
-        X = rng.normal(size=(12, 3))
-        g = [sample_batch(spec, rng, 12) for _ in range(2)]
-        h = [sample_batch(spec, rng, 12) for _ in range(2)]
-        samples = [X] + [b.apply(X) for b in g + h]
-        low = _landmark_stat(KERNEL, samples, samples)
-        full = invariance_stat_v(X, g, h, KERNEL)
-        assert low == pytest.approx(full, abs=1e-8)
+        # the projection then keeps the whole mean embedding, whose squared
+        # norm is the mean of all n^2 Gram entries
+        X = np.random.default_rng(30).normal(size=(12, 3))
+        got = nystrom_invariance_stat(X, KERNEL, 12, rng=AllPoints())
+        assert got == pytest.approx(gram(KERNEL, X).sum() / 12**2, abs=1e-8)
 
     def test_random_landmarks_track_v_form(self):
         rng = np.random.default_rng(31)
-        spec = so(3)
         X = rng.normal(size=(40, 3))
-        g = [sample_batch(spec, rng, 40) for _ in range(2)]
-        h = [sample_batch(spec, rng, 40) for _ in range(2)]
-        full = invariance_stat_v(X, g, h, KERNEL)
+        full = gram(KERNEL, X).sum() / 40**2
         approx = np.mean(
-            [
-                nystrom_invariance_stat(X, g, h, KERNEL, 20, rng=rng)
-                for _ in range(30)
-            ]
+            [nystrom_invariance_stat(X, KERNEL, 20, rng=rng) for _ in range(30)]
         )
         assert approx == pytest.approx(full, abs=0.02)
 
-    def test_landmarks_drawn_from_x_then_g_then_h(self):
-        rng = np.random.default_rng(35)
-        X = rng.normal(size=(9, 3))
-        g = [sample_batch(so(3), rng, 9) for _ in range(2)]
-        h = [sample_batch(so(3), rng, 9) for _ in range(2)]
-        got = nystrom_invariance_stat(X, g, h, KERNEL, 4, np.random.default_rng(36))
+    def test_landmarks_drawn_from_the_sample_in_rng_order(self):
+        # the landmarks are X[rng.integers(0, n, j)], the statistic's only
+        # draw; the oracle is |sum_a alpha_a k(t_a, .)|^2 for the least
+        # squares weights alpha of the landmark mean values
+        X = np.random.default_rng(35).normal(size=(9, 3))
+        rng = np.random.default_rng(36)
+        got = nystrom_invariance_stat(X, KERNEL, 4, rng)
         draws = np.random.default_rng(36)
-        samples = [X] + [b.apply(X) for b in g + h]
-        landmarks = [s[draws.integers(0, 9, 4)] for s in samples]
-        assert got == _landmark_stat(KERNEL, samples, landmarks)
+        t = X[draws.integers(0, 9, 4)]
+        k_tt = gram(KERNEL, t)
+        alpha = np.linalg.lstsq(k_tt, gram(KERNEL, t, X).mean(axis=1), rcond=None)[0]
+        assert got == pytest.approx(alpha @ k_tt @ alpha, rel=1e-10)
+        assert rng.integers(1 << 30) == draws.integers(1 << 30)
 
     def test_wrapper_defaults_to_sqrt_n_landmarks(self):
         # mc_invariance_test takes ceil(sqrt(10)) = 4 landmarks by default
@@ -322,30 +290,20 @@ class TestNystrom:
     def test_bad_landmark_count(self):
         rng = np.random.default_rng(33)
         X = rng.normal(size=(6, 3))
-        g = [sample_batch(so(3), rng, 6)]
         with pytest.raises(BadLandmarkCount):
-            nystrom_invariance_stat(X, g, g, KERNEL, 0, rng=rng)
+            nystrom_invariance_stat(X, KERNEL, 0, rng=rng)
         with pytest.raises(BadLandmarkCount):
-            nystrom_invariance_stat(X, g, g, KERNEL, 7, rng=rng)
+            nystrom_invariance_stat(X, KERNEL, 7, rng=rng)
 
 
 class TestInputChecks:
     @pytest.mark.parametrize("call", [
-        lambda X: nystrom_invariance_stat(
-            X, [sample_batch(so(2), np.random.default_rng(0), 20)],
-            [sample_batch(so(2), np.random.default_rng(1), 20)], KERNEL, 5),
+        lambda X: nystrom_invariance_stat(X, KERNEL, 5),
     ], ids=["nystrom_invariance_stat"])
     def test_missing_rng_raises(self, call):
         X = np.random.default_rng(34).normal(size=(20, 2))
         with pytest.raises(BadParameters, match="rng"):
             call(X)
-
-    def test_full_landmarks_need_no_rng(self):
-        rng = np.random.default_rng(35)
-        X = rng.normal(size=(8, 2))
-        g = [sample_batch(so(2), rng, 8)]
-        samples = [X, g[0].apply(X), g[0].apply(X)]
-        assert np.isfinite(_landmark_stat(KERNEL, samples, samples))
 
     @pytest.mark.parametrize("estimator", [mmd_u, mmd_v], ids=["mmd_u", "mmd_v"])
     def test_non_finite_sample_raises(self, estimator):

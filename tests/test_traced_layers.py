@@ -91,6 +91,48 @@ def test_mmd_u_scores_each_copy_once_with_no_gram_and_no_transform_draws():
     assert values["groups.sample_batch.elements"] == 0
 
 
+def test_nystrom_makes_two_grams_per_sample_and_no_transform_draws():
+    # each of the observed sample and the B copies is scored from its own
+    # landmark Gram and landmark-to-sample Gram; no G or H is drawn
+    from symtest import GaussianRBF, mc_invariance_test
+    from symtest.groups import so
+
+    n, m, B = 12, 2, 9
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        X = np.random.default_rng(12).normal(size=(n, 3))
+        res = mc_invariance_test(X, so(3), GaussianRBF(1.0), m=m, B=B,
+                                 statistic="mmd-nystrom",
+                                 rng=np.random.default_rng(13))
+    finally:
+        tracer.uninstall()
+    values = tracer.end()
+    assert res.null_stats.size == B
+    assert values["kernels.gram.calls"] == 2 * (B + 1)
+    assert values["groups.sample_batch.elements"] == 0
+
+
+def test_kci_builds_each_gram_once_per_matrix_set():
+    # kci_statistic and kci_null_samples each build the conditioned
+    # matrices from three Grams, on Z, on M and on X; the M Gram serves
+    # both K_M and the product kernel on (X, M)
+    from symtest import GaussianRBF, KciConfig, kci_test_data, transform_responses
+    from symtest.groups import so
+
+    rng = np.random.default_rng(14)
+    X, Y = rng.normal(size=(20, 2)), rng.normal(size=(20, 2))
+    data = transform_responses(X, Y, so(2))
+    k = GaussianRBF(1.0)
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        kci_test_data(data, KciConfig(k, k, k, null_samples=50), rng=rng)
+    finally:
+        tracer.uninstall()
+    assert tracer.end()["kernels.gram.calls"] == 6
+
+
 def test_inversion_scores_each_sample_once_with_no_gram_and_no_mmd_u():
     # the inverting elements and each of the B fresh Haar samples are
     # scored by one invariance_stat_u call each, with no Gram; no reference

@@ -1,4 +1,4 @@
-"""No module of the package or the tests imports a name it never uses.
+"""No module of the package, the tests or the tools imports a name it never uses.
 
 A stand-in for a linter: every name bound by an import statement must
 appear somewhere else in the module as a name (``x``) or as the root of an
@@ -13,10 +13,11 @@ import pytest
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 PACKAGE = os.path.join(os.path.dirname(TESTS), "src", "symtest")
+TOOLS = os.path.join(os.path.dirname(TESTS), "tools")
 
 
 def modules():
-    for folder in (PACKAGE, TESTS):
+    for folder in (PACKAGE, TESTS, TOOLS):
         for name in sorted(os.listdir(folder)):
             if name.endswith(".py") and (folder, name) != (PACKAGE, "__init__.py"):
                 yield os.path.join(folder, name)
