@@ -183,6 +183,8 @@ def kci_test(X, Y, spec, config, alpha=0.05, rng=None, y_action="same",
 def _log_gram(kernel, A):
     if not isinstance(kernel, GaussianRBF):
         raise BadParameters("the density-ratio odds need strictly positive kernels")
+    if kernel.bandwidth is None:
+        raise BadParameters("RBF bandwidth has not been resolved")
     return _rbf_exponent(_as_points(A), None, kernel.bandwidth)
 
 
@@ -198,84 +200,79 @@ def _log_joint_sums(data, config):
     return np.log(prod) + ca + cq.T
 
 
-# Swap chains are advanced in blocks of at most this many pre-drawn pair
-# positions, which bounds the memory of the drawn orders.
-_CHAIN_BLOCK_ENTRIES = 1 << 20
-
-
 def _chain_sweeps(ls, pis, n_sweeps, rng):
     """Run pairwise swap sweeps of the conditional permutation chain.
 
     ``pis`` is a ``(c, n)`` stack of assignments, each advanced by its own
-    chain.  The draws come chain by chain and sweep by sweep, as
-    ``rng.permutation(n)`` then ``rng.uniform(size=n // 2)``, so a stack
-    gives the same chains as the same starts run one after another.  The
+    chain.  Each sweep pairs the positions of every chain by an independent
+    uniform order, drawn for all chains in one ``rng.permuted`` call, and
+    draws all the sweep's acceptance coins in one ``rng.uniform`` call.  The
     pairs of one sweep are disjoint, so every swap decision of the sweep
     reads the assignment as it stood before the sweep, and the decisions of
     all chains are made at once.
     """
     n = ls.shape[0]
     pis = np.array(pis, copy=True)
-    half = n // 2
-    step = max(1, _CHAIN_BLOCK_ENTRIES // (n_sweeps * 2 * half))
-    for lo in range(0, pis.shape[0], step):
-        pi = pis[lo:lo + step]  # a view: the block's sweeps advance pis
-        k = pi.shape[0]
-        orders = np.empty((k, n_sweeps, 2 * half), dtype=np.intp)
-        us = np.empty((k, n_sweeps, half))
-        for b in range(k):
-            for s in range(n_sweeps):
-                orders[b, s] = rng.permutation(n)[: 2 * half]
-                us[b, s] = rng.uniform(size=half)
-        rows = np.arange(k)[:, None]
-        for s in range(n_sweeps):
-            i, j = orders[:, s, 0::2], orders[:, s, 1::2]
-            u = us[:, s]
-            pi_i, pi_j = pi[rows, i], pi[rows, j]
-            log_odds = ls[pi_j, i] + ls[pi_i, j] - ls[pi_i, i] - ls[pi_j, j]
-            # accept with probability odds / (1 + odds)
-            swap = np.log(u / (1.0 - u)) < log_odds
-            pi[rows, i] = np.where(swap, pi_j, pi_i)
-            pi[rows, j] = np.where(swap, pi_i, pi_j)
+    c, half = pis.shape[0], n // 2
+    flat, ls_flat = pis.reshape(-1), ls.reshape(-1)
+    positions = np.broadcast_to(np.arange(n), (c, n))
+    rows = np.arange(0, c * n, n)[:, None]
+    for _ in range(n_sweeps):
+        order = rng.permuted(positions, axis=1)
+        u = rng.uniform(size=(c, half))
+        i, j = order[:, 0:2 * half:2], order[:, 1:2 * half:2]
+        at_i, at_j = rows + i, rows + j
+        pi_i, pi_j = flat.take(at_i), flat.take(at_j)
+        log_odds = (ls_flat.take(pi_j * n + i) + ls_flat.take(pi_i * n + j)
+                    - ls_flat.take(pi_i * n + i) - ls_flat.take(pi_j * n + j))
+        # accept with probability odds / (1 + odds)
+        swap = np.log(u / (1.0 - u)) < log_odds
+        flat[at_i] = np.where(swap, pi_j, pi_i)
+        flat[at_j] = np.where(swap, pi_i, pi_j)
     return pis
 
 
-def multiple_correlation_statistic(X, Z):
+def multiple_correlation_statistic(X, Z, orders=None):
     """Multiple correlation of the leading response direction with X.
 
     The first principal coordinate of Z (Z itself when univariate) is
     regressed on the columns of X with an intercept; returns the square root
     of the explained variance fraction, ``|Q^T t|^2 / |t|^2`` for the centred
-    target t and an orthonormal basis Q of the design ``[1, X]``.  A
-    ``(k, n, q)`` stack of responses is scored against one factorisation of
-    the design and gives a ``(k,)`` array.
+    target t and an orthonormal basis Q of the design ``[1, X]``.  A 1-D X
+    or Z is one column.  With ``orders``, a ``(k, n)`` stack of permutations
+    of range(n), it returns the ``(k,)`` statistics of the copies
+    ``Z[orders[b]]``: a row permutation of Z keeps its centred
+    cross-product, leading direction and ``|t|^2``, so each copy's target is
+    ``t[orders[b]]`` and all copies share one factorisation of the design
+    and one SVD of Z.
     """
-    X = np.asarray(X, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    stacked = Z.ndim == 3
-    if Z.ndim == 1:
-        Z = Z[:, None]
-    if not stacked:
-        Z = Z[None]
+    X, Z = _as_points(X), _as_points(Z)
+    _check_finite(X, Z)
     n, d = X.shape
+    if Z.shape[0] != n:
+        raise BadParameters("X and Z must have one row per observation")
     if n <= d + 1:
         raise SampleTooSmall("need more observations than regressors")
     design = np.column_stack([np.ones(n), X])
     if np.linalg.matrix_rank(design) < d + 1:
         raise RankDeficientDesign("covariate design matrix is rank deficient")
     q, _ = np.linalg.qr(design)
-    zc = Z - Z.mean(axis=1, keepdims=True)
-    if Z.shape[2] == 1:
-        target = zc[:, :, 0]
+    zc = Z - Z.mean(axis=0)
+    if Z.shape[1] == 1:
+        t = zc[:, 0]
     else:
         _, _, vt = np.linalg.svd(zc, full_matrices=False)
-        target = np.einsum("kni,ki->kn", zc, vt[:, 0])
-    sst = np.einsum("kn,kn->k", target, target)
-    proj = target @ q
+        t = zc @ vt[0]
+    sst = float(t @ t)
+    rows = np.arange(n)[None] if orders is None else np.asarray(orders)
+    if (rows.shape[1:] != (n,) or rows.dtype.kind not in "iu"
+            or not (np.sort(rows, axis=1) == np.arange(n)).all()):
+        raise BadParameters("orders must be a (k, n) stack of permutations of range(n)")
+    proj = t[rows] @ q
     explained = np.einsum("kp,kp->k", proj, proj)
-    r2 = np.divide(explained, sst, out=np.zeros_like(sst), where=sst > 0.0)
+    r2 = explained / sst if sst > 0.0 else np.zeros_like(explained)
     r = np.sqrt(np.clip(r2, 0.0, 1.0))
-    return r if stacked else float(r[0])
+    return float(r[0]) if orders is None else r
 
 
 def cp_test(X, Y, spec, config, alpha=0.05, burn_in=50, B=100, rng=None,
@@ -301,6 +298,6 @@ def cp_test(X, Y, spec, config, alpha=0.05, burn_in=50, B=100, rng=None,
     t_obs = multiple_correlation_statistic(data.X, data.Z)
     pi0 = _chain_sweeps(ls, np.arange(n)[None], burn_in, rng)
     pis = _chain_sweeps(ls, np.repeat(pi0, B, axis=0), burn_in, rng)
-    nulls = multiple_correlation_statistic(data.X, data.Z[pis])
+    nulls = multiple_correlation_statistic(data.X, data.Z, pis)
     p = pvalue_from_nulls(t_obs, nulls)
     return TestResult(t_obs, p, nulls, alpha, p <= alpha, "cp", seed)

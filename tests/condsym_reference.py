@@ -1,10 +1,12 @@
 """Sequential references for the conditional permutation (CP) test.
 
 ``cp_test`` advances its B swap chains as one stack and scores all permuted
-copies against one factorisation of the design.  These references do the
-same work one piece at a time: one pair's swap odds from the full log-sum
-matrix, one swap decision at a time, one ``lstsq`` per copy, and the null
-loop as B separate chains.
+copies from one factorisation of the design and one SVD of the responses.
+These references do the same work one piece at a time: one pair's swap odds
+from the full log-sum matrix, one swap decision at a time, and one SVD and
+one ``lstsq`` per copy.  They draw the chains' random numbers exactly as the
+library does, one ``permuted`` and one ``uniform`` call per sweep over the
+whole stack, so their results are comparable bit for bit.
 """
 
 import numpy as np
@@ -29,19 +31,21 @@ def kcde_swap_odds(data, config, i, j, assignment=None):
     return float(np.exp(log_odds))
 
 
-def reference_sweeps(ls, pi, n_sweeps, rng):
-    """One chain, with one swap decision at a time, in pair order."""
-    n = ls.shape[0]
-    pi = np.array(pi, copy=True)
+def reference_sweeps(ls, pis, n_sweeps, rng):
+    """A ``(c, n)`` stack of chains, with one swap decision at a time."""
+    pis = np.array(pis, copy=True)
+    c, n = pis.shape
     half = n // 2
     for _ in range(n_sweeps):
-        order = rng.permutation(n)[: 2 * half].reshape(half, 2)
-        u = rng.uniform(size=half)
-        for (i, j), uu in zip(order, u):
-            log_odds = ls[pi[j], i] + ls[pi[i], j] - ls[pi[i], i] - ls[pi[j], j]
-            if np.log(uu / (1.0 - uu)) < log_odds:
-                pi[i], pi[j] = pi[j], pi[i]
-    return pi
+        orders = rng.permuted(np.broadcast_to(np.arange(n), (c, n)), axis=1)
+        us = rng.uniform(size=(c, half))
+        for pi, order, u in zip(pis, orders, us):
+            for (i, j), uu in zip(order[: 2 * half].reshape(half, 2), u):
+                log_odds = (ls[pi[j], i] + ls[pi[i], j]
+                            - ls[pi[i], i] - ls[pi[j], j])
+                if np.log(uu / (1.0 - uu)) < log_odds:
+                    pi[i], pi[j] = pi[j], pi[i]
+    return pis
 
 
 def reference_multiple_correlation(X, Z):
@@ -68,14 +72,12 @@ def reference_multiple_correlation(X, Z):
 
 
 def reference_cp_pvalue(X, Y, spec, config, burn_in, B, rng):
-    """The CP test's p-value with its B chains run one after another."""
+    """The CP test's p-value, with one lstsq per permuted copy."""
     data = transform_responses(X, Y, spec)
     n = data.X.shape[0]
     ls = _log_joint_sums(data, config)
     t_obs = reference_multiple_correlation(data.X, data.Z)
-    pi0 = reference_sweeps(ls, np.arange(n), burn_in, rng)
-    nulls = np.empty(B)
-    for b in range(B):
-        pi_b = reference_sweeps(ls, pi0, burn_in, rng)
-        nulls[b] = reference_multiple_correlation(data.X, data.Z[pi_b])
+    pi0 = reference_sweeps(ls, np.arange(n)[None], burn_in, rng)
+    pis = reference_sweeps(ls, np.repeat(pi0, B, axis=0), burn_in, rng)
+    nulls = [reference_multiple_correlation(data.X, data.Z[pi]) for pi in pis]
     return pvalue_from_nulls(t_obs, nulls)

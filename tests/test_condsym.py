@@ -1,5 +1,6 @@
 """Tests for the conditional-symmetry (equivariance) tests."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +30,6 @@ from symtest import (
     multiple_correlation_statistic,
     transform_responses,
 )
-from symtest import condsym
 from symtest.condsym import (
     _chain_sweeps,
     _kci_matrices,
@@ -320,43 +320,106 @@ def _fitted(tag, n, rng):
 class TestChainMatchesReference:
     @pytest.mark.parametrize("tag", ["cond-shift", "cond-abs"])
     def test_identical_permutations(self, tag):
+        # the stacked decisions against one swap decision at a time, on the
+        # same draws
         for seed in range(25):
             rng = np.random.default_rng([seed, 31])
             n = (4, 5, 11, 64)[seed % 4]
             _, _, data, cfg = _fitted(tag, n, rng)
             ls = _log_joint_sums(data, cfg)
-            start = rng.permutation(n)
-            got = _chain_sweeps(ls, start[None], 20, np.random.default_rng(seed))
-            want = reference_sweeps(ls, start, 20, np.random.default_rng(seed))
-            assert np.array_equal(got[0], want), (tag, seed, n)
+            starts = np.array([rng.permutation(n) for _ in range(3)])
+            got = _chain_sweeps(ls, starts, 20, np.random.default_rng(seed))
+            want = reference_sweeps(ls, starts, 20, np.random.default_rng(seed))
+            assert np.array_equal(got, want), (tag, seed, n)
 
-    @pytest.mark.parametrize("n", [4, 5, 11, 64])
-    def test_stack_equals_sequential_chains(self, n):
-        # a stack of chains draws chain by chain, so it gives the chains
-        # that the same starts give when run one after another
-        for seed in range(25):
-            rng = np.random.default_rng([seed, 37])
-            tag = ("cond-shift", "cond-abs")[seed % 2]
-            _, _, data, cfg = _fitted(tag, n, rng)
-            ls = _log_joint_sums(data, cfg)
-            starts = np.array([rng.permutation(n) for _ in range(7)])
-            got = _chain_sweeps(ls, starts, 6, np.random.default_rng(seed))
-            seq = np.random.default_rng(seed)
-            one_by_one = [_chain_sweeps(ls, s[None], 6, seq)[0] for s in starts]
-            ref = np.random.default_rng(seed)
-            want = [reference_sweeps(ls, s, 6, ref) for s in starts]
-            assert np.array_equal(got, np.array(one_by_one)), (seed, n)
-            assert np.array_equal(got, np.array(want)), (seed, n)
 
-    def test_blocks_keep_the_draw_order(self, monkeypatch):
-        data = make_paired(n=9, seed=38, dependent=True)
-        ls = _log_joint_sums(data, CFG)
-        starts = np.tile(np.arange(9), (5, 1))
-        whole = _chain_sweeps(ls, starts, 4, np.random.default_rng(4))
-        # two chains' draws per block: blocks of 2, 2 and 1 chains
-        monkeypatch.setattr(condsym, "_CHAIN_BLOCK_ENTRIES", 2 * 4 * 8)
-        blocked = _chain_sweeps(ls, starts, 4, np.random.default_rng(4))
-        assert np.array_equal(whole, blocked)
+def _sweep_matrix(ls):
+    """The exact one-sweep transition matrix over all n! assignments.
+
+    A sweep pairs the positions by a uniform order, (o_0, o_1), (o_2, o_3),
+    ..., and swaps each pair's entries with probability sigmoid(log odds),
+    the odds read from the assignment as it stood before the sweep.
+    """
+    n = ls.shape[0]
+    states = list(itertools.permutations(range(n)))
+    index = {s: k for k, s in enumerate(states)}
+    P = np.zeros((len(states), len(states)))
+    for k, pi in enumerate(states):
+        for order in states:  # the n! pair orders
+            pairs = [order[2 * a:2 * a + 2] for a in range(n // 2)]
+            accept = [
+                1.0 / (1.0 + np.exp(-(ls[pi[j], i] + ls[pi[i], j]
+                                      - ls[pi[i], i] - ls[pi[j], j])))
+                for i, j in pairs
+            ]
+            for flips in itertools.product([False, True], repeat=len(pairs)):
+                new, w = list(pi), 1.0
+                for (i, j), a, flip in zip(pairs, accept, flips):
+                    if flip:
+                        new[i], new[j] = new[j], new[i]
+                    w *= a if flip else 1.0 - a
+                P[k, index[tuple(new)]] += w / len(states)
+    return states, P
+
+
+class TestChainLaw:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_target_law_is_stationary(self, n):
+        ls = np.random.default_rng([45, n]).normal(scale=0.8, size=(n, n))
+        states, P = _sweep_matrix(ls)
+        energy = np.array([sum(ls[s[a], a] for a in range(n)) for s in states])
+        target = np.exp(energy - energy.max())
+        target /= target.sum()
+        assert np.allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(target @ P, target, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_chain_draws_follow_the_sweep_matrix(self, n):
+        # 40,000 chains from one start against the rows of P and P^3 by a
+        # chi-square test; bins expected to hold under 5 chains are pooled
+        from scipy.stats import chisquare
+
+        reps = 40_000
+        ls = np.random.default_rng([46, n]).normal(scale=0.8, size=(n, n))
+        states, P = _sweep_matrix(ls)
+        index = {s: k for k, s in enumerate(states)}
+        start = np.random.default_rng([47, n]).permutation(n)
+        for sweeps in (1, 3):
+            law = np.linalg.matrix_power(P, sweeps)[index[tuple(start)]]
+            pis = _chain_sweeps(ls, np.tile(start, (reps, 1)), sweeps,
+                                np.random.default_rng([48, n, sweeps]))
+            counts = np.bincount([index[tuple(pi)] for pi in pis],
+                                 minlength=len(states))
+            assert counts[law == 0.0].sum() == 0
+            expected = reps * law
+            big = expected >= 5.0
+            obs = np.append(counts[big], counts[~big].sum())
+            exp = np.append(expected[big], expected[~big].sum())
+            keep = exp > 0.0
+            p = chisquare(obs[keep], exp[keep]).pvalue
+            print(f"[chain law] n={n} sweeps={sweeps} chi-square p={p:.3f}")
+            assert p > 1e-3
+
+    def test_chains_of_one_stack_are_independent(self):
+        # one draw serves all chains of a sweep; the chains must still be
+        # independent: a contingency test on 20,000 stacks of two chains,
+        # one sweep each from one start (10 reachable assignments)
+        from scipy.stats import chi2_contingency
+
+        n = 4
+        ls = np.random.default_rng([46, n]).normal(scale=0.8, size=(n, n))
+        states = list(itertools.permutations(range(n)))
+        index = {s: k for k, s in enumerate(states)}
+        rng = np.random.default_rng(52)
+        starts = np.tile(np.arange(n), (2, 1))
+        table = np.zeros((len(states), len(states)))
+        for _ in range(20_000):
+            a, b = _chain_sweeps(ls, starts, 1, rng)
+            table[index[tuple(a)], index[tuple(b)]] += 1
+        seen = table.sum(axis=1) > 0
+        p = chi2_contingency(table[seen][:, seen]).pvalue
+        print(f"[chain law] independence chi-square p={p:.3f}")
+        assert p > 1e-3
 
 
 class TestMultipleCorrelation:
@@ -370,6 +433,9 @@ class TestMultipleCorrelation:
         rng = np.random.default_rng(22)
         X = rng.normal(size=(20, 2))
         assert multiple_correlation_statistic(X, np.ones(20)) == 0.0
+        orders = np.array([rng.permutation(20) for _ in range(3)])
+        got = multiple_correlation_statistic(X, np.ones((20, 2)), orders)
+        assert np.array_equal(got, np.zeros(3))
 
     def test_matches_pearson_for_single_covariate(self):
         rng = np.random.default_rng(23)
@@ -379,6 +445,16 @@ class TestMultipleCorrelation:
         assert multiple_correlation_statistic(x, z) == pytest.approx(
             expect, rel=1e-10
         )
+
+    def test_one_dimensional_covariate_is_one_column(self):
+        rng = np.random.default_rng(49)
+        x = rng.normal(size=25)
+        Z = 0.5 * x[:, None] + rng.normal(size=(25, 2))
+        orders = np.array([rng.permutation(25) for _ in range(4)])
+        assert multiple_correlation_statistic(x, Z) == (
+            multiple_correlation_statistic(x[:, None], Z))
+        assert np.array_equal(multiple_correlation_statistic(x, Z, orders),
+                              multiple_correlation_statistic(x[:, None], Z, orders))
 
     def test_multivariate_uses_leading_direction(self):
         rng = np.random.default_rng(24)
@@ -398,41 +474,67 @@ class TestMultipleCorrelation:
         with pytest.raises(SampleTooSmall):
             multiple_correlation_statistic(np.zeros((3, 3)), np.zeros(3))
 
+    def test_non_finite_values_raise(self):
+        rng = np.random.default_rng(50)
+        X, Z = rng.normal(size=(20, 2)), rng.normal(size=(20, 3))
+        Z[4, 1] = np.nan
+        with pytest.raises(BadParameters):
+            multiple_correlation_statistic(X, Z)
+        X[2, 0] = np.inf
+        with pytest.raises(BadParameters):
+            multiple_correlation_statistic(X, rng.normal(size=20))
+
     @pytest.mark.parametrize("d,q", [(1, 1), (3, 1), (2, 2), (3, 3)])
     def test_stack_matches_lstsq_reference(self, d, q):
+        # the permuted copies Z[orders[b]] scored from one SVD of Z, against
+        # one SVD and one lstsq per copy
         rng = np.random.default_rng([39, d, q])
         n = 30
         X = rng.normal(size=(n, d))
-        Z = rng.normal(size=(12, n, q))
-        Z[:4] += (X @ rng.normal(size=(d, q)))[None]  # some dependent copies
-        Z[5] = 2.5  # a constant copy scores 0
-        got = multiple_correlation_statistic(X, Z)
-        want = [reference_multiple_correlation(X, z) for z in Z]
+        Z = rng.normal(size=(n, q)) + X @ rng.normal(size=(d, q))
+        orders = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(11)])
+        got = multiple_correlation_statistic(X, Z, orders)
+        want = [reference_multiple_correlation(X, Z[o]) for o in orders]
         assert got.shape == (12,)
-        assert got[5] == 0.0
         assert np.allclose(got, want, rtol=0, atol=1e-12)
-        for z, r in zip(Z, got):
-            one = multiple_correlation_statistic(X, z)
+        for o, r in zip(orders, got):
+            one = multiple_correlation_statistic(X, Z[o])
             assert isinstance(one, float)
-            assert one == pytest.approx(r, rel=0, abs=1e-15)
+            assert one == pytest.approx(r, rel=0, abs=1e-12)
 
     def test_univariate_stack_matches_vector_targets(self):
         rng = np.random.default_rng(40)
         X = rng.normal(size=(25, 2))
-        z = rng.normal(size=(6, 25))
-        got = multiple_correlation_statistic(X, z[:, :, None])
-        want = [reference_multiple_correlation(X, zz) for zz in z]
+        z = rng.normal(size=25)
+        orders = np.array([rng.permutation(25) for _ in range(6)])
+        got = multiple_correlation_statistic(X, z, orders)
+        want = [reference_multiple_correlation(X, z[o]) for o in orders]
         assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert np.array_equal(got, multiple_correlation_statistic(X, z[:, None], orders))
 
     def test_stack_checks_the_design(self):
         rng = np.random.default_rng(41)
         x = rng.normal(size=20)
+        orders = np.array([rng.permutation(20) for _ in range(5)])
         with pytest.raises(RankDeficientDesign):
             multiple_correlation_statistic(
-                np.column_stack([x, 2.0 * x]), rng.normal(size=(5, 20, 2))
+                np.column_stack([x, 2.0 * x]), rng.normal(size=(20, 2)), orders
             )
         with pytest.raises(SampleTooSmall):
-            multiple_correlation_statistic(np.zeros((3, 3)), np.zeros((5, 3, 1)))
+            multiple_correlation_statistic(np.zeros((3, 3)), np.zeros((3, 1)),
+                                           orders[:, :3])
+
+    def test_bad_orders_and_rows_raise(self):
+        # the shared SVD holds for row permutations only
+        rng = np.random.default_rng(53)
+        X, Z = rng.normal(size=(10, 2)), rng.normal(size=(10, 2))
+        perm = rng.permutation(10)
+        for bad in (perm, np.tile(perm, (2, 1))[:, :5], np.zeros((2, 10), int),
+                    np.full((2, 10), 10), perm[None].astype(float)):
+            with pytest.raises(BadParameters, match="permutations"):
+                multiple_correlation_statistic(X, Z, bad)
+        with pytest.raises(BadParameters, match="one row per observation"):
+            multiple_correlation_statistic(X, rng.normal(size=(12, 2)))
 
 
 class TestCpTest:
@@ -473,9 +575,18 @@ class TestCpTest:
             cp_test(X, rng.normal(size=(12, 2)), so(2), CFG, burn_in=2, B=9,
                     rng=rng)
 
+    def test_unresolved_bandwidth_raises(self):
+        rng = np.random.default_rng(51)
+        X, Y = rng.normal(size=(12, 2)), rng.normal(size=(12, 2))
+        k = GaussianRBF(1.0)
+        for cfg in (KciConfig(k, GaussianRBF(None), k),
+                    KciConfig(k, k, GaussianRBF(None))):
+            with pytest.raises(BadParameters, match="not been resolved"):
+                cp_test(X, Y, so(2), cfg, burn_in=2, B=9, rng=rng)
+
     def test_pvalues_match_sequential_reference(self):
-        # the batched chains and statistic against B single chains with one
-        # swap decision at a time and one lstsq per copy, on 300 replications
+        # the batched chains and statistic against one swap decision at a
+        # time on the same draws and one lstsq per copy, on 300 replications
         mismatched = []
         for rep in range(300):
             tag = ("cond-shift", "cond-abs")[rep % 2]

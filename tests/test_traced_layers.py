@@ -45,8 +45,8 @@ def test_cp_null_copies_pass_through_the_traced_statistic(monkeypatch):
     original = condsym.multiple_correlation_statistic
     scored = []
 
-    def recording(X, Z):
-        out = original(X, Z)
+    def recording(*args):
+        out = original(*args)
         scored.append(np.size(out))
         return out
 
