@@ -102,6 +102,8 @@ def transform_responses(X, Y, spec, y_action="same", m_kind=None):
 
 
 def _kci_matrices(data, config):
+    """The conditioned matrices A = R K_XM R and B = R K_Z R."""
+    _check_finite(data.X, data.Z, data.M)
     k_y = center(gram(config.kernel_y, data.Z))
     g_m = gram(config.kernel_m, data.M)
     k_m = center(g_m)
@@ -114,6 +116,36 @@ def _kci_matrices(data, config):
     return a, b
 
 
+def _kci_parts(data, config):
+    """The KCI statistic and the product A o B, from one build of A and B.
+
+    The statistic is (1/n) sum(A o B), the trace of AB, and the null law is
+    read from the spectrum of A o B.
+    """
+    a, b = _kci_matrices(data, config)
+    ab = a * b
+    return float(np.sum(ab) / ab.shape[0]), ab
+
+
+_EIG_TRUNC = 1e-10
+
+
+def _trimmed_eigs(mat):
+    vals = np.linalg.eigvalsh((mat + mat.T) / 2.0)
+    vals = vals[vals > 0]
+    if vals.size == 0:
+        return vals
+    return vals[vals >= _EIG_TRUNC * vals.max()]
+
+
+def _kci_null_draws(ab, null_samples, rng):
+    """``null_samples`` draws of (1/n) sum_k g_k z_k^2, g the spectrum of A o B."""
+    g = _trimmed_eigs(ab)
+    if g.size == 0:
+        return np.zeros(null_samples)
+    return (rng.standard_normal((null_samples, g.size)) ** 2) @ g / ab.shape[0]
+
+
 def kci_statistic(data, config):
     """Normalised trace statistic of the kernel conditional independence test.
 
@@ -121,12 +153,7 @@ def kci_statistic(data, config):
     part explained by M through the ridge smoother R = eps (K_M + eps I)^{-1},
     and returns (1/n) Tr of the product of the two conditioned matrices.
     """
-    a, b = _kci_matrices(data, config)
-    n = a.shape[0]
-    return float(np.sum(a * b) / n)
-
-
-_EIG_TRUNC = 1e-10
+    return _kci_parts(data, config)[0]
 
 
 def kci_null_samples(data, config, rng):
@@ -140,31 +167,22 @@ def kci_null_samples(data, config, rng):
     standard normal (Zhang, Peters, Janzing & Schoelkopf 2011, Prop. 5).
     Each of the ``config.null_samples`` draws takes n chi-square(1) variables.
     """
-    a, b = _kci_matrices(data, config)
-    n = a.shape[0]
-    g = _trimmed_eigs(a * b)
-    if g.size == 0:
-        return np.zeros(config.null_samples)
-    return (rng.standard_normal((config.null_samples, g.size)) ** 2) @ g / n
-
-
-def _trimmed_eigs(mat):
-    vals = np.linalg.eigvalsh((mat + mat.T) / 2.0)
-    vals = vals[vals > 0]
-    if vals.size == 0:
-        return vals
-    return vals[vals >= _EIG_TRUNC * vals.max()]
+    _require_rng(rng)
+    return _kci_null_draws(_kci_parts(data, config)[1], config.null_samples, rng)
 
 
 def kci_test_data(data, config, alpha=0.05, rng=None, seed=None):
-    """Kernel conditional independence test on a prepared paired dataset."""
+    """Kernel conditional independence test on a prepared paired dataset.
+
+    The statistic and the null draws share one build of the conditioned
+    matrices.
+    """
     if data.X.shape[0] < 2:
         raise SampleTooSmall("need at least two observations")
-    _check_finite(data.X, data.Z, data.M)
     _require_rng(rng)
     _check_alpha(alpha)
-    t_obs = kci_statistic(data, config)
-    nulls = kci_null_samples(data, config, rng)
+    t_obs, ab = _kci_parts(data, config)
+    nulls = _kci_null_draws(ab, config.null_samples, rng)
     p = pvalue_from_nulls(t_obs, nulls)
     return TestResult(t_obs, p, nulls, alpha, p <= alpha, "kci", seed)
 
@@ -220,15 +238,16 @@ def _chain_sweeps(ls, pis, n_sweeps, rng):
     for _ in range(n_sweeps):
         order = rng.permuted(positions, axis=1)
         u = rng.uniform(size=(c, half))
-        i, j = order[:, 0:2 * half:2], order[:, 1:2 * half:2]
-        at_i, at_j = rows + i, rows + j
-        pi_i, pi_j = flat.take(at_i), flat.take(at_j)
-        log_odds = (ls_flat.take(pi_j * n + i) + ls_flat.take(pi_i * n + j)
-                    - ls_flat.take(pi_i * n + i) - ls_flat.take(pi_j * n + j))
+        # the pairs' first and second positions, i and j, as one (2, c, half) stack
+        ij = order[:, :2 * half].reshape(c, half, 2).transpose(2, 0, 1).copy()
+        at = rows + ij
+        p = flat.take(at)
+        pn = p * n
+        new, cur = ls_flat.take(pn[::-1] + ij), ls_flat.take(pn + ij)
+        log_odds = new[0] + new[1] - cur[0] - cur[1]
         # accept with probability odds / (1 + odds)
         swap = np.log(u / (1.0 - u)) < log_odds
-        flat[at_i] = np.where(swap, pi_j, pi_i)
-        flat[at_j] = np.where(swap, pi_i, pi_j)
+        flat[at] = np.where(swap, p[::-1], p)
     return pis
 
 
@@ -244,7 +263,7 @@ def multiple_correlation_statistic(X, Z, orders=None):
     ``Z[orders[b]]``: a row permutation of Z keeps its centred
     cross-product, leading direction and ``|t|^2``, so each copy's target is
     ``t[orders[b]]`` and all copies share one factorisation of the design
-    and one SVD of Z.
+    and one SVD of Z.  A copy scores the same at any position in the stack.
     """
     X, Z = _as_points(X), _as_points(Z)
     _check_finite(X, Z)
@@ -268,7 +287,8 @@ def multiple_correlation_statistic(X, Z, orders=None):
     if (rows.shape[1:] != (n,) or rows.dtype.kind not in "iu"
             or not (np.sort(rows, axis=1) == np.arange(n)).all()):
         raise BadParameters("orders must be a (k, n) stack of permutations of range(n)")
-    proj = t[rows] @ q
+    # einsum, unlike a BLAS product, scores a row alike at any position in the stack
+    proj = np.einsum("kn,np->kp", t[rows], q)
     explained = np.einsum("kp,kp->k", proj, proj)
     r2 = explained / sst if sst > 0.0 else np.zeros_like(explained)
     r = np.sqrt(np.clip(r2, 0.0, 1.0))
@@ -283,8 +303,9 @@ def cp_test(X, Y, spec, config, alpha=0.05, burn_in=50, B=100, rng=None,
     conditional law of Z given M: ``burn_in`` sweeps from the observed
     assignment, then B independent continuations of ``burn_in`` further
     sweeps each supply one permuted copy.  The B chains are advanced as one
-    stack and their copies scored in one call.  The observed statistic is
-    ranked among the permuted ones.
+    stack, and the observed assignment is scored with the copies in one
+    call, so that a copy equal to it scores exactly the observed statistic.
+    The observed statistic is ranked among the permuted ones.
     """
     _check_budget(B)
     _check_budget(burn_in, "burn_in")
@@ -295,9 +316,10 @@ def cp_test(X, Y, spec, config, alpha=0.05, burn_in=50, B=100, rng=None,
     if n < 4:
         raise SampleTooSmall("the swap chain needs at least four observations")
     ls = _log_joint_sums(data, config)
-    t_obs = multiple_correlation_statistic(data.X, data.Z)
-    pi0 = _chain_sweeps(ls, np.arange(n)[None], burn_in, rng)
+    start = np.arange(n)[None]
+    pi0 = _chain_sweeps(ls, start, burn_in, rng)
     pis = _chain_sweeps(ls, np.repeat(pi0, B, axis=0), burn_in, rng)
-    nulls = multiple_correlation_statistic(data.X, data.Z, pis)
+    stats = multiple_correlation_statistic(data.X, data.Z, np.vstack([start, pis]))
+    t_obs, nulls = float(stats[0]), stats[1:]
     p = pvalue_from_nulls(t_obs, nulls)
     return TestResult(t_obs, p, nulls, alpha, p <= alpha, "cp", seed)

@@ -127,8 +127,9 @@ class IoError(SymtestError):
 
 def _check_finite(*arrays):
     """Raise BadParameters unless every entry of the arrays is finite."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise BadParameters("the sample holds NaN or infinite values")
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise BadParameters("the sample holds NaN or infinite values")
 
 
 def _require_rng(rng):

@@ -41,6 +41,8 @@ from .errors import (
     UnsupportedKind,
     VariantMismatch,
     ZeroVector,
+    _check_finite,
+    _require_rng,
 )
 
 _ZERO_TOL = 1e-12
@@ -283,6 +285,7 @@ def _rotate_rows(xy, theta):
 
 def sample_batch(spec, rng, count):
     """Draw ``count`` independent Haar elements as a TransformBatch."""
+    _require_rng(rng)
     if spec.family == "so":
         return TransformBatch(spec, "rot", haar_rotations(spec.dim, count, rng), count)
     if spec.family == "sym":
@@ -315,10 +318,11 @@ def orbit_draw(spec, X, rng):
     to the row's norm and no rotation is built; zero rows stay zero.  Every
     other family applies a ``sample_batch`` draw.
     """
+    _require_rng(rng)
+    X = _points(spec, X) if spec.family == "so" else np.asarray(X, dtype=float)
+    _check_finite(X)
     if spec.family != "so":
-        X = np.asarray(X, dtype=float)
         return sample_batch(spec, rng, X.shape[0]).apply(X)
-    X = _points(spec, X)
     z = rng.standard_normal(X.shape)
     return z * (np.linalg.norm(X, axis=1) / np.linalg.norm(z, axis=1))[:, None]
 

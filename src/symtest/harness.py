@@ -216,7 +216,9 @@ def run_replication(config, rep, dataset=None):
         if needs_train:
             Xtr, Ytr = _draw_data(gen, config.n, rng)
 
-    if isinstance(kernel, GaussianRBF) and kernel.bandwidth is None:
+    # the conditional tests resolve their kernels in _resolve_kci_config
+    if (isinstance(kernel, GaussianRBF) and kernel.bandwidth is None
+            and config.method not in ("kci", "cp")):
         train = Xtr if Xtr is not None else X
         if config.method == "inversion-mmd":
             # the kernel acts on the inverting elements, not on the data

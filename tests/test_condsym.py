@@ -137,6 +137,15 @@ class TestKciStatistic:
             data = make_paired(n=10, seed=seed)
             assert kci_statistic(data, CFG) >= -1e-12
 
+    def test_non_finite_values_raise(self):
+        for field in ("X", "Z", "M"):
+            data = make_paired(n=10, seed=15)
+            getattr(data, field)[3, 0] = np.nan
+            with pytest.raises(BadParameters):
+                kci_statistic(data, CFG)
+            with pytest.raises(BadParameters):
+                kci_null_samples(data, CFG, np.random.default_rng(0))
+
 
 class TestKciNull:
     def test_deterministic_given_seed(self):
@@ -183,6 +192,21 @@ class TestKciNull:
             data, replace(CFG, null_samples=200), np.random.default_rng(1)
         )
         assert np.all(draws >= 0)
+
+    def test_missing_rng_raises(self):
+        with pytest.raises(BadParameters):
+            kci_null_samples(make_paired(n=10, seed=10), CFG, None)
+
+    def test_test_reads_the_wrappers_values_from_one_build(self):
+        # kci_test_data builds the conditioned matrices once; its statistic
+        # and null draws equal those of the two public wrappers
+        data = make_paired(n=14, seed=16, dependent=True)
+        cfg = replace(CFG, null_samples=60)
+        res = kci_test_data(data, cfg, rng=np.random.default_rng(17))
+        assert res.statistic == kci_statistic(data, cfg)
+        assert np.array_equal(
+            res.null_stats, kci_null_samples(data, cfg, np.random.default_rng(17))
+        )
 
 
 class TestKciTest:
@@ -436,6 +460,21 @@ class TestMultipleCorrelation:
         orders = np.array([rng.permutation(20) for _ in range(3)])
         got = multiple_correlation_statistic(X, np.ones((20, 2)), orders)
         assert np.array_equal(got, np.zeros(3))
+
+    def test_identity_in_a_stack_scores_the_observed_statistic(self):
+        # the observed assignment scored anywhere in a stack of copies gives
+        # the observed statistic bit for bit, so a chain that returns to it
+        # ties the observed statistic
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            n, d, q = (int(v) for v in rng.integers((6, 1, 1), (70, 4, 4)))
+            X, Z = rng.normal(size=(n, d)), rng.normal(size=(n, q))
+            k = int(rng.integers(1, 60))
+            at = int(rng.integers(0, k + 1))
+            orders = np.array([rng.permutation(n) for _ in range(k)])
+            orders = np.insert(orders, at, np.arange(n), axis=0)
+            got = multiple_correlation_statistic(X, Z, orders)
+            assert got[at] == multiple_correlation_statistic(X, Z)
 
     def test_matches_pearson_for_single_covariate(self):
         rng = np.random.default_rng(23)

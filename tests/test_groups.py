@@ -360,6 +360,18 @@ class TestOrbitDraw:
         with pytest.raises(DimensionMismatch):
             orbit_draw(so(3), rng.standard_normal(3), rng)
 
+    @pytest.mark.parametrize("spec", [so(3), sym(3), trivial(3)], ids=str)
+    def test_bad_input_raises(self, spec):
+        X = np.random.default_rng(53).standard_normal((6, 3))
+        with pytest.raises(BadParameters):
+            orbit_draw(spec, X, None)
+        with pytest.raises(BadParameters):
+            sample_batch(spec, None, 6)
+        for bad in (np.nan, np.inf):
+            X[2, 1] = bad
+            with pytest.raises(BadParameters):
+                orbit_draw(spec, X, np.random.default_rng(54))
+
     @pytest.mark.parametrize("spec", [
         sym(4), paired_so2(), so2xso2(), discrete_rotations(24.0, 3, axis=3),
         trivial(4), trivial(),

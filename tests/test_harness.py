@@ -296,6 +296,28 @@ def test_pinned_pvalue(fields, p_value):
     assert run_replication(cfg, 0).p_value == p_value
 
 
+# The first three null statistics of each PINNED replication, to 12
+# significant digits: a change of a method's random stream can leave its
+# p-value in place, but not these.
+PINNED_NULL_HEADS = {
+    "mmd": (0.678863119024, 0.684772487062, 0.672813484393),
+    "nmmd": (0.68379057315, 0.688673357513, 0.678836384251),
+    "cw": (0.416666666667, 0.291666666667, 0.25),
+    "2smmd": (0.0219817867006, -0.00812836386849, 0.00399114008257),
+    "inversion-mmd": (0.998374197649, 1.00098329174, 0.998272500034),
+    "kci": (0.187859969525, 0.140989550842, 0.0924477221701),
+    "cp": (0.410318044365, 0.199194654166, 0.240272639658),
+}
+
+
+@pytest.mark.parametrize("fields", [f for f, _ in PINNED],
+                         ids=[f["method"] for f, _ in PINNED])
+def test_pinned_null_stats(fields):
+    cfg = ExperimentConfig.from_dict(dict(fields, n=24, reps=1, B=99, seed=11))
+    head = tuple(float(f"{v:.12g}") for v in run_replication(cfg, 0).null_stats[:3])
+    assert head == PINNED_NULL_HEADS[fields["method"]]
+
+
 def test_top_quark_lorentz_invariance():
     # the Lorentz-invariance test as conditional independence of the jet
     # labels from the four-vectors given the invariant masses

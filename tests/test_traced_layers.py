@@ -113,10 +113,10 @@ def test_nystrom_makes_two_grams_per_sample_and_no_transform_draws():
     assert values["groups.sample_batch.elements"] == 0
 
 
-def test_kci_builds_each_gram_once_per_matrix_set():
-    # kci_statistic and kci_null_samples each build the conditioned
-    # matrices from three Grams, on Z, on M and on X; the M Gram serves
-    # both K_M and the product kernel on (X, M)
+def test_kci_test_builds_one_matrix_set_of_three_grams():
+    # the statistic and the null draws of one KCI test read one build of
+    # the conditioned matrices from three Grams, on Z, on M and on X; the
+    # M Gram serves both K_M and the product kernel on (X, M)
     from symtest import GaussianRBF, KciConfig, kci_test_data, transform_responses
     from symtest.groups import so
 
@@ -130,7 +130,31 @@ def test_kci_builds_each_gram_once_per_matrix_set():
         kci_test_data(data, KciConfig(k, k, k, null_samples=50), rng=rng)
     finally:
         tracer.uninstall()
-    assert tracer.end()["kernels.gram.calls"] == 6
+    assert tracer.end()["kernels.gram.calls"] == 3
+
+
+@pytest.mark.parametrize("method", ["kci", "cp"])
+def test_conditional_replication_resolves_each_median_bandwidth_once(
+        method, monkeypatch):
+    # rbf(median) for the kernels on X, on Z and on M: one median each, all
+    # on the training split
+    from symtest import kernels
+    from symtest.harness import ExperimentConfig, run_replication
+
+    original = kernels.median_heuristic
+    calls = []
+
+    def counting(X):
+        calls.append(X)
+        return original(X)
+
+    monkeypatch.setattr(kernels, "median_heuristic", counting)
+    cfg = ExperimentConfig.from_dict(dict(
+        method=method, group="so(3)", generator="cond-abs(d=3)", n=20, B=9,
+        burn_in=2, null_samples=50, reps=1, seed=4,
+    ))
+    run_replication(cfg, 0)
+    assert len(calls) == 3
 
 
 def test_inversion_scores_each_sample_once_with_no_gram_and_no_mmd_u():
