@@ -41,18 +41,22 @@ from .harness import (
 _INVARIANCE_METHODS = ("mmd", "nmmd", "cw", "2smmd", "inversion-mmd")
 _EQUIVARIANCE_METHODS = ("kci", "cp")
 
+# the ExperimentConfig fields a flag overrides, with their types; the flag
+# spells the field's underscores as dashes
+_OVERRIDES = (
+    ("method", str), ("group", str), ("generator", str), ("data", str),
+    ("kernel", str), ("n", int), ("reps", int), ("m", int), ("B", int),
+    ("alpha", float), ("seed", int),
+    ("n_resamples", int), ("null_samples", int), ("burn_in", int),
+)
+
 
 def _add_common(parser):
     parser.add_argument("--config", required=True, help="JSON configuration file")
     parser.add_argument("--out", help="write the report to this path")
     parser.add_argument("--format", default="json", choices=("json", "csv"))
-    for name, typ in (
-        ("method", str), ("group", str), ("generator", str), ("data", str),
-        ("kernel", str), ("n", int), ("reps", int), ("m", int), ("B", int),
-        ("alpha", float), ("seed", int),
-        ("n-resamples", int), ("null-samples", int), ("burn-in", int),
-    ):
-        parser.add_argument(f"--{name}", type=typ, dest=name.replace("-", "_"))
+    for name, typ in _OVERRIDES:
+        parser.add_argument(f"--{name.replace('_', '-')}", type=typ, dest=name)
 
 
 def _read_json_object(path):
@@ -70,9 +74,7 @@ def _read_json_object(path):
 
 def _load_config(args, allowed_methods=None):
     raw = _read_json_object(args.config)
-    for name in ("method", "group", "generator", "data", "kernel", "n", "reps",
-                 "m", "B", "alpha", "seed", "n_resamples",
-                 "null_samples", "burn_in"):
+    for name, _ in _OVERRIDES:
         value = getattr(args, name, None)
         if value is not None:
             raw[name] = value

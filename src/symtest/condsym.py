@@ -30,7 +30,7 @@ from .errors import (
     _require_rng,
 )
 from .groups import default_invariant_kind, invariant_batch, tau_batch
-from .invariance import TestResult, pvalue_from_nulls
+from .invariance import _rank_test
 from .kernels import GaussianRBF, _as_points, _rbf_exponent, center, gram
 
 
@@ -171,7 +171,7 @@ def kci_null_samples(data, config, rng):
     return _kci_null_draws(_kci_parts(data, config)[1], config.null_samples, rng)
 
 
-def kci_test_data(data, config, alpha=0.05, rng=None, seed=None):
+def kci_test_data(data, config, alpha=0.05, rng=None):
     """Kernel conditional independence test on a prepared paired dataset.
 
     The statistic and the null draws share one build of the conditioned
@@ -182,16 +182,15 @@ def kci_test_data(data, config, alpha=0.05, rng=None, seed=None):
     _require_rng(rng)
     _check_alpha(alpha)
     t_obs, ab = _kci_parts(data, config)
-    nulls = _kci_null_draws(ab, config.null_samples, rng)
-    p = pvalue_from_nulls(t_obs, nulls)
-    return TestResult(t_obs, p, nulls, alpha, p <= alpha, "kci", seed)
+    return _rank_test(t_obs, _kci_null_draws(ab, config.null_samples, rng),
+                      alpha, "kci")
 
 
 def kci_test(X, Y, spec, config, alpha=0.05, rng=None, y_action="same",
-             m_kind=None, seed=None):
+             m_kind=None):
     """Test equivariance of Y given X under the group via KCI."""
     data = transform_responses(X, Y, spec, y_action, m_kind)
-    return kci_test_data(data, config, alpha, rng, seed)
+    return kci_test_data(data, config, alpha, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +295,7 @@ def multiple_correlation_statistic(X, Z, orders=None):
 
 
 def cp_test(X, Y, spec, config, alpha=0.05, burn_in=50, B=100, rng=None,
-            y_action="same", m_kind=None, seed=None):
+            y_action="same", m_kind=None):
     """Conditional permutation test of equivariance of Y given X.
 
     Responses are shuffled by a swap chain that preserves the estimated
@@ -320,6 +319,4 @@ def cp_test(X, Y, spec, config, alpha=0.05, burn_in=50, B=100, rng=None,
     pi0 = _chain_sweeps(ls, start, burn_in, rng)
     pis = _chain_sweeps(ls, np.repeat(pi0, B, axis=0), burn_in, rng)
     stats = multiple_correlation_statistic(data.X, data.Z, np.vstack([start, pis]))
-    t_obs, nulls = float(stats[0]), stats[1:]
-    p = pvalue_from_nulls(t_obs, nulls)
-    return TestResult(t_obs, p, nulls, alpha, p <= alpha, "cp", seed)
+    return _rank_test(float(stats[0]), stats[1:], alpha, "cp")

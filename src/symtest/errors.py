@@ -155,3 +155,15 @@ def _check_alpha(alpha):
     if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) \
             or not 0 < alpha < 1:
         raise BadParameters("alpha must lie in (0, 1)")
+
+
+def _checked_sample(X, B, rng, alpha):
+    """X as a float array, once its size, values, B, rng and alpha pass."""
+    X = np.asarray(X, dtype=float)
+    if X.shape[0] < 2:
+        raise SampleTooSmall("need at least two observations")
+    _check_finite(X)
+    _check_budget(B)
+    _require_rng(rng)
+    _check_alpha(alpha)
+    return X

@@ -154,6 +154,7 @@ def haar_rotations(d, count, rng):
     QR of a Gaussian matrix, with the R-diagonal sign fix that makes the
     orthogonal factor Haar on O(d), then a final column flip onto SO(d).
     """
+    _require_rng(rng)
     a = rng.standard_normal((count, d, d))
     q, r = np.linalg.qr(a)
     sign = np.sign(np.diagonal(r, axis1=1, axis2=2))
@@ -171,6 +172,7 @@ def haar_quaternions(count, rng):
     of SO(3), so its rotation is Haar (Shoemake 1992, "Uniform random
     rotations").  q and -q are the same rotation.
     """
+    _require_rng(rng)
     q = rng.standard_normal((count, 4))
     return q / np.linalg.norm(q, axis=1, keepdims=True)
 
@@ -431,6 +433,7 @@ def inversion_kernel_batch(spec, X, rng):
     of one.  For free actions (d = 2, permutations without ties, the R^4
     products) the law is a point mass at tau(x).
     """
+    _require_rng(rng)
     tau = tau_batch(spec, X)
     if spec.family == "so" and spec.dim >= 3:
         h = haar_rotations(spec.dim - 1, tau.count, rng)

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .groups import INVARIANT_KINDS, inversion_kernel_batch, parse_group
 from .invariance import (
-    cw_test,
     inversion_mc_test,
     mc_invariance_test,
     power_estimate,
@@ -43,9 +42,19 @@ from .invariance import (
 from .kernels import GaussianRBF, parse_kernel, resolve_bandwidth
 from .synthdata import parse_generator, sample
 
-METHODS = ("mmd", "nmmd", "cw", "2smmd", "inversion-mmd", "kci", "cp")
+# each method, with the config kernel fields it reads
+METHODS = {
+    "mmd": ("kernel",),
+    "nmmd": ("kernel",),
+    "cw": (),
+    "2smmd": ("kernel",),
+    "inversion-mmd": ("kernel",),
+    "kci": ("kernel", "kernel_y", "kernel_m"),
+    "cp": ("kernel_y", "kernel_m"),
+}
 
-# the methods whose test ``power_estimate`` can rerun, with their statistics
+# the methods that run ``mc_invariance_test``, which ``power_estimate`` can
+# rerun, with their statistics
 _POWER_STATISTICS = {"mmd": "mmd-u", "nmmd": "mmd-nystrom", "cw": "cw"}
 
 
@@ -101,7 +110,7 @@ class ExperimentConfig:
     def validate(self):
         if self.method not in METHODS:
             raise ConfigInvalid(
-                f"unknown method {self.method!r}; choose one of {METHODS}"
+                f"unknown method {self.method!r}; choose one of {tuple(METHODS)}"
             )
         for name in ("n", "reps", "m", "B", "null_samples", "burn_in",
                      "n_resamples", "n_landmarks", "n_projections"):
@@ -181,7 +190,7 @@ def _draw_data(gen, n, rng):
     return out, None
 
 
-def _subsample(X, Y, n, rng, with_train=False):
+def _subsample(X, Y, n, rng, with_train):
     total = X.shape[0]
     need = 2 * n if with_train else n
     if total < need:
@@ -189,98 +198,80 @@ def _subsample(X, Y, n, rng, with_train=False):
             f"data file has {total} rows; {need} are needed per replication"
         )
     idx = rng.permutation(total)
-    test = idx[:n]
-    train = idx[n:2 * n] if with_train else None
     pick = lambda rows: (X[rows], None if Y is None else Y[rows])
-    if with_train:
-        return pick(test), pick(train)
-    return pick(test), (None, None)
+    return pick(idx[:n]), (pick(idx[n:2 * n]) if with_train else None)
+
+
+def _draw_resolved(config, spec, rng, dataset=None):
+    """The tested sample X, Y and the kernels the method reads, by field.
+
+    A training split is drawn exactly when one of those kernels is
+    ``rbf(median)``, and each median is taken on the split's points its
+    kernel acts on.
+    """
+    kernels = {name: parse_kernel(getattr(config, name))
+               for name in METHODS[config.method]}
+    needs_train = any(isinstance(k, GaussianRBF) and k.bandwidth is None
+                      for k in kernels.values())
+    if dataset is not None:
+        (X, Y), train = _subsample(*dataset, config.n, rng, needs_train)
+    else:
+        gen = parse_generator(config.generator)
+        X, Y = _draw_data(gen, config.n, rng)
+        train = _draw_data(gen, config.n, rng) if needs_train else None
+    if config.method in ("kci", "cp") and Y is None:
+        raise ConfigInvalid(f"method {config.method!r} needs responses")
+    if not needs_train:
+        return X, Y, kernels
+    Xtr, Ytr = train
+    if config.method in ("kci", "cp"):
+        data = transform_responses(Xtr, Ytr, spec, config.y_action, config.m_kind)
+        points = {"kernel": data.X, "kernel_y": data.Z, "kernel_m": data.M}
+    elif config.method == "inversion-mmd":
+        # the kernel acts on the inverting elements, not on the data
+        points = {"kernel": inversion_kernel_batch(spec, Xtr, rng).data}
+    else:
+        points = {"kernel": Xtr}
+    return X, Y, {name: resolve_bandwidth(k, points[name])
+                  for name, k in kernels.items()}
 
 
 def run_replication(config, rep, dataset=None):
     """Run one replication of a configured experiment; returns a TestResult."""
     rng = _rep_rng(config.seed, rep)
     spec = parse_group(config.group)
-    kernel = parse_kernel(config.kernel)
-    needs_train = isinstance(kernel, GaussianRBF) and kernel.bandwidth is None
-    if config.method == "kci":
-        needs_train = True
-
-    if dataset is not None:
-        x_all, y_all = dataset
-        (X, Y), (Xtr, Ytr) = _subsample(x_all, y_all, config.n, rng, needs_train)
-    else:
-        gen = parse_generator(config.generator)
-        X, Y = _draw_data(gen, config.n, rng)
-        Xtr = Ytr = None
-        if needs_train:
-            Xtr, Ytr = _draw_data(gen, config.n, rng)
-
-    # the conditional tests resolve their kernels in _resolve_kci_config
-    if (isinstance(kernel, GaussianRBF) and kernel.bandwidth is None
-            and config.method not in ("kci", "cp")):
-        train = Xtr if Xtr is not None else X
-        if config.method == "inversion-mmd":
-            # the kernel acts on the inverting elements, not on the data
-            train = inversion_kernel_batch(spec, train, rng).data
-        kernel = resolve_bandwidth(kernel, train)
-
-    if config.method == "mmd":
-        return mc_invariance_test(
-            X, spec, kernel=kernel, m=config.m, B=config.B, alpha=config.alpha,
-            statistic="mmd-u", rng=rng, seed=(config.seed, rep),
-        )
-    if config.method == "nmmd":
-        return mc_invariance_test(
-            X, spec, kernel=kernel, m=config.m, B=config.B, alpha=config.alpha,
-            statistic="mmd-nystrom", rng=rng, n_landmarks=config.n_landmarks,
-            seed=(config.seed, rep),
-        )
-    if config.method == "cw":
-        return cw_test(
-            X, spec, n_projections=config.n_projections, n_transforms=config.m,
-            B=config.B, alpha=config.alpha, rng=rng, seed=(config.seed, rep),
-        )
+    X, Y, kernels = _draw_resolved(config, spec, rng, dataset)
+    kernel = kernels.get("kernel")
+    if config.method in _POWER_STATISTICS:
+        return _mc_invariance(config, X, spec, kernel, rng)
     if config.method == "2smmd":
         return transformation_two_sample_test(
             X, spec, kernel, B=config.B, alpha=config.alpha, rng=rng,
-            seed=(config.seed, rep),
         )
     if config.method == "inversion-mmd":
         return inversion_mc_test(
             X, spec, kernel, B=config.B, alpha=config.alpha, rng=rng,
-            seed=(config.seed, rep),
         )
-    if Y is None:
-        raise ConfigInvalid(f"method {config.method!r} needs responses")
-    kci_cfg = _resolve_kci_config(config, spec, Xtr, Ytr, X, Y)
+    kci_cfg = KciConfig(kernel, kernels["kernel_y"], kernels["kernel_m"],
+                        epsilon=config.epsilon, null_samples=config.null_samples)
     if config.method == "kci":
         return kci_test(
             X, Y, spec, kci_cfg, alpha=config.alpha, rng=rng,
             y_action=config.y_action, m_kind=config.m_kind,
-            seed=(config.seed, rep),
         )
     return cp_test(
         X, Y, spec, kci_cfg, alpha=config.alpha, burn_in=config.burn_in,
         B=config.B, rng=rng, y_action=config.y_action, m_kind=config.m_kind,
-        seed=(config.seed, rep),
     )
 
 
-def _resolve_kci_config(config, spec, Xtr, Ytr, X, Y):
-    """Resolve median bandwidths for the conditional tests on a training split."""
-    kx = parse_kernel(config.kernel)
-    ky = parse_kernel(config.kernel_y)
-    km = parse_kernel(config.kernel_m)
-    if any(isinstance(k, GaussianRBF) and k.bandwidth is None for k in (kx, ky, km)):
-        if Xtr is None or Ytr is None:
-            Xtr, Ytr = X, Y
-        train = transform_responses(Xtr, Ytr, spec, config.y_action, config.m_kind)
-        kx = resolve_bandwidth(kx, train.X)
-        ky = resolve_bandwidth(ky, train.Z)
-        km = resolve_bandwidth(km, train.M)
-    return KciConfig(kx, ky, km, epsilon=config.epsilon,
-                     null_samples=config.null_samples)
+def _mc_invariance(config, X, spec, kernel, rng):
+    """``mc_invariance_test`` on X with the statistic and sizes of the config."""
+    return mc_invariance_test(
+        X, spec, kernel=kernel, m=config.m, B=config.B, alpha=config.alpha,
+        statistic=_POWER_STATISTICS[config.method], rng=rng,
+        n_landmarks=config.n_landmarks, n_projections=config.n_projections,
+    )
 
 
 def run_simulation(config, dataset=None):
@@ -329,22 +320,14 @@ def run_power_estimate(config, rng=None):
     statistic = _POWER_STATISTICS[config.method]
     if rng is None:
         rng = _rep_rng(config.seed, 0)
-    gen = parse_generator(config.generator)
-    X, _ = _draw_data(gen, config.n, rng)
-    kernel = parse_kernel(config.kernel)
-    if isinstance(kernel, GaussianRBF) and kernel.bandwidth is None:
-        Xtr, _ = _draw_data(gen, config.n, rng)
-        kernel = resolve_bandwidth(kernel, Xtr)
     spec = parse_group(config.group)
+    X, _, kernels = _draw_resolved(config, spec, rng)
+    kernel = kernels.get("kernel")
 
     # ``statistic`` names the test in the estimate's record; ``test_fn`` runs
     # it with the configured landmark and projection counts
     def test_fn(sample):
-        return mc_invariance_test(
-            sample, spec, kernel=kernel, m=config.m, B=config.B,
-            alpha=config.alpha, statistic=statistic, rng=rng,
-            n_landmarks=config.n_landmarks, n_projections=config.n_projections,
-        ).p_value
+        return _mc_invariance(config, sample, spec, kernel, rng).p_value
 
     return power_estimate(
         X, spec, kernel=kernel, m=config.m, B=config.B,

@@ -25,11 +25,10 @@ from .errors import (
     BadParameters,
     BadProjectionCount,
     DimensionMismatch,
-    SampleTooSmall,
     UnsupportedFamily,
     _check_alpha,
     _check_budget,
-    _check_finite,
+    _checked_sample,
     _require_rng,
 )
 from .groups import (
@@ -54,7 +53,6 @@ class TestResult:
     alpha: float
     reject: bool
     method: str
-    seed: object = None
 
 
 def pvalue_from_nulls(t_obs, nulls, rng=None, tie_break=False):
@@ -62,9 +60,13 @@ def pvalue_from_nulls(t_obs, nulls, rng=None, tie_break=False):
 
     With ``tie_break=True`` ties between the observed statistic and null
     copies are broken by independent uniforms, which restores exact size
-    even for statistics with atoms; it then needs ``rng``.
+    even for statistics with atoms; it then needs ``rng``.  A NaN statistic,
+    observed or null, raises BadParameters: it compares false with
+    everything, so it would count as exceeded by nothing.
     """
     nulls = np.asarray(nulls, dtype=float)
+    if np.isnan(t_obs) or np.isnan(nulls).any():
+        raise BadParameters("the statistic is NaN on the sample or a null copy")
     b = nulls.size
     if not tie_break:
         count = int(np.sum(nulls >= t_obs))
@@ -75,9 +77,15 @@ def pvalue_from_nulls(t_obs, nulls, rng=None, tie_break=False):
     return (1.0 + count) / (1.0 + b)
 
 
+def _rank_test(t_obs, nulls, alpha, method):
+    """The Monte Carlo test that ranks t_obs among its exchangeable null copies."""
+    p = pvalue_from_nulls(t_obs, nulls)
+    return TestResult(t_obs, p, nulls, alpha, p <= alpha, method)
+
+
 def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
-                       statistic="mmd-u", rng=None, tie_break=False,
-                       n_landmarks=None, n_projections=None, seed=None):
+                       statistic="mmd-u", rng=None, n_landmarks=None,
+                       n_projections=None):
     """Conditional Monte Carlo test of invariance of the law of X.
 
     ``statistic`` selects the test statistic: ``mmd-u`` (the mean
@@ -94,17 +102,11 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
     is exact for any statistic, since the copies are exchangeable with X
     under the null.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
+    if np.ndim(X) != 2:
         raise DimensionMismatch("the sample must be an (n, d) array")
-    n = X.shape[0]
-    if n < 2:
-        raise SampleTooSmall("need at least two observations")
-    _check_finite(X)
-    _check_budget(B)
+    X = _checked_sample(X, B, rng, alpha)
     _check_budget(m, "m")
-    _require_rng(rng)
-    _check_alpha(alpha)
+    n = X.shape[0]
 
     if callable(statistic):
         method = getattr(statistic, "__name__", "custom")
@@ -143,8 +145,7 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
     nulls = np.empty(B)
     for b in range(B):
         nulls[b] = stat_fn(orbit_draw(spec, X, rng))
-    p = pvalue_from_nulls(t_obs, nulls, rng, tie_break)
-    return TestResult(t_obs, p, nulls, alpha, p <= alpha, method, seed)
+    return _rank_test(t_obs, nulls, alpha, method)
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +191,11 @@ def cw_statistic(X, transforms, directions):
     return best
 
 
-def cw_test(X, spec, n_projections=None, n_transforms=2, B=200, alpha=0.05,
-            rng=None, seed=None):
-    """Conditional Monte Carlo invariance test on the projected-ECDF statistic."""
-    return mc_invariance_test(
-        X, spec, kernel=None, m=n_transforms, B=B, alpha=alpha, statistic="cw",
-        rng=rng, n_projections=n_projections, seed=seed,
-    )
-
-
 # ---------------------------------------------------------------------------
 # two-sample test on orbit copies
 
 
-def transformation_two_sample_test(X, spec, kernel, B=200, alpha=0.05, rng=None,
-                                   seed=None):
+def transformation_two_sample_test(X, spec, kernel, B=200, alpha=0.05, rng=None):
     """Invariance test comparing X against a randomly transformed copy.
 
     Each observation is hit by an independent Haar element, Y_i = g_i X_i,
@@ -216,22 +207,14 @@ def transformation_two_sample_test(X, spec, kernel, B=200, alpha=0.05, rng=None,
     copies are the statistics of B sign vectors, all read from one kernel
     matrix built from three Grams.
     """
-    X = np.asarray(X, dtype=float)
+    X = _checked_sample(X, B, rng, alpha)
     n = X.shape[0]
-    if n < 2:
-        raise SampleTooSmall("need at least two observations")
-    _check_finite(X)
-    _check_budget(B)
-    _require_rng(rng)
-    _check_alpha(alpha)
     Y = orbit_draw(spec, X, rng)
     signs = np.ones((B + 1, n))
     signs[1:] -= 2.0 * rng.integers(0, 2, size=(B, n))
     stats = _paired_swap_stats(X, Y, kernel, signs)
-    t_obs, nulls = float(stats[0]), stats[1:]
-    p = pvalue_from_nulls(t_obs, nulls)
-    return TestResult(t_obs, p, nulls, alpha, p <= alpha,
-                      "transformation-two-sample-mmd", seed)
+    return _rank_test(float(stats[0]), stats[1:], alpha,
+                      "transformation-two-sample-mmd")
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +226,7 @@ def transformation_two_sample_test(X, spec, kernel, B=200, alpha=0.05, rng=None,
 _NULL_BLOCK_ENTRIES = 1 << 18
 
 
-def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None, seed=None):
+def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None):
     """Test that the inverting group element is conditionally Haar.
 
     For each observation one element tau_i is drawn from the conditional
@@ -264,14 +247,8 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None, seed=None):
     as index arrays, and ``delta`` all have this property.  SO(3) elements
     are unit quaternions for the rotation kernel, and matrices otherwise.
     """
-    X = np.asarray(X, dtype=float)
+    X = _checked_sample(X, B, rng, alpha)
     n = X.shape[0]
-    if n < 2:
-        raise SampleTooSmall("need at least two observations")
-    _check_finite(X)
-    _check_budget(B)
-    _require_rng(rng)
-    _check_alpha(alpha)
     if spec.family == "so" and isinstance(kernel, RotationKernelSO3):
         if spec.dim != 3:
             raise UnsupportedFamily("the rotation kernel is defined on SO(3)")
@@ -307,8 +284,7 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None, seed=None):
         null = draw(count * n)
         for b, sample in enumerate(null.reshape(count, n, *null.shape[1:])):
             nulls[lo + b] = invariance_stat_u(sample, kernel)
-    p = pvalue_from_nulls(t_obs, nulls)
-    return TestResult(t_obs, p, nulls, alpha, p <= alpha, "inversion-mmd", seed)
+    return _rank_test(t_obs, nulls, alpha, "inversion-mmd")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameters, UnsupportedKind
+from .errors import BadParameters, UnsupportedKind, _require_rng
 
 MARGINAL_TAGS = (
     "gauss-iso", "gauss-mean", "gauss-cov", "wishart-cov",
@@ -70,6 +70,7 @@ def _psd_sqrt(cov):
 
 def chi_sample(d, rng, n=1):
     """Draws from the chi distribution with d degrees of freedom."""
+    _require_rng(rng)
     return np.sqrt(rng.chisquare(d, n))
 
 
@@ -79,6 +80,7 @@ def vmf_sample(mu, kappa, n, rng):
     Uses the standard rejection sampler for the cosine of the polar angle;
     kappa = 0 reduces to the uniform distribution on the sphere.
     """
+    _require_rng(rng)
     mu = np.asarray(mu, dtype=float)
     d = mu.size
     nrm = np.linalg.norm(mu)
@@ -122,6 +124,7 @@ _MASS_SCALE = 50.0
 
 def sample(gen, n, rng):
     """Draw n observations; conditional models return a pair (X, Y)."""
+    _require_rng(rng)
     if n < 1:
         raise BadParameters("sample size must be positive")
     d = gen.d

@@ -154,6 +154,21 @@ class TestConfigErrors:
         assert res.returncode == 2
 
 
+class TestOverrides:
+    def test_every_flag_reaches_the_config(self, tmp_path, monkeypatch):
+        from symtest import cli
+
+        argv, want = ["simulate", "--config", write_config(tmp_path)], {}
+        for i, (name, typ) in enumerate(cli._OVERRIDES):
+            want[name] = {str: f"value-{name}", int: i + 1, float: 0.25}[typ]
+            argv += [f"--{name.replace('_', '-')}", str(want[name])]
+        seen = []
+        monkeypatch.setattr(cli.ExperimentConfig, "from_dict", seen.append)
+        cli._load_config(cli.build_parser().parse_args(argv))
+        assert set(want) <= set(cli.ExperimentConfig.__dataclass_fields__)
+        assert {name: seen[0][name] for name in want} == want
+
+
 class TestPowerCommand:
     def test_runs(self, tmp_path):
         cfg = write_config(tmp_path, n_resamples=3)

@@ -277,7 +277,7 @@ PINNED = [
     (dict(method="nmmd", group="so(3)", generator="gauss-iso(d=3)", m=2,
           kernel="rbf(median)", n_landmarks=6), 92 / 100),
     (dict(method="cw", group="so(3)", generator="gauss-iso(d=3)", m=2,
-          n_projections=3), 92 / 100),
+          n_projections=3), 43 / 100),
     (dict(method="2smmd", group="sym(4)", generator="gauss-iso(d=4)",
           kernel="rbf(median)"), 51 / 100),
     (dict(method="inversion-mmd", group="so(3)", generator="gauss-iso(d=3)",
@@ -302,7 +302,7 @@ def test_pinned_pvalue(fields, p_value):
 PINNED_NULL_HEADS = {
     "mmd": (0.678863119024, 0.684772487062, 0.672813484393),
     "nmmd": (0.68379057315, 0.688673357513, 0.678836384251),
-    "cw": (0.416666666667, 0.291666666667, 0.25),
+    "cw": (0.291666666667, 0.333333333333, 0.25),
     "2smmd": (0.0219817867006, -0.00812836386849, 0.00399114008257),
     "inversion-mmd": (0.998374197649, 1.00098329174, 0.998272500034),
     "kci": (0.187859969525, 0.140989550842, 0.0924477221701),
@@ -328,6 +328,45 @@ def test_top_quark_lorentz_invariance():
     ))
     pvalues = [run_replication(cfg, rep).p_value for rep in range(5)]
     assert pvalues == [29 / 201, 4 / 201, 2 / 201, 11 / 201, 42 / 201]
+
+
+@pytest.mark.parametrize("fields,draws", [
+    (dict(method="cw", generator="gauss-iso(d=3)"), 1),
+    (dict(method="mmd", generator="gauss-iso(d=3)"), 2),
+    (dict(method="kci", generator="cond-shift(d=3)", kernel="rbf(1.0)",
+          kernel_y="rbf(1.0)", kernel_m="rbf(1.0)"), 1),
+    (dict(method="cp", generator="cond-shift(d=3)", kernel="rbf(1.0)"), 2),
+], ids=["cw", "mmd", "kci-fixed", "cp-fixed-kernel"])
+def test_replication_draws_a_training_split_only_for_a_median_kernel_it_reads(
+        fields, draws, monkeypatch):
+    # the default kernel fields are rbf(median); cw reads no kernel and cp
+    # reads kernel_y and kernel_m only
+    from symtest import harness
+
+    calls = []
+    original = harness.sample
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(harness, "sample", counting)
+    cfg = ExperimentConfig.from_dict(dict(
+        fields, group="so(3)", n=20, B=9, burn_in=2, null_samples=50, reps=1,
+    ))
+    run_replication(cfg, 0)
+    assert len(calls) == draws
+
+
+def test_file_backed_cw_runs_on_n_rows(tmp_path):
+    path = tmp_path / "rows.csv"
+    np.savetxt(path, np.random.default_rng(6).normal(size=(30, 2)),
+               delimiter=",", header="a,b", comments="")
+    cfg = ExperimentConfig.from_dict(dict(
+        method="cw", group="so(2)", data=str(path), schema={"features": ["a", "b"]},
+        n=30, reps=1, B=9,
+    ))
+    assert len(run_simulation(cfg).pvalues) == 1
 
 
 def test_inversion_median_bandwidth_comes_from_the_inverting_elements(monkeypatch):

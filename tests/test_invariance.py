@@ -16,25 +16,29 @@ from symtest import (
     KciConfig,
     PowerEstimate,
     UnsupportedFamily,
+    chi_sample,
     conditional_power_binomial,
     cp_test,
     cw_statistic,
-    cw_test,
     invariance_stat_u,
     inversion_mc_test,
     kci_test,
     ks_distance,
     mc_invariance_test,
+    parse_generator,
     power_estimate,
     pvalue_from_nulls,
+    sample,
     sample_batch,
     transformation_two_sample_test,
+    vmf_sample,
 )
 from symtest.groups import (
     TransformBatch,
     haar_quaternions,
     haar_rotations,
     inversion_kernel_batch,
+    inversion_kernel_sample,
     orbit_draw,
     paired_so2,
     rotation_quaternions,
@@ -82,6 +86,25 @@ class TestPvalue:
     def test_tie_break_needs_rng(self):
         with pytest.raises(BadParameters, match="rng"):
             pvalue_from_nulls(1.0, np.ones(9), tie_break=True)
+
+    def test_nan_observed_statistic_raises(self):
+        # a NaN compares false with every null, so it would read as exceeded
+        # by none of them and reject
+        X = np.random.default_rng(3).normal(size=(10, 2))
+        with pytest.raises(BadParameters, match="NaN"):
+            mc_invariance_test(X, so(2), statistic=lambda s: float("nan"), B=19,
+                               rng=np.random.default_rng(4))
+
+    def test_nan_null_statistic_raises(self):
+        X = np.random.default_rng(5).normal(size=(10, 2))
+
+        def nan_on_copies(sample):
+            return 1.0 if np.array_equal(sample, X) else float("nan")
+
+        with pytest.raises(BadParameters, match="NaN"):
+            mc_invariance_test(X, so(2), statistic=nan_on_copies, B=19,
+                               rng=np.random.default_rng(6))
+        assert pvalue_from_nulls(np.inf, [0.0, np.inf]) == 2.0 / 3.0
 
 
 class TestKsDistance:
@@ -186,7 +209,7 @@ class TestMcInvariance:
     def test_cw_variant_detects_mean_shift(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(100, 2)) + [3.0, 0.0]
-        res = cw_test(X, so(2), B=99, rng=rng)
+        res = mc_invariance_test(X, so(2), B=99, statistic="cw", rng=rng)
         assert res.p_value <= 0.05
 
     def test_cw_on_dimensionless_trivial_group(self):
@@ -194,7 +217,7 @@ class TestMcInvariance:
         # take theirs from the sample, and identity copies give p = 1
         rng = np.random.default_rng(12)
         X = rng.normal(size=(20, 2))
-        res = cw_test(X, trivial(), B=9, rng=rng)
+        res = mc_invariance_test(X, trivial(), B=9, statistic="cw", rng=rng)
         assert res.statistic == 0.0
         assert res.p_value == 1.0
 
@@ -240,8 +263,17 @@ class TestRngRequired:
         lambda X, Y: inversion_mc_test(X, so(2), KERNEL, B=9),
         lambda X, Y: transformation_two_sample_test(X, so(2), KERNEL, B=9),
         lambda X, Y: power_estimate(X, so(2), KERNEL, B=9, n_resamples=2),
+        lambda X, Y: haar_rotations(3, 4, None),
+        lambda X, Y: haar_quaternions(4, None),
+        lambda X, Y: inversion_kernel_batch(so(3), np.ones((4, 3)), None),
+        lambda X, Y: inversion_kernel_sample(so(3), np.ones(3), None),
+        lambda X, Y: sample(parse_generator("gauss-iso(d=2)"), 5, None),
+        lambda X, Y: vmf_sample(np.ones(3), 1.0, 5, None),
+        lambda X, Y: chi_sample(3, None),
     ], ids=["mc_invariance_test", "kci_test", "cp_test", "inversion_mc_test",
-            "transformation_two_sample_test", "power_estimate"])
+            "transformation_two_sample_test", "power_estimate", "haar_rotations",
+            "haar_quaternions", "inversion_kernel_batch", "inversion_kernel_sample",
+            "sample", "vmf_sample", "chi_sample"])
     def test_missing_rng_raises(self, call):
         rng = np.random.default_rng(25)
         X, Y = rng.normal(size=(20, 2)), rng.normal(size=(20, 2))
@@ -276,8 +308,8 @@ class TestAlphaValidation:
     @pytest.mark.parametrize("call", [
         lambda X, Y, a: mc_invariance_test(X, so(2), KERNEL, B=9, alpha=a,
                                            rng=np.random.default_rng(0)),
-        lambda X, Y, a: cw_test(X, so(2), B=9, alpha=a,
-                                rng=np.random.default_rng(0)),
+        lambda X, Y, a: mc_invariance_test(X, so(2), B=9, alpha=a, statistic="cw",
+                                           rng=np.random.default_rng(0)),
         lambda X, Y, a: transformation_two_sample_test(
             X, so(2), KERNEL, B=9, alpha=a, rng=np.random.default_rng(0)),
         lambda X, Y, a: inversion_mc_test(X, so(2), KERNEL, B=9, alpha=a,
