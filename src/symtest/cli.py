@@ -29,6 +29,8 @@ from .errors import (
     SymtestError,
 )
 from .harness import (
+    METHODS,
+    _CONDITIONAL_METHODS,
     ExperimentConfig,
     _is_int,
     _is_real,
@@ -38,8 +40,7 @@ from .harness import (
     tune_bandwidths,
 )
 
-_INVARIANCE_METHODS = ("mmd", "nmmd", "cw", "2smmd", "inversion-mmd")
-_EQUIVARIANCE_METHODS = ("kci", "cp")
+_INVARIANCE_METHODS = tuple(m for m in METHODS if m not in _CONDITIONAL_METHODS)
 
 # the ExperimentConfig fields a flag overrides, with their types; the flag
 # spells the field's underscores as dashes
@@ -191,7 +192,7 @@ def main(argv=None):
         if args.command == "invariance":
             return _cmd_simulate(args, _INVARIANCE_METHODS)
         if args.command == "equivariance":
-            return _cmd_simulate(args, _EQUIVARIANCE_METHODS)
+            return _cmd_simulate(args, _CONDITIONAL_METHODS)
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "power":

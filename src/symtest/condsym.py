@@ -205,10 +205,10 @@ def _log_gram(kernel, A):
     return _rbf_exponent(_as_points(A), None, kernel.bandwidth)
 
 
-def _log_joint_sums(data, config):
+def _log_joint_sums(data, kernel_y, kernel_m):
     """LS[a, q] = log sum_r k_Y(Z_a, Z_r) k_M(M_q, M_r), stable in log space."""
-    ly = _log_gram(config.kernel_y, data.Z)
-    lm = _log_gram(config.kernel_m, data.M)
+    ly = _log_gram(kernel_y, data.Z)
+    lm = _log_gram(kernel_m, data.M)
     ca = ly.max(axis=1, keepdims=True)
     cq = lm.max(axis=1, keepdims=True)
     prod = np.exp(ly - ca) @ np.exp(lm - cq).T
@@ -294,17 +294,18 @@ def multiple_correlation_statistic(X, Z, orders=None):
     return float(r[0]) if orders is None else r
 
 
-def cp_test(X, Y, spec, config, alpha=0.05, burn_in=50, B=100, rng=None,
-            y_action="same", m_kind=None):
+def cp_test(X, Y, spec, kernel_y, kernel_m, alpha=0.05, burn_in=50, B=100,
+            rng=None, y_action="same", m_kind=None):
     """Conditional permutation test of equivariance of Y given X.
 
     Responses are shuffled by a swap chain that preserves the estimated
-    conditional law of Z given M: ``burn_in`` sweeps from the observed
-    assignment, then B independent continuations of ``burn_in`` further
-    sweeps each supply one permuted copy.  The B chains are advanced as one
-    stack, and the observed assignment is scored with the copies in one
-    call, so that a copy equal to it scores exactly the observed statistic.
-    The observed statistic is ranked among the permuted ones.
+    conditional law of Z given M, a kernel density estimate with
+    ``kernel_y`` on Z and ``kernel_m`` on M: ``burn_in`` sweeps from the
+    observed assignment, then B independent continuations of ``burn_in``
+    further sweeps each supply one permuted copy.  The B chains are advanced
+    as one stack, and the observed assignment is scored with the copies in
+    one call, so that a copy equal to it scores exactly the observed
+    statistic.  The observed statistic is ranked among the permuted ones.
     """
     _check_budget(B)
     _check_budget(burn_in, "burn_in")
@@ -314,7 +315,7 @@ def cp_test(X, Y, spec, config, alpha=0.05, burn_in=50, B=100, rng=None,
     n = data.X.shape[0]
     if n < 4:
         raise SampleTooSmall("the swap chain needs at least four observations")
-    ls = _log_joint_sums(data, config)
+    ls = _log_joint_sums(data, kernel_y, kernel_m)
     start = np.arange(n)[None]
     pi0 = _chain_sweeps(ls, start, burn_in, rng)
     pis = _chain_sweeps(ls, np.repeat(pi0, B, axis=0), burn_in, rng)

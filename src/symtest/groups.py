@@ -19,11 +19,12 @@ groups, and the trivial group.  For each family the module offers
   ``representative_inversion`` and ``inversion_kernel_sample`` wrap two of
   them for one point.
 
-A batch stores rotations as matrices, permutations as index arrays where entry
-``p[i]`` is the image of position ``i``; the action places coordinate ``i``
-of the input at coordinate ``p[i]`` of the output.  SO(3) elements also have
-a unit quaternion form, the points of the SO(3) kernel: ``haar_quaternions``
-draws them and ``rotation_quaternions`` converts a matrix stack.
+A batch stores every element as a rotation matrix, a permutation index
+array or the identity.  In an index array entry ``p[i]`` is the image of
+position ``i``; the action places coordinate ``i`` of the input at
+coordinate ``p[i]`` of the output.  SO(3) elements also have a unit
+quaternion form, the points of the SO(3) kernel: ``haar_quaternions`` draws
+them and ``rotation_quaternions`` converts a matrix stack.
 """
 
 from __future__ import annotations
@@ -202,22 +203,22 @@ def rotation_quaternions(R):
     return row / np.linalg.norm(row, axis=1, keepdims=True)
 
 
-def _rot2(theta):
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def _plane_rotations(d, planes, theta):
+    """A (count, d, d) stack of rotations of R^d, one per row of ``theta``.
 
-
-def _axis_rotation(theta, d, axis):
-    """The rotation by ``theta`` in the plane orthogonal to coordinate ``axis``.
-
-    In d=2 the axis argument is ignored and the rotation is in-plane.
+    Column k of the (count, len(planes)) angles turns the coordinate plane
+    ``planes[k] = (i, j)``, taking e_i towards e_j; the rest of R^d is fixed.
     """
-    if d == 2:
-        return _rot2(theta)
-    plane = [i for i in range(3) if i != axis - 1]
-    m = np.eye(3)
-    m[np.ix_(plane, plane)] = _rot2(theta)
-    return m
+    c, s = np.cos(theta), np.sin(theta)
+    mats = np.tile(np.eye(d), (theta.shape[0], 1, 1))
+    for k, (i, j) in enumerate(planes):
+        mats[:, i, i], mats[:, i, j] = c[:, k], -s[:, k]
+        mats[:, j, i], mats[:, j, j] = s[:, k], c[:, k]
+    return mats
+
+
+# the two planes of R^4 that the paired-so2 and so2xso2 families rotate
+_R4_PLANES = ((0, 1), (2, 3))
 
 
 class TransformBatch:
@@ -231,7 +232,7 @@ class TransformBatch:
 
     def __init__(self, spec, kind, data, count):
         self.spec = spec
-        self.kind = kind  # "rot" | "perm" | "angle-paired" | "angle-blocks" | "identity"
+        self.kind = kind  # "rot" | "perm" | "identity"
         self.data = data
         self.count = count
 
@@ -247,7 +248,8 @@ class TransformBatch:
         n = X.shape[0]
         data = None if self.data is None else np.repeat(self.data, n, axis=0)
         rows = TransformBatch(self.spec, self.kind, data, self.count * n)
-        return rows._act(np.tile(X, (self.count, 1)), 1.0).reshape(self.count, n, -1)
+        out = rows._act(np.tile(X, (self.count, 1)), 1.0)
+        return out.reshape(self.count, n, X.shape[1])
 
     def _act(self, X, sign):
         X = np.asarray(X, dtype=float)
@@ -265,24 +267,7 @@ class TransformBatch:
             out = np.empty_like(X)
             np.put_along_axis(out, self.data, X, axis=1)
             return out
-        if self.kind in ("angle-paired", "angle-blocks"):
-            theta = sign * self._angles()
-            out = np.empty_like(X)
-            out[:, 0:2] = _rotate_rows(X[:, 0:2], theta[:, 0])
-            out[:, 2:4] = _rotate_rows(X[:, 2:4], theta[:, 1])
-            return out
         raise VariantMismatch(f"unknown batch kind {self.kind!r}")
-
-    def _angles(self):
-        """The (n, 2) rotation angles of the two planes of R^4."""
-        if self.kind == "angle-paired":
-            return np.stack([self.data, self.data], axis=1)
-        return self.data
-
-
-def _rotate_rows(xy, theta):
-    c, s = np.cos(theta), np.sin(theta)
-    return np.stack([c * xy[:, 0] - s * xy[:, 1], s * xy[:, 0] + c * xy[:, 1]], axis=1)
 
 
 def sample_batch(spec, rng, count):
@@ -293,23 +278,19 @@ def sample_batch(spec, rng, count):
     if spec.family == "sym":
         base = np.tile(np.arange(spec.dim), (count, 1))
         return TransformBatch(spec, "perm", rng.permuted(base, axis=1), count)
+    if spec.family == "trivial":
+        return TransformBatch(spec, "identity", None, count)
+    # the other families turn coordinate planes by drawn angles
     if spec.family == "paired-so2":
-        return TransformBatch(
-            spec, "angle-paired", rng.uniform(0.0, 2 * np.pi, count), count
-        )
-    if spec.family == "so2xso2":
-        return TransformBatch(
-            spec, "angle-blocks", rng.uniform(0.0, 2 * np.pi, (count, 2)), count
-        )
-    if spec.family == "rot-discrete":
+        theta = rng.uniform(0.0, 2 * np.pi, count)
+        planes, theta = _R4_PLANES, np.stack([theta, theta], axis=1)
+    elif spec.family == "so2xso2":
+        planes, theta = _R4_PLANES, rng.uniform(0.0, 2 * np.pi, (count, 2))
+    else:  # rot-discrete; in R^3 it turns the plane orthogonal to the axis
         order = int(round(360.0 / spec.step_deg))
-        k = rng.integers(0, order, count)
-        # one matrix per distinct multiple of the step drawn, indexed per row
-        steps, row_step = np.unique(k, return_inverse=True)
-        theta = np.deg2rad(spec.step_deg) * steps
-        table = np.stack([_axis_rotation(t, spec.dim, spec.axis) for t in theta])
-        return TransformBatch(spec, "rot", table[row_step], count)
-    return TransformBatch(spec, "identity", None, count)  # the trivial family
+        theta = np.deg2rad(spec.step_deg) * rng.integers(0, order, count)[:, None]
+        planes = [(0, 1) if spec.dim == 2 else ((1, 2), (0, 2), (0, 1))[spec.axis - 1]]
+    return TransformBatch(spec, "rot", _plane_rotations(spec.dim, planes, theta), count)
 
 
 def orbit_draw(spec, X, rng):
@@ -412,11 +393,11 @@ def tau_batch(spec, X):
         return TransformBatch(spec, "rot", _so_tau(X), n)
     if spec.family == "sym":
         return TransformBatch(spec, "perm", np.argsort(X, axis=1, kind="stable"), n)
-    if spec.family == "paired-so2":
-        return TransformBatch(spec, "angle-paired", _block_angles(X[:, 0:2]), n)
-    if spec.family == "so2xso2":
-        angles = [_block_angles(X[:, 0:2]), _block_angles(X[:, 2:4])]
-        return TransformBatch(spec, "angle-blocks", np.stack(angles, axis=1), n)
+    if spec.family in ("paired-so2", "so2xso2"):
+        first = _block_angles(X[:, 0:2])
+        second = first if spec.family == "paired-so2" else _block_angles(X[:, 2:4])
+        theta = np.stack([first, second], axis=1)
+        return TransformBatch(spec, "rot", _plane_rotations(4, _R4_PLANES, theta), n)
     if spec.family == "trivial":
         return TransformBatch(spec, "identity", None, n)
     raise UnsupportedFamily(

@@ -53,6 +53,9 @@ METHODS = {
     "cp": ("kernel_y", "kernel_m"),
 }
 
+# the methods that test the law of a response given X; the rest, of X alone
+_CONDITIONAL_METHODS = ("kci", "cp")
+
 # the methods that run ``mc_invariance_test``, which ``power_estimate`` can
 # rerun, with their statistics
 _POWER_STATISTICS = {"mmd": "mmd-u", "nmmd": "mmd-nystrom", "cw": "cw"}
@@ -219,12 +222,12 @@ def _draw_resolved(config, spec, rng, dataset=None):
         gen = parse_generator(config.generator)
         X, Y = _draw_data(gen, config.n, rng)
         train = _draw_data(gen, config.n, rng) if needs_train else None
-    if config.method in ("kci", "cp") and Y is None:
+    if config.method in _CONDITIONAL_METHODS and Y is None:
         raise ConfigInvalid(f"method {config.method!r} needs responses")
     if not needs_train:
         return X, Y, kernels
     Xtr, Ytr = train
-    if config.method in ("kci", "cp"):
+    if config.method in _CONDITIONAL_METHODS:
         data = transform_responses(Xtr, Ytr, spec, config.y_action, config.m_kind)
         points = {"kernel": data.X, "kernel_y": data.Z, "kernel_m": data.M}
     elif config.method == "inversion-mmd":
@@ -252,17 +255,15 @@ def run_replication(config, rep, dataset=None):
         return inversion_mc_test(
             X, spec, kernel, B=config.B, alpha=config.alpha, rng=rng,
         )
-    kci_cfg = KciConfig(kernel, kernels["kernel_y"], kernels["kernel_m"],
-                        epsilon=config.epsilon, null_samples=config.null_samples)
+    kernel_y, kernel_m = kernels["kernel_y"], kernels["kernel_m"]
+    common = dict(alpha=config.alpha, rng=rng, y_action=config.y_action,
+                  m_kind=config.m_kind)
     if config.method == "kci":
-        return kci_test(
-            X, Y, spec, kci_cfg, alpha=config.alpha, rng=rng,
-            y_action=config.y_action, m_kind=config.m_kind,
-        )
-    return cp_test(
-        X, Y, spec, kci_cfg, alpha=config.alpha, burn_in=config.burn_in,
-        B=config.B, rng=rng, y_action=config.y_action, m_kind=config.m_kind,
-    )
+        kci_cfg = KciConfig(kernel, kernel_y, kernel_m, config.epsilon,
+                            config.null_samples)
+        return kci_test(X, Y, spec, kci_cfg, **common)
+    return cp_test(X, Y, spec, kernel_y, kernel_m, burn_in=config.burn_in,
+                   B=config.B, **common)
 
 
 def _mc_invariance(config, X, spec, kernel, rng):

@@ -33,7 +33,6 @@ from .errors import (
 )
 from .groups import (
     haar_quaternions,
-    haar_rotations,
     inversion_kernel_batch,
     orbit_draw,
     rotation_quaternions,
@@ -244,36 +243,20 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None):
     for every t, so MMD^2(law of tau, Haar) is E k(tau, tau') minus a
     constant, and the statistic estimates E k(tau, tau') without bias.  The
     ``so3`` kernel, ``rbf`` on rotation matrices or on permutations stored
-    as index arrays, and ``delta`` all have this property.  SO(3) elements
-    are unit quaternions for the rotation kernel, and matrices otherwise.
+    as index arrays, and ``delta`` all have this property.  The null samples
+    are ``sample_batch`` draws; for the rotation kernel, which takes SO(3)
+    elements as unit quaternions, ``haar_quaternions`` draws.
     """
     X = _checked_sample(X, B, rng, alpha)
     n = X.shape[0]
-    if spec.family == "so" and isinstance(kernel, RotationKernelSO3):
-        if spec.dim != 3:
-            raise UnsupportedFamily("the rotation kernel is defined on SO(3)")
-        tau = rotation_quaternions(inversion_kernel_batch(spec, X, rng).data)
-
-        def draw(rows):
-            return haar_quaternions(rows, rng)
-
-    elif spec.family == "so":
-        tau = inversion_kernel_batch(spec, X, rng).data
-
-        def draw(rows):
-            return haar_rotations(spec.dim, rows, rng)
-
-    elif spec.family == "sym":
-        tau = inversion_kernel_batch(spec, X, rng).data.astype(float)
-
-        def draw(rows):
-            base = np.tile(np.arange(spec.dim), (rows, 1))
-            return rng.permuted(base, axis=1).astype(float)
-
-    else:
-        raise UnsupportedFamily(
-            f"no inversion sampler for the {spec.family!r} family"
-        )
+    if spec.family not in ("so", "sym"):
+        raise UnsupportedFamily(f"no inversion sampler for the {spec.family!r} family")
+    rotation_kernel = isinstance(kernel, RotationKernelSO3)
+    if rotation_kernel and (spec.family, spec.dim) != ("so", 3):
+        raise UnsupportedFamily("the rotation kernel is defined on SO(3)")
+    tau = inversion_kernel_batch(spec, X, rng).data
+    if rotation_kernel:
+        tau = rotation_quaternions(tau)
     t_obs = invariance_stat_u(tau, kernel)
     # the null samples of a block come from one sampler call of count * n
     # rows, whose values and generator state are those of count calls of n
@@ -281,7 +264,8 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None):
     nulls = np.empty(B)
     for lo in range(0, B, step):
         count = min(step, B - lo)
-        null = draw(count * n)
+        null = (haar_quaternions(count * n, rng) if rotation_kernel
+                else sample_batch(spec, rng, count * n).data)
         for b, sample in enumerate(null.reshape(count, n, *null.shape[1:])):
             nulls[lo + b] = invariance_stat_u(sample, kernel)
     return _rank_test(t_obs, nulls, alpha, "inversion-mmd")

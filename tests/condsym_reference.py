@@ -24,7 +24,7 @@ def kcde_swap_odds(data, config, i, j, assignment=None):
     maps positions to rows of the original response sample (identity by
     default).
     """
-    ls = _log_joint_sums(data, config)
+    ls = _log_joint_sums(data, config.kernel_y, config.kernel_m)
     n = ls.shape[0]
     pi = np.arange(n) if assignment is None else np.asarray(assignment)
     log_odds = ls[pi[j], i] + ls[pi[i], j] - ls[pi[i], i] - ls[pi[j], j]
@@ -75,7 +75,7 @@ def reference_cp_pvalue(X, Y, spec, config, burn_in, B, rng):
     """The CP test's p-value, with one lstsq per permuted copy."""
     data = transform_responses(X, Y, spec)
     n = data.X.shape[0]
-    ls = _log_joint_sums(data, config)
+    ls = _log_joint_sums(data, config.kernel_y, config.kernel_m)
     t_obs = reference_multiple_correlation(data.X, data.Z)
     pi0 = reference_sweeps(ls, np.arange(n)[None], burn_in, rng)
     pis = reference_sweeps(ls, np.repeat(pi0, B, axis=0), burn_in, rng)

@@ -1,9 +1,12 @@
-"""A per-row reference for ``TransformBatch``, built from its raw data.
+"""Per-row references for ``TransformBatch`` and the group samplers.
 
 Each element's matrix is built from ``batch.kind`` and ``batch.data`` alone,
 without calling ``TransformBatch.apply``, so the vectorised actions can be
-checked against one plain matrix-vector product per row.  Unit quaternions
-are turned into rotation matrices by the textbook formula.
+checked against one plain matrix-vector product per row.  The rotations that
+``sample_batch`` builds from drawn angles have their own references, one
+matrix per row for a discrete rotation about a coordinate axis and the
+planar formula (c x - s y, s x + c y) for the two planes of R^4.  Unit
+quaternions are turned into rotation matrices by the textbook formula.
 """
 
 import numpy as np
@@ -12,6 +15,30 @@ import numpy as np
 def rot2(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def axis_rotation(theta, d, axis):
+    """The rotation by ``theta`` in the plane orthogonal to coordinate ``axis``.
+
+    In d=2 the axis argument is ignored and the rotation is in-plane.
+    """
+    if d == 2:
+        return rot2(theta)
+    plane = [i for i in range(3) if i != axis - 1]
+    m = np.eye(3)
+    m[np.ix_(plane, plane)] = rot2(theta)
+    return m
+
+
+def rotate_planes(X, theta):
+    """Rows of an (n, 4) sample with the planes (0, 1) and (2, 3) of row i
+    turned by the angles theta[i, 0] and theta[i, 1]."""
+    out = np.empty_like(X)
+    for k in (0, 1):
+        x, y = X[:, 2 * k], X[:, 2 * k + 1]
+        c, s = np.cos(theta[:, k]), np.sin(theta[:, k])
+        out[:, 2 * k], out[:, 2 * k + 1] = c * x - s * y, s * x + c * y
+    return out
 
 
 def element_matrices(batch, d):
@@ -24,11 +51,6 @@ def element_matrices(batch, d):
     elif batch.kind == "perm":
         for m, p in zip(mats, batch.data):
             m[p, np.arange(d)] = 1.0  # coordinate i moves to coordinate p[i]
-    elif batch.kind in ("angle-paired", "angle-blocks"):
-        angles = np.asarray(batch.data, dtype=float).reshape(batch.count, -1)
-        for m, (t1, t2) in zip(mats, np.broadcast_to(angles, (batch.count, 2))):
-            m[0:2, 0:2] = rot2(t1)
-            m[2:4, 2:4] = rot2(t2)
     else:
         raise ValueError(f"no reference for batch kind {batch.kind!r}")
     return mats

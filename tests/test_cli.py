@@ -169,6 +169,21 @@ class TestOverrides:
         assert {name: seen[0][name] for name in want} == want
 
 
+class TestMethodLists:
+    def test_each_method_runs_under_exactly_one_command(self, tmp_path, monkeypatch):
+        from symtest import cli
+        from symtest.harness import METHODS
+
+        monkeypatch.setattr(cli, "run_simulation", lambda cfg: cfg)
+        monkeypatch.setattr(cli, "_print_summary", lambda report: None)
+        for method in METHODS:
+            cfg = write_config(tmp_path, method=method)
+            codes = [cli.main([command, "--config", cfg])
+                     for command in ("invariance", "equivariance")]
+            # exit code 2 is the configuration error of the other command
+            assert codes == ([2, 0] if method in ("kci", "cp") else [0, 2]), method
+
+
 class TestPowerCommand:
     def test_runs(self, tmp_path):
         cfg = write_config(tmp_path, n_resamples=3)

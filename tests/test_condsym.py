@@ -42,7 +42,8 @@ from symtest.kernels import center, gram, resolve_bandwidth
 from symtest.synthdata import parse_generator, sample
 
 
-CFG = KciConfig(GaussianRBF(1.0), GaussianRBF(1.0), GaussianRBF(1.0))
+K1 = GaussianRBF(1.0)
+CFG = KciConfig(K1, K1, K1)
 
 
 def make_paired(n=20, d=2, seed=0, dependent=False):
@@ -299,7 +300,7 @@ class TestSwapOdds:
 
     def test_log_sums_are_finite(self):
         data = make_paired(n=9, seed=18)
-        ls = _log_joint_sums(data, CFG)
+        ls = _log_joint_sums(data, K1, K1)
         assert ls.shape == (9, 9)
         assert np.all(np.isfinite(ls))
 
@@ -307,7 +308,7 @@ class TestSwapOdds:
 class TestChain:
     def test_returns_permutation(self):
         data = make_paired(n=11, seed=19, dependent=True)
-        ls = _log_joint_sums(data, CFG)
+        ls = _log_joint_sums(data, K1, K1)
         pis = _chain_sweeps(ls, np.tile(np.arange(11), (3, 1)), 20,
                             np.random.default_rng(2))
         assert pis.shape == (3, 11)
@@ -316,14 +317,14 @@ class TestChain:
 
     def test_deterministic_given_seed(self):
         data = make_paired(n=11, seed=20)
-        ls = _log_joint_sums(data, CFG)
+        ls = _log_joint_sums(data, K1, K1)
         a = _chain_sweeps(ls, np.arange(11)[None], 10, np.random.default_rng(3))
         b = _chain_sweeps(ls, np.arange(11)[None], 10, np.random.default_rng(3))
         assert np.array_equal(a, b)
 
     def test_start_is_not_modified(self):
         data = make_paired(n=11, seed=20)
-        ls = _log_joint_sums(data, CFG)
+        ls = _log_joint_sums(data, K1, K1)
         start = np.tile(np.arange(11), (2, 1))
         _chain_sweeps(ls, start, 10, np.random.default_rng(3))
         assert np.array_equal(start, np.tile(np.arange(11), (2, 1)))
@@ -350,7 +351,7 @@ class TestChainMatchesReference:
             rng = np.random.default_rng([seed, 31])
             n = (4, 5, 11, 64)[seed % 4]
             _, _, data, cfg = _fitted(tag, n, rng)
-            ls = _log_joint_sums(data, cfg)
+            ls = _log_joint_sums(data, cfg.kernel_y, cfg.kernel_m)
             starts = np.array([rng.permutation(n) for _ in range(3)])
             got = _chain_sweeps(ls, starts, 20, np.random.default_rng(seed))
             want = reference_sweeps(ls, starts, 20, np.random.default_rng(seed))
@@ -581,7 +582,7 @@ class TestCpTest:
         rng = np.random.default_rng(26)
         X = rng.normal(size=(30, 2))
         Y = rng.normal(size=(30, 2))
-        res = cp_test(X, Y, so(2), CFG, burn_in=5, B=19, rng=rng)
+        res = cp_test(X, Y, so(2), K1, K1, burn_in=5, B=19, rng=rng)
         assert res.p_value * 20 == pytest.approx(round(res.p_value * 20))
         assert res.null_stats.size == 19
         assert res.method == "cp"
@@ -591,7 +592,7 @@ class TestCpTest:
         X = rng.normal(size=(60, 2))
         Y = X[:, 0] + 0.1 * rng.normal(size=60)
         res = cp_test(
-            X, Y, so(2), CFG, burn_in=10, B=49, rng=rng, y_action="trivial"
+            X, Y, so(2), K1, K1, burn_in=10, B=49, rng=rng, y_action="trivial"
         )
         assert res.p_value <= 0.05
 
@@ -602,26 +603,25 @@ class TestCpTest:
         for bad in (dict(B=0), dict(B=2.5), dict(B=True), dict(burn_in=0),
                     dict(burn_in=2.5), dict(burn_in=True)):
             with pytest.raises(BadMonteCarloBudget):
-                cp_test(X, Y, so(2), CFG, rng=rng, **bad)
+                cp_test(X, Y, so(2), K1, K1, rng=rng, **bad)
         with pytest.raises(SampleTooSmall):
-            cp_test(X[:3], Y[:3], so(2), CFG, rng=rng)
+            cp_test(X[:3], Y[:3], so(2), K1, K1, rng=rng)
 
     def test_rank_deficient_covariates(self):
         rng = np.random.default_rng(42)
         x = rng.normal(size=12)
         X = np.column_stack([x, 2.0 * x])
         with pytest.raises(RankDeficientDesign):
-            cp_test(X, rng.normal(size=(12, 2)), so(2), CFG, burn_in=2, B=9,
-                    rng=rng)
+            cp_test(X, rng.normal(size=(12, 2)), so(2), K1, K1, burn_in=2,
+                    B=9, rng=rng)
 
     def test_unresolved_bandwidth_raises(self):
         rng = np.random.default_rng(51)
         X, Y = rng.normal(size=(12, 2)), rng.normal(size=(12, 2))
         k = GaussianRBF(1.0)
-        for cfg in (KciConfig(k, GaussianRBF(None), k),
-                    KciConfig(k, k, GaussianRBF(None))):
+        for kernel_y, kernel_m in ((GaussianRBF(None), k), (k, GaussianRBF(None))):
             with pytest.raises(BadParameters, match="not been resolved"):
-                cp_test(X, Y, so(2), cfg, burn_in=2, B=9, rng=rng)
+                cp_test(X, Y, so(2), kernel_y, kernel_m, burn_in=2, B=9, rng=rng)
 
     def test_pvalues_match_sequential_reference(self):
         # the batched chains and statistic against one swap decision at a
@@ -631,7 +631,7 @@ class TestCpTest:
             tag = ("cond-shift", "cond-abs")[rep % 2]
             n = (16, 23, 32)[rep % 3]
             X, Y, _, cfg = _fitted(tag, n, np.random.default_rng([rep, 43]))
-            got = cp_test(X, Y, so(3), cfg, burn_in=3, B=19,
+            got = cp_test(X, Y, so(3), cfg.kernel_y, cfg.kernel_m, burn_in=3, B=19,
                           rng=np.random.default_rng([rep, 44]))
             want = reference_cp_pvalue(X, Y, so(3), cfg, 3, 19,
                                        np.random.default_rng([rep, 44]))

@@ -3,9 +3,11 @@ import pytest
 from group_reference import (
     act_each,
     act_rows,
+    axis_rotation,
     element_matrices,
     quaternion_matrix,
     rot2,
+    rotate_planes,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -33,7 +35,6 @@ from symtest.errors import (
 )
 from symtest.groups import (
     GroupSpec,
-    _axis_rotation,
     gamma_batch,
     haar_quaternions,
     haar_rotations,
@@ -255,7 +256,7 @@ class TestHaar:
     def test_batch_apply_matches_elements(self):
         rng = np.random.default_rng(10)
         X = rng.standard_normal((9, 4))
-        for spec in (so(4), sym(4), paired_so2(), so2xso2(), trivial(4)):
+        for spec in (so(4), sym(4), trivial(4)):
             batch = sample_batch(spec, np.random.default_rng(11), 9)
             np.testing.assert_allclose(batch.apply(X), act_rows(batch, X), atol=1e-12)
             np.testing.assert_allclose(
@@ -275,19 +276,52 @@ class TestHaar:
             rng = np.random.default_rng(seed)
             order = int(round(360.0 / spec.step_deg))
             theta = np.deg2rad(spec.step_deg) * rng.integers(0, order, 200)
-            per_row = np.stack([_axis_rotation(t, spec.dim, spec.axis) for t in theta])
+            per_row = np.stack([axis_rotation(t, spec.dim, spec.axis) for t in theta])
             batch = sample_batch(spec, np.random.default_rng(seed), 200)
             assert np.array_equal(batch.data, per_row)
+
+    @pytest.mark.parametrize("spec", [paired_so2(), so2xso2()], ids=str)
+    def test_plane_rotations_match_the_planar_formula(self, spec):
+        # the angles a generator with the same seed draws, one per plane, or
+        # one shared by both planes, turn each plane by (c x - s y, s x + c y)
+        X = np.random.default_rng(10).standard_normal((200, 4))
+        shape = (200, 1) if spec == paired_so2() else (200, 2)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            theta = np.broadcast_to(rng.uniform(0.0, 2 * np.pi, shape), (200, 2))
+            batch = sample_batch(spec, np.random.default_rng(seed), 200)
+            assert np.array_equal(batch.apply(X), rotate_planes(X, theta))
+            assert np.array_equal(batch.apply_inverse(X), rotate_planes(X, -theta))
+        # tau(x)^-1 turns the first block of x, and for so2xso2 the second
+        # too, back by the block's polar angle
+        angles = np.arctan2(X[:, 1::2], X[:, 0::2])
+        if spec == paired_so2():
+            angles = np.broadcast_to(angles[:, :1], (200, 2))
+        assert np.array_equal(tau_batch(spec, X).apply_inverse(X),
+                              rotate_planes(X, -angles))
+
+    @pytest.mark.parametrize("spec", [
+        so(3), sym(4), paired_so2(), so2xso2(), discrete_rotations(24.0, 3, axis=3),
+        discrete_rotations(60.0, 2), trivial(4),
+    ], ids=str)
+    def test_empty_draw_gives_an_empty_batch(self, spec):
+        rng = np.random.default_rng(16)
+        empty = np.empty((0, spec.dim))
+        batch = sample_batch(spec, rng, 0)
+        assert batch.count == 0
+        assert batch.apply(empty).shape == (0, spec.dim)
+        assert batch.apply_all(empty).shape == (0, 0, spec.dim)
+        assert orbit_draw(spec, empty, rng).shape == (0, spec.dim)
 
 
 def half_turns_and_neighbours(rng):
     """The identity and the half-turns about each axis, alone and composed
     with tiny rotations, so that every branch of Shepperd's method is taken."""
-    base = [np.eye(3)] + [_axis_rotation(np.pi, 3, axis) for axis in (1, 2, 3)]
+    base = [np.eye(3)] + [axis_rotation(np.pi, 3, axis) for axis in (1, 2, 3)]
     out = list(base)
     for m in base:
         for phi in (1e-10, 1e-6, 1e-2):
-            out.append(m @ _axis_rotation(phi, 3, int(rng.integers(1, 4))))
+            out.append(m @ axis_rotation(phi, 3, int(rng.integers(1, 4))))
     return np.array(out)
 
 
@@ -311,7 +345,7 @@ class TestRotationQuaternions:
                                    back, atol=1e-14)
 
     def test_frozen_examples(self):
-        quarter_z = _axis_rotation(np.pi / 2, 3, 3)
+        quarter_z = axis_rotation(np.pi / 2, 3, 3)
         np.testing.assert_allclose(
             rotation_quaternions(np.stack([np.eye(3), quarter_z])),
             [[1, 0, 0, 0], [np.sqrt(0.5), 0, 0, np.sqrt(0.5)]], atol=1e-15,

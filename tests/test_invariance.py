@@ -259,7 +259,7 @@ class TestRngRequired:
     @pytest.mark.parametrize("call", [
         lambda X, Y: mc_invariance_test(X, so(2), KERNEL, B=9),
         lambda X, Y: kci_test(X, Y, so(2), _KCI_CFG),
-        lambda X, Y: cp_test(X, Y, so(2), _KCI_CFG, burn_in=2, B=9),
+        lambda X, Y: cp_test(X, Y, so(2), KERNEL, KERNEL, burn_in=2, B=9),
         lambda X, Y: inversion_mc_test(X, so(2), KERNEL, B=9),
         lambda X, Y: transformation_two_sample_test(X, so(2), KERNEL, B=9),
         lambda X, Y: power_estimate(X, so(2), KERNEL, B=9, n_resamples=2),
@@ -316,8 +316,8 @@ class TestAlphaValidation:
                                           rng=np.random.default_rng(0)),
         lambda X, Y, a: kci_test(X, Y, so(2), _KCI_CFG, alpha=a,
                                  rng=np.random.default_rng(0)),
-        lambda X, Y, a: cp_test(X, Y, so(2), _KCI_CFG, alpha=a, burn_in=2, B=9,
-                                rng=np.random.default_rng(0)),
+        lambda X, Y, a: cp_test(X, Y, so(2), KERNEL, KERNEL, alpha=a, burn_in=2,
+                                B=9, rng=np.random.default_rng(0)),
         lambda X, Y, a: power_estimate(X, so(2), KERNEL, B=9, n_resamples=2,
                                        alpha=a, rng=np.random.default_rng(0)),
         lambda X, Y, a: conditional_power_binomial(0.5, 9, a),
@@ -433,6 +433,8 @@ class TestInversion:
         X = rng.normal(size=(10, 4))
         with pytest.raises(UnsupportedFamily):
             inversion_mc_test(X, so(4), RotationKernelSO3(), B=9, rng=rng)
+        with pytest.raises(UnsupportedFamily):
+            inversion_mc_test(X[:, :3], sym(3), RotationKernelSO3(), B=9, rng=rng)
 
     def test_budget_validation(self):
         rng = np.random.default_rng(20)

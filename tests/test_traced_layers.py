@@ -39,7 +39,7 @@ def test_traced_layer_resolves(layer):
 def test_cp_null_copies_pass_through_the_traced_statistic(monkeypatch):
     # the traced statistic must score every null copy, so that the copies'
     # time is charged to its layer and not to cp_test's self time
-    from symtest import GaussianRBF, KciConfig, condsym, cp_test
+    from symtest import GaussianRBF, condsym, cp_test
     from symtest.groups import so
 
     original = condsym.multiple_correlation_statistic
@@ -57,7 +57,7 @@ def test_cp_null_copies_pass_through_the_traced_statistic(monkeypatch):
         rng = np.random.default_rng(5)
         X, Y = rng.normal(size=(24, 2)), rng.normal(size=(24, 2))
         k = GaussianRBF(1.0)
-        res = cp_test(X, Y, so(2), KciConfig(k, k, k), burn_in=2, B=19, rng=rng)
+        res = cp_test(X, Y, so(2), k, k, burn_in=2, B=19, rng=rng)
     finally:
         tracer.uninstall()
     values = tracer.end()
