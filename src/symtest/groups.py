@@ -293,21 +293,27 @@ def sample_batch(spec, rng, count):
     return TransformBatch(spec, "rot", _plane_rotations(spec.dim, planes, theta), count)
 
 
-def orbit_draw(spec, X, rng):
+def orbit_draw(spec, X, rng, count=None):
     """``g_i X_i`` for a fresh Haar element ``g_i`` per row of X, as (n, d).
 
     For SO(d) acting on R^d the image of x under a Haar rotation is uniform
     on the sphere of radius |x|, so each row is a Gaussian direction rescaled
     to the row's norm and no rotation is built; zero rows stay zero.  Every
-    other family applies a ``sample_batch`` draw.
+    other family applies a ``sample_batch`` draw.  With ``count`` it returns
+    ``count`` such copies as a (count, n, d) stack from one generator call,
+    equal to ``count`` calls without it and leaving the generator where they
+    leave it.
     """
     _require_rng(rng)
-    X = _points(spec, X) if spec.family == "so" else np.asarray(X, dtype=float)
+    X = _points(spec, X)
     _check_finite(X)
-    if spec.family != "so":
-        return sample_batch(spec, rng, X.shape[0]).apply(X)
-    z = rng.standard_normal(X.shape)
-    return z * (np.linalg.norm(X, axis=1) / np.linalg.norm(z, axis=1))[:, None]
+    k = 1 if count is None else count
+    if spec.family == "so":
+        out = rng.standard_normal((k,) + X.shape)
+        out *= (np.linalg.norm(X, axis=1) / np.linalg.norm(out, axis=2))[..., None]
+    else:
+        out = sample_batch(spec, rng, k * len(X)).apply(np.tile(X, (k, 1)))
+    return out.reshape(X.shape if count is None else (k,) + X.shape)
 
 
 # ---------------------------------------------------------------------------

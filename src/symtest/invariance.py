@@ -28,6 +28,7 @@ from .errors import (
     UnsupportedFamily,
     _check_alpha,
     _check_budget,
+    _check_finite,
     _checked_sample,
     _require_rng,
 )
@@ -97,7 +98,9 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
     transforms, so m matters only to it; its transforms and projection
     directions are drawn once and reused across the B re-randomised copies,
     while the Nyström landmarks are drawn afresh for each.  Each copy moves
-    every row by its own Haar element through ``orbit_draw``.  The p-value
+    every row by its own Haar element through ``orbit_draw``; the ``mmd-u``
+    copies are drawn and scored in stacks of a few, bit for bit as one at
+    a time.  The p-value
     is exact for any statistic, since the copies are exchangeable with X
     under the null.
     """
@@ -141,10 +144,36 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
         raise BadParameters(f"unknown statistic choice {statistic!r}")
 
     t_obs = stat_fn(X)
-    nulls = np.empty(B)
-    for b in range(B):
-        nulls[b] = stat_fn(orbit_draw(spec, X, rng))
+    if statistic == "mmd-u":
+        nulls = _stacked_nulls(B, n, kernel,
+                               lambda count: orbit_draw(spec, X, rng, count))
+    else:
+        nulls = np.array([stat_fn(orbit_draw(spec, X, rng)) for _ in range(B)])
     return _rank_test(t_obs, nulls, alpha, method)
+
+
+# The exact tests score their null copies in stacks of at most _STACK_COPIES
+# samples, and of fewer where the stack's (n, n) arrays would hold more than
+# _STACK_ENTRIES values: one sample from n = 363 on, where the time saved per
+# numpy call is small and larger stacks spill out of the cache.
+_STACK_COPIES = 4
+_STACK_ENTRIES = 1 << 18
+
+
+def _stacked_nulls(B, n, kernel, draw):
+    """``invariance_stat_u`` of B null n-samples, drawn by ``draw(count)`` as stacks.
+
+    One draw and one statistic call per stack, all calls sharing one set of
+    work arrays.
+    """
+    step = max(1, min(_STACK_COPIES, _STACK_ENTRIES // (n * n)))
+    work = {}
+    nulls = np.empty(B)
+    for lo in range(0, B, step):
+        count = min(step, B - lo)
+        nulls[lo:lo + count] = invariance_stat_u(draw(count), kernel, stack=True,
+                                                 work=work)
+    return nulls
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +189,14 @@ def _random_directions(j, d, rng):
 
 def ks_distance(a, b):
     """Exact sup distance between the ECDFs of two 1-d samples."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    _check_finite(a, b)
+    return _ks_sup(a, b)
+
+
+def _ks_sup(a, b):
+    """``ks_distance`` of two finite float samples."""
+    a, b = np.sort(a), np.sort(b)
     pts = np.concatenate([a, b])
     fa = np.searchsorted(a, pts, side="right") / a.size
     fb = np.searchsorted(b, pts, side="right") / b.size
@@ -177,6 +212,7 @@ def cw_statistic(X, transforms, directions):
     largest value found.
     """
     X = np.asarray(X, dtype=float)
+    _check_finite(X)
     directions = np.asarray(directions, dtype=float)
     if directions.ndim != 2 or directions.shape[1] != X.shape[1]:
         raise BadProjectionCount("directions must be a (J, d) array")
@@ -186,7 +222,7 @@ def cw_statistic(X, transforms, directions):
     best = 0.0
     for proj_g in transforms.apply_all(X) @ directions.T:
         for jj in range(directions.shape[0]):
-            best = max(best, ks_distance(proj[:, jj], proj_g[:, jj]))
+            best = max(best, _ks_sup(proj[:, jj], proj_g[:, jj]))
     return best
 
 
@@ -220,11 +256,6 @@ def transformation_two_sample_test(X, spec, kernel, B=200, alpha=0.05, rng=None)
 # inversion test for non-free actions
 
 
-# The inversion test draws its null samples in blocks of at most this many
-# floats, which bounds their memory and that of the sampler's temporaries.
-_NULL_BLOCK_ENTRIES = 1 << 18
-
-
 def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None):
     """Test that the inverting group element is conditionally Haar.
 
@@ -232,8 +263,8 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None):
     law of the element mapping the orbit representative to the point; under
     invariance these draws are jointly Haar.  The statistic is the mean
     off-diagonal Gram entry ``invariance_stat_u(tau, kernel)``, ranked among
-    the same on B fresh Haar samples of size n, drawn in as few sampler
-    calls as a bound on their memory allows.
+    the same on B fresh Haar samples of size n, drawn and scored in stacks
+    of a few samples, one sampler call and one kernel-sum call per stack.
 
     The null copies are i.i.d. Haar samples, so under the null they are
     exchangeable with tau and the p-value is exact; they do not depend on
@@ -258,16 +289,15 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None):
     if rotation_kernel:
         tau = rotation_quaternions(tau)
     t_obs = invariance_stat_u(tau, kernel)
-    # the null samples of a block come from one sampler call of count * n
-    # rows, whose values and generator state are those of count calls of n
-    step = max(1, _NULL_BLOCK_ENTRIES // tau.size)
-    nulls = np.empty(B)
-    for lo in range(0, B, step):
-        count = min(step, B - lo)
+
+    def draw(count):
+        # one sampler call of count * n rows, whose values and generator
+        # state are those of count calls of n
         null = (haar_quaternions(count * n, rng) if rotation_kernel
                 else sample_batch(spec, rng, count * n).data)
-        for b, sample in enumerate(null.reshape(count, n, *null.shape[1:])):
-            nulls[lo + b] = invariance_stat_u(sample, kernel)
+        return null.reshape(count, n, *null.shape[1:])
+
+    nulls = _stacked_nulls(B, n, kernel, draw)
     return _rank_test(t_obs, nulls, alpha, "inversion-mmd")
 
 

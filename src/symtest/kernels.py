@@ -3,12 +3,14 @@
 Three kernel families cover every test in the package: a Gaussian RBF on
 Euclidean points, a heat-kernel-style kernel on SO(3) in unit quaternions,
 and an exact-match (delta) kernel for discrete values.  Helpers compute Gram
-matrices, a sample's kernel values on its pairs i < j, the median-distance
-bandwidth heuristic, and double centering.
+matrices, a sample's kernel values on its pairs i < j and their sums over a
+stack of samples, the median-distance bandwidth heuristic, and double
+centering.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -84,31 +86,38 @@ def parse_kernel(text):
     raise UnsupportedKind(f"unrecognised kernel descriptor {text!r}")
 
 
-def _as_points(X):
+def _as_points(X, lead=1):
+    """X as floats, with points along its first ``lead`` axes and one last axis.
+
+    Scalar points become vectors of length 1 and matrix-valued points are
+    flattened to vectors.
+    """
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    elif X.ndim > 2:
-        # stacks of matrix-valued points are treated as flattened vectors
-        X = X.reshape(X.shape[0], -1)
-    return X
+    return X.reshape(X.shape[:lead] + (math.prod(X.shape[lead:]),))
 
 
-def _so3_from_cos(c):
+def _so3_from_cos(c, scratch=None):
     """Kernel value from the half-angle cosine c = |q . q'|, elementwise.
 
     theta = arccos(c) lies in [0, pi/2].  Both theta and
     sin(theta) = sqrt((1 - c)(1 + c)) are taken from the same c, which keeps
     theta / sin(theta) accurate near 0; below theta = 1e-6 the series
-    1 + theta^2 / 6 replaces the ratio.
+    1 + theta^2 / 6 replaces the ratio.  ``scratch``, a flat float array of
+    at least 2 c.size entries, lets it overwrite c and hold its two work
+    arrays, the result among them, so that it allocates none of c's size.
     """
-    c = np.clip(c, 0.0, 1.0)
-    theta = np.arccos(c)
+    if scratch is None:
+        c = np.clip(c, 0.0, 1.0)
+        theta, sin = np.empty_like(c), np.empty_like(c)
+    else:
+        np.clip(c, 0.0, 1.0, out=c)
+        theta, sin = scratch[:2 * c.size].reshape((2,) + c.shape)
+    np.arccos(c, out=theta)
     # (1 - c)(1 + c) and pi / 8 (pi - theta) ratio in place, to keep the
     # temporaries few; the ratio is one unmasked divide, which runs in SIMD,
     # with sin set to 1 where theta is small so that no 0 / 0 is formed, and
     # the series written at those entries only
-    sin = np.subtract(1.0, c)
+    np.subtract(1.0, c, out=sin)
     sin *= np.add(c, 1.0, out=c)
     np.sqrt(sin, out=sin)
     small = np.flatnonzero(theta < 1e-6)
@@ -121,9 +130,9 @@ def _so3_from_cos(c):
     return value
 
 
-def _check_quaternions(X):
+def _check_quaternions(X, ndim=2):
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != 4:
+    if X.ndim != ndim or X.shape[-1] != 4:
         raise InvalidRotation("expected an (n, 4) array of unit quaternions")
     return X
 
@@ -140,23 +149,33 @@ def _check_unit(sq):
         raise InvalidRotation("quaternion rows must have unit norm")
 
 
-def _rbf_exponent(A, B, bandwidth):
+def _rbf_exponent(A, B, bandwidth, out=None):
     """The RBF exponent -||A_i - B_j||^2 / (2 sigma^2) for all pairs of rows.
 
     One matrix product of augmented rows, [2cA, -c|a|^2, -c] @ [B, 1, |b|^2]^T
     with c = 1 / (2 sigma^2).  ``B=None`` means B = A, whose diagonal is set
     to its exact value 0.  Cancellation leaves errors of about
     1e-16 * c (|a|^2 + |b|^2) off the diagonal, so duplicate rows need not
-    give exactly 0 there.
+    give exactly 0 there.  A and B may be (k, n, d) stacks of samples, each
+    paired with its own: one batched product, each slice equal to the
+    product of that sample alone, written to ``out`` when given.
     """
     c = 1.0 / (2.0 * bandwidth**2)
-    a2 = np.einsum("ij,ij->i", A, A)
-    b2 = a2 if B is None else np.einsum("ij,ij->i", B, B)
-    left = np.column_stack([2.0 * c * A, -c * a2, np.full(A.shape[0], -c)])
-    right = np.column_stack([A if B is None else B, np.ones(b2.size), b2])
-    e = left @ right.T
+    R = A if B is None else B
+    d = A.shape[-1]
+    left = np.empty(A.shape[:-1] + (d + 2,))
+    right = np.empty(R.shape[:-1] + (d + 2,))
+    np.multiply(A, 2.0 * c, out=left[..., :d])
+    a2 = np.einsum("...ij,...ij->...i", A, A)
+    np.multiply(a2, -c, out=left[..., d])
+    left[..., d + 1] = -c
+    right[..., :d] = R
+    right[..., d] = 1.0
+    right[..., d + 1] = a2 if B is None else np.einsum("...ij,...ij->...i", B, B)
+    e = np.matmul(left, np.swapaxes(right, -1, -2), out=out)
     if B is None:
-        np.fill_diagonal(e, 0.0)
+        diag = np.arange(A.shape[-2])
+        e[..., diag, diag] = 0.0
     return e
 
 
@@ -206,6 +225,60 @@ def _pair_index(n):
     return index
 
 
+def _work_array(work, name, shape):
+    """An uninitialised float array of ``shape``: a fresh one, or with a dict
+    ``work``, a view of its array ``name``, grown as needed and kept there
+    for the next call."""
+    if work is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    if name not in work or work[name].size < size:
+        work[name] = np.empty(size)
+    return work[name][:size].reshape(shape)
+
+
+def _take_pairs(full, work):
+    """The entries i < j of each (n, n) slice of a (k, n, n) stack, as (k, n(n-1)/2)."""
+    k, n = full.shape[:2]
+    index = _pair_index(n)
+    out = _work_array(work, "pairs", (k, index.size))
+    # in-range indices, so "clip" changes nothing; it spares the copy "raise" makes
+    return full.reshape(k, n * n).take(index, axis=1, out=out, mode="clip")
+
+
+def _stack_pair_values(kernel, X, work=None):
+    """``pair_values`` of every sample of a (k, n, ...) stack, as (k, n(n-1)/2).
+
+    For the RBF and rotation kernels: one batched matrix product, one gather
+    of the pairs, one clamp check or unit-norm check and one elementwise
+    kernel evaluation for the whole stack, each row equal bit for bit to
+    that sample's ``pair_values``; the delta kernel reads each sample's Gram.
+    With a dict ``work`` (see ``_work_array``) their large arrays are kept
+    for the next call, and the result lives there until it.
+    """
+    if isinstance(kernel, RotationKernelSO3):
+        A = _check_quaternions(X, ndim=3)
+        k, n = A.shape[:2]
+        full = _work_array(work, "full", (k, n, n))
+        np.matmul(A, np.swapaxes(A, 1, 2), out=full)
+        _check_unit(np.diagonal(full, axis1=1, axis2=2))
+        c = _take_pairs(full, work)
+        # the spent (n, n) cosines hold the work arrays of the kernel values
+        return _so3_from_cos(np.abs(c, out=c), scratch=full.reshape(-1))
+    if isinstance(kernel, GaussianRBF):
+        if kernel.bandwidth is None:
+            raise BadParameters("RBF bandwidth has not been resolved")
+        A = _as_points(X, lead=2)
+        k, n = A.shape[:2]
+        full = _work_array(work, "full", (k, n, n))
+        e = _take_pairs(_rbf_exponent(A, None, kernel.bandwidth, out=full), work)
+        # the clamp of ``gram``, run only when some exponent needs it
+        if e.size and e.min() < -708.0:
+            np.copyto(e, -1000.0, where=e < -708.0)
+        return np.exp(e, out=e)
+    return np.stack([gram(kernel, s).take(_pair_index(len(s))) for s in X])
+
+
 def pair_values(kernel, X):
     """k(X_i, X_j) over the pairs i < j, row by row (scipy ``pdist`` order).
 
@@ -214,23 +287,18 @@ def pair_values(kernel, X):
     after the one matrix product that gives every pair's exponent or
     cosine; the delta kernel reads them from its Gram.
     """
-    if isinstance(kernel, RotationKernelSO3):
-        A = _check_quaternions(X)
-        c = A @ A.T
-        _check_unit(c.diagonal())
-        c = c.take(_pair_index(A.shape[0]))
-        return _so3_from_cos(np.abs(c, out=c))
-    if isinstance(kernel, GaussianRBF):
-        if kernel.bandwidth is None:
-            raise BadParameters("RBF bandwidth has not been resolved")
-        A = _as_points(X)
-        e = _rbf_exponent(A, None, kernel.bandwidth).take(_pair_index(A.shape[0]))
-        # the clamp of ``gram``, run only when some exponent needs it
-        if e.size and e.min() < -708.0:
-            np.copyto(e, -1000.0, where=e < -708.0)
-        return np.exp(e, out=e)
-    K = gram(kernel, X)
-    return K.take(_pair_index(K.shape[0]))
+    return _stack_pair_values(kernel, np.asarray(X)[None])[0]
+
+
+def pair_sums(kernel, X, work=None):
+    """The sum of ``pair_values`` of every sample of a (k, n, ...) stack, as (k,).
+
+    Entry s is equal bit for bit to ``pair_values(kernel, X[s]).sum()``;
+    the whole stack costs one call of each numpy step.  Calls that share a
+    dict ``work`` reuse one set of large work arrays, so that a loop over
+    stacks allocates and pages in none of them afresh.
+    """
+    return _stack_pair_values(kernel, X, work).sum(axis=1)
 
 
 # The median heuristic takes its row differences in blocks of at most this

@@ -21,13 +21,13 @@ from .errors import (
     _check_finite,
     _require_rng,
 )
-from .kernels import gram, pair_values
+from .kernels import gram, pair_sums
 
 
-def _mean_offdiag(kernel, X):
-    """Mean of k(X_i, X_j) over i != j, from the pairs i < j."""
-    n = X.shape[0]
-    return 2.0 * float(pair_values(kernel, X).sum()) / (n * (n - 1))
+def _mean_offdiag(kernel, X, work=None):
+    """Mean of k(X_i, X_j) over i != j of each sample of a stack, as an array."""
+    n = X.shape[1]
+    return 2.0 * pair_sums(kernel, X, work) / (n * (n - 1))
 
 
 def mmd_u(X, Y, kernel):
@@ -38,7 +38,8 @@ def mmd_u(X, Y, kernel):
         raise SampleTooSmall("the U-statistic needs at least two points per sample")
     _check_finite(X, Y)
     kxy = float(gram(kernel, X, Y).sum()) * 2.0 / (X.shape[0] * Y.shape[0])
-    return _mean_offdiag(kernel, X) + _mean_offdiag(kernel, Y) - kxy
+    kxx, kyy = (float(_mean_offdiag(kernel, S[None])[0]) for S in (X, Y))
+    return kxx + kyy - kxy
 
 
 def _paired_swap_stats(X, Y, kernel, signs):
@@ -59,11 +60,15 @@ def _paired_swap_stats(X, Y, kernel, signs):
     return np.einsum("ci,ci->c", signs @ h, signs) / (n * (n - 1))
 
 
-def invariance_stat_u(X, kernel):
+def invariance_stat_u(X, kernel, stack=False, work=None):
     """Invariance statistic: the mean off-diagonal Gram entry S(X) / (n(n-1)).
 
     Here S(X) = sum_{i != j} k(X_i, X_j), twice the sum over the pairs
-    i < j, which ``pair_values`` gives without a Gram.  The U-form
+    i < j, which ``pair_sums`` gives without a Gram.  With ``stack=True``
+    X is a stack of samples along its first axis, scored in one
+    ``pair_sums`` call (``work`` is passed on to it), and the statistics
+    come back as an array, each equal bit for bit to the statistic of its
+    sample alone.  The U-form
     invariance MMD subtracts from it the mean off-diagonal entry of
     kbar(x, y) = E_G k(x, G y), G Haar.  When k(g x, g y) = k(x, y), the
     invariance of Haar measure gives kbar(g x, h y) = kbar(x, y) for all
@@ -76,10 +81,12 @@ def invariance_stat_u(X, kernel):
     is orthogonal.
     """
     X = np.asarray(X, dtype=float)
-    if X.shape[0] < 2:
+    n = X.shape[1 if stack else 0]
+    if n < 2:
         raise SampleTooSmall("the invariance statistic needs at least two points")
     _check_finite(X)
-    return _mean_offdiag(kernel, X)
+    stats = _mean_offdiag(kernel, X if stack else X[None], work)
+    return stats if stack else float(stats[0])
 
 
 _PINV_RCOND = 1e-10
@@ -102,7 +109,13 @@ def nystrom_invariance_stat(X, kernel, n_landmarks, rng=None):
     n = X.shape[0]
     if not 1 <= n_landmarks <= n:
         raise BadLandmarkCount("landmark count must lie in [1, n]")
+    _check_finite(X)
     _require_rng(rng)
     t = X[rng.integers(0, n, n_landmarks)]
     mean = gram(kernel, t, X).sum(axis=1) / n
-    return float(mean @ np.linalg.pinv(gram(kernel, t), rcond=_PINV_RCOND) @ mean)
+    # m^T K^+ m from one eigendecomposition of the symmetric K_tt, keeping
+    # the eigenvalues that pinv keeps: |w| above _PINV_RCOND times the largest
+    w, v = np.linalg.eigh(gram(kernel, t))
+    keep = np.abs(w) > _PINV_RCOND * np.abs(w).max()
+    proj = mean @ v[:, keep]
+    return float(proj**2 @ (1.0 / w[keep]))

@@ -416,6 +416,24 @@ class TestOrbitDraw:
         batch = sample_batch(spec, np.random.default_rng(52), 30)
         assert np.array_equal(out, batch.apply(X))
 
+    @pytest.mark.parametrize("spec", [
+        so(3), sym(5), trivial(3), paired_so2(), so2xso2(),
+        discrete_rotations(90.0, 2), discrete_rotations(24.0, 3, axis=3),
+    ], ids=str)
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_stacked_draw_equals_single_draws(self, spec, count):
+        # one stacked draw of count copies must be the count single draws on
+        # the same seed and leave the generator where they leave it; odd n,
+        # so that no draw falls on a boundary of paired generator words
+        n = 7
+        X = np.random.default_rng(55).standard_normal((n, spec.dim))
+        rng, ref_rng = np.random.default_rng(56), np.random.default_rng(56)
+        stack = orbit_draw(spec, X, rng, count)
+        assert stack.shape == (count, n, spec.dim)
+        singles = np.stack([orbit_draw(spec, X, ref_rng) for _ in range(count)])
+        assert np.array_equal(stack, singles)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 class TestOrbits:
     def test_selector_so(self):

@@ -35,6 +35,7 @@ from symtest import (
 )
 from symtest.groups import (
     TransformBatch,
+    discrete_rotations,
     haar_quaternions,
     haar_rotations,
     inversion_kernel_batch,
@@ -244,6 +245,27 @@ class TestMcInvariance:
                 mc_invariance_test(bad, spec, KERNEL, B=9, statistic=statistic,
                                    rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("spec", [
+        so(3), sym(3), paired_so2(), discrete_rotations(24.0, 3, axis=3),
+    ], ids=str)
+    @pytest.mark.parametrize("copies", [None, 1, 3, 1000])
+    def test_mmd_u_stacks_match_copies_drawn_one_at_a_time(self, spec, copies,
+                                                            monkeypatch):
+        # the stacked null copies must be the statistics of B single
+        # orbit_draw calls on the same seed, bit for bit, whatever the
+        # stack size (1000 puts all B copies in one stack)
+        if copies is not None:
+            monkeypatch.setattr(invariance, "_STACK_COPIES", copies)
+        d = 4 if spec.family == "paired-so2" else 3
+        X = np.random.default_rng(14).normal(size=(21, d))
+        res = mc_invariance_test(X, spec, KERNEL, B=19, rng=np.random.default_rng(15))
+        ref_rng = np.random.default_rng(15)
+        nulls = [invariance_stat_u(orbit_draw(spec, X, ref_rng), KERNEL)
+                 for _ in range(19)]
+        assert res.statistic == invariance_stat_u(X, KERNEL)
+        assert res.null_stats.tolist() == nulls
+        assert res.p_value == pvalue_from_nulls(res.statistic, nulls)
+
     @pytest.mark.parametrize("m", [2.5, True, 0])
     def test_transform_count_validation(self, m):
         rng = np.random.default_rng(12)
@@ -302,6 +324,24 @@ class TestNonFiniteInput:
         with pytest.raises(BadParameters):
             transformation_two_sample_test(self.sample_with_nan(), so(4), KERNEL,
                                            B=19, rng=np.random.default_rng(0))
+
+    def test_cw_statistic(self):
+        # directly called, a NaN sample would otherwise score 0.4
+        rng = np.random.default_rng(1)
+        X = self.sample_with_nan()
+        with pytest.raises(BadParameters):
+            cw_statistic(X, sample_batch(so(4), rng, 2), np.eye(4)[:3])
+
+    def test_ks_distance(self):
+        # directly called, a NaN sample would otherwise score 0.5
+        a = np.random.default_rng(2).normal(size=10)
+        for bad in (np.nan, np.inf):
+            b = a.copy()
+            b[4] = bad
+            with pytest.raises(BadParameters):
+                ks_distance(a, b)
+            with pytest.raises(BadParameters):
+                ks_distance(b, a)
 
 
 class TestAlphaValidation:
@@ -461,11 +501,12 @@ class TestInversion:
             )
 
     def test_pvalues_match_the_reference_gram(self, monkeypatch):
-        # the quaternion SO(3) pair values give the p-values of the upper
+        # the quaternion SO(3) pair sums give the p-values of the upper
         # triangle of the matrix einsum-plus-mask reference on the same draws
-        def reference_pairs(kernel, X):
-            K = so3_gram(quaternion_matrix(X))
-            return K[np.triu_indices(K.shape[0], 1)]
+        def reference_sums(kernel, stack, work=None):
+            n = stack.shape[1]
+            return np.array([so3_gram(quaternion_matrix(X))[np.triu_indices(n, 1)].sum()
+                             for X in stack])
 
         kernel = RotationKernelSO3()
         for seed in range(8):
@@ -473,7 +514,7 @@ class TestInversion:
             new = inversion_mc_test(X, so(3), kernel, B=29,
                                     rng=np.random.default_rng(100 + seed))
             with monkeypatch.context() as m:
-                m.setattr(mmd, "pair_values", reference_pairs)
+                m.setattr(mmd, "pair_sums", reference_sums)
                 ref = inversion_mc_test(X, so(3), kernel, B=29,
                                         rng=np.random.default_rng(100 + seed))
             assert new.p_value == ref.p_value
@@ -489,12 +530,13 @@ class TestInversion:
     @pytest.mark.parametrize("block", [None, 1, 1000])
     def test_one_null_draw_matches_a_draw_per_sample(self, spec, kernel, block,
                                                      monkeypatch):
-        # the null samples come from one sampler call per block, all B of
-        # them in one block by default; they must be the samples of B calls
-        # of size n on the same seed, and leave the generator where those
-        # calls leave it.  1000 floats hold 2 to 8 samples here.
+        # the null samples come from one sampler call per stack of at most
+        # ``block`` samples, 4 by default and all B of them at 1000; they
+        # must be the samples of B calls of size n on the same seed, scored
+        # bit for bit as one at a time, and leave the generator where those
+        # calls leave it
         if block is not None:
-            monkeypatch.setattr(invariance, "_NULL_BLOCK_ENTRIES", block)
+            monkeypatch.setattr(invariance, "_STACK_COPIES", block)
         n, B = 30, 19
         X = np.random.default_rng(29).normal(size=(n, spec.dim))
         rng = np.random.default_rng(30)
@@ -521,7 +563,7 @@ class TestInversion:
         t_obs = invariance_stat_u(tau.astype(float), kernel)
         nulls = np.array([invariance_stat_u(draw(), kernel) for _ in range(B)])
         assert res.statistic == t_obs
-        np.testing.assert_allclose(res.null_stats, nulls, rtol=1e-12, atol=0.0)
+        assert res.null_stats.tolist() == nulls.tolist()
         assert res.p_value == pvalue_from_nulls(t_obs, nulls)
         assert rng.random() == ref_rng.random()
 

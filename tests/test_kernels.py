@@ -368,6 +368,61 @@ class TestPairValues:
             pair_values(RotationKernelSO3(), np.full((3, 4), 0.6))
 
 
+class TestPairSums:
+    # each stacked sum must equal the per-sample pair_values(...).sum() bit
+    # for bit, also when the calls share their work arrays
+
+    @staticmethod
+    def per_sample(kernel, stack):
+        return np.array([pair_values(kernel, s).sum() for s in stack])
+
+    @pytest.mark.parametrize("kernel,stack", [
+        (GaussianRBF(1.3), np.random.default_rng(60).normal(size=(4, 17, 3))),
+        (GaussianRBF(0.8), haar_rotations(3, 4 * 13, np.random.default_rng(61))
+         .reshape(4, 13, 3, 3)),
+        (GaussianRBF(2.0), sample_batch(sym(5), np.random.default_rng(62), 4 * 15)
+         .data.reshape(4, 15, 5)),
+        (RotationKernelSO3(), haar_quaternions(4 * 19, np.random.default_rng(63))
+         .reshape(4, 19, 4)),
+        (DiscreteDelta(), np.random.default_rng(64).integers(0, 3, size=(4, 11, 2))),
+    ], ids=["rbf-points", "rbf-rotations", "rbf-permutations", "so3", "delta"])
+    def test_equal_to_the_sum_of_pair_values(self, kernel, stack):
+        expect = self.per_sample(kernel, stack)
+        assert np.array_equal(kernels.pair_sums(kernel, stack), expect)
+        work = {}
+        for lo, hi in [(0, 4), (0, 1), (1, 4), (3, 4)]:
+            # a full stack, a stack of one and short last stacks, on one work
+            got = kernels.pair_sums(kernel, stack[lo:hi], work)
+            assert np.array_equal(got, expect[lo:hi])
+
+    def test_clamp_path(self):
+        # at bandwidth 0.1 most exponents lie past -708; a copy scaled to
+        # 1e-3 has none there, and its sum must not see the clamp
+        stack = np.random.default_rng(65).normal(size=(3, 40, 3))
+        stack[1] *= 1e-3
+        k = GaussianRBF(0.1)
+        assert np.array_equal(kernels.pair_sums(k, stack), self.per_sample(k, stack))
+        assert np.array_equal(kernels.pair_sums(k, stack[1:2], {}),
+                              self.per_sample(k, stack[1:2]))
+
+    def test_work_arrays_follow_the_sample_size(self):
+        k = GaussianRBF(1.0)
+        rng = np.random.default_rng(66)
+        work = {}
+        for shape in [(2, 30, 3), (4, 10, 3), (1, 50, 3), (3, 2, 3)]:
+            stack = rng.normal(size=shape)
+            got = kernels.pair_sums(k, stack, work)
+            assert np.array_equal(got, self.per_sample(k, stack))
+
+    def test_a_non_unit_quaternion_in_any_copy_raises(self):
+        stack = haar_quaternions(3 * 10, np.random.default_rng(67)).reshape(3, 10, 4)
+        stack[2, 4] *= 1.001
+        with pytest.raises(InvalidRotation):
+            kernels.pair_sums(RotationKernelSO3(), stack)
+        with pytest.raises(InvalidRotation):
+            kernels.pair_sums(RotationKernelSO3(), stack[:, :, :3])
+
+
 class TestMedianHeuristic:
     def test_frozen_example(self):
         # pairwise distances {1, 3, 2} -> median 2

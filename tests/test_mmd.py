@@ -13,6 +13,7 @@ from mmd_reference import invariance_stat_full_u, invariance_stat_g_u, mmd_v
 from symtest import (
     BadLandmarkCount,
     BadParameters,
+    DiscreteDelta,
     GaussianRBF,
     SampleTooSmall,
     gram,
@@ -233,6 +234,25 @@ class TestInvarianceStatistic:
         with pytest.raises(SampleTooSmall):
             invariance_stat_u(X, KERNEL)
 
+    def test_stack_scores_each_sample_bit_for_bit(self):
+        stack = np.random.default_rng(29).normal(size=(5, 9, 3))
+        expect = [invariance_stat_u(s, KERNEL) for s in stack]
+        got = invariance_stat_u(stack, KERNEL, stack=True)
+        assert got.shape == (5,) and got.tolist() == expect
+        work = {}
+        for lo, hi in [(0, 4), (4, 5)]:
+            got = invariance_stat_u(stack[lo:hi], KERNEL, stack=True, work=work)
+            assert got.tolist() == expect[lo:hi]
+
+    def test_non_finite_copy_in_a_stack_raises(self):
+        stack = np.random.default_rng(37).normal(size=(3, 6, 3))
+        for bad in (np.nan, np.inf):
+            stack[2, 1, 0] = bad
+            with pytest.raises(BadParameters):
+                invariance_stat_u(stack, KERNEL, stack=True)
+        with pytest.raises(SampleTooSmall):
+            invariance_stat_u(stack[:, :1], KERNEL, stack=True)
+
 
 class AllPoints:
     """Stands in for a Generator whose landmark draw takes every point once."""
@@ -241,7 +261,54 @@ class AllPoints:
         return np.arange(size)
 
 
+class FixedLandmarks:
+    """Stands in for a Generator whose landmark draw returns fixed indices."""
+
+    def __init__(self, index):
+        self.index = np.asarray(index)
+
+    def integers(self, low, high, size):
+        return self.index
+
+
+def pinv_nystrom(X, kernel, index):
+    """m^T pinv(K_tt) m over the landmarks X[index], as before the eigh form."""
+    t = X[index]
+    mean = gram(kernel, t, X).sum(axis=1) / X.shape[0]
+    return float(mean @ np.linalg.pinv(gram(kernel, t), rcond=1e-10) @ mean)
+
+
+NEAR_DUPLICATES = np.random.default_rng(47).normal(size=(30, 3))
+NEAR_DUPLICATES[5] = NEAR_DUPLICATES[0] + 1e-7 * np.random.default_rng(48).normal(size=3)
+
+
 class TestNystrom:
+    @pytest.mark.parametrize("kernel,X,index", [
+        (KERNEL, np.random.default_rng(38).normal(size=(30, 3)), np.arange(0, 30, 3)),
+        # duplicate landmarks make K_tt singular: the cut must drop the
+        # eigenvalues pinv drops
+        (KERNEL, np.random.default_rng(39).normal(size=(30, 3)),
+         [0, 4, 4, 7, 0, 11, 4, 20]),
+        (GaussianRBF(0.5), np.random.default_rng(40).normal(size=(50, 4)),
+         np.random.default_rng(41).integers(0, 50, 40)),
+        # landmarks 1e-7 apart: an eigenvalue below the cut that would move
+        # the statistic by 2e-3 if it were kept
+        (KERNEL, NEAR_DUPLICATES, [0, 5, 9, 14, 21, 9]),
+        (DiscreteDelta(), np.random.default_rng(42).integers(0, 3, (40, 2)) * 1.0,
+         np.random.default_rng(43).integers(0, 40, 12)),
+    ], ids=["distinct", "duplicates", "many-duplicates", "near-duplicates",
+            "delta"])
+    def test_matches_the_pinv_form(self, kernel, X, index):
+        got = nystrom_invariance_stat(X, kernel, len(index), FixedLandmarks(index))
+        assert got == pytest.approx(pinv_nystrom(X, kernel, index), rel=1e-10)
+
+    def test_non_finite_raises(self):
+        X = np.random.default_rng(44).normal(size=(10, 3))
+        for bad in (np.nan, np.inf):
+            X[4, 2] = bad
+            with pytest.raises(BadParameters):
+                nystrom_invariance_stat(X, KERNEL, 3, np.random.default_rng(45))
+
     def test_full_landmarks_match_v_form(self):
         # the projection then keeps the whole mean embedding, whose squared
         # norm is the mean of all n^2 Gram entries

@@ -3,8 +3,9 @@
 ``bench/spans.py`` looks each traced function up by module and attribute
 name, so renaming or deleting one of them would otherwise only fail in a
 traced benchmark run.  Work fused into an untraced caller would be charged
-to that caller's self time, so the CP test is checked to score its null
-copies through the traced statistic.
+to that caller's self time, so the CP test and the two exact kernel-sum
+tests are checked to score their null copies through the traced
+statistic.
 """
 
 import importlib
@@ -67,15 +68,40 @@ def test_cp_null_copies_pass_through_the_traced_statistic(monkeypatch):
     assert values["condsym.multiple_correlation_statistic.ms"] > 0.0
 
 
-def test_mmd_u_scores_each_copy_once_with_no_gram_and_no_transform_draws():
-    # the statistic is the mean kernel value over the pairs i < j: one
-    # invariance_stat_u call for the observed sample and one for each of
-    # the B copies, whatever m is, with no Gram and no transform draws; its
-    # kernel time is charged to invariance_stat_u
+def _record_samples_scored(monkeypatch):
+    """Route invariance_stat_u through a recorder of the samples each call
+    scores, and of the work arrays it is handed.
+
+    Patched before the tracer installs, so that the traced layer wraps the
+    recorder and counts its calls.
+    """
+    from symtest import invariance, mmd
+
+    original = mmd.invariance_stat_u
+    scored = []
+
+    def recording(X, kernel, stack=False, work=None):
+        out = original(X, kernel, stack=stack, work=work)
+        scored.append((np.size(out), None if work is None else id(work)))
+        return out
+
+    for module in (mmd, invariance):
+        monkeypatch.setattr(module, "invariance_stat_u", recording)
+    return scored
+
+
+def test_mmd_u_scores_each_copy_once_with_no_gram_and_no_transform_draws(
+        monkeypatch):
+    # the statistic is the mean kernel value over the pairs i < j: the
+    # observed sample and each of the B copies are scored once, whatever m
+    # is, the copies in stacks of 4, one traced invariance_stat_u call per
+    # stack, with no Gram and no transform draws; the kernel time is
+    # charged to invariance_stat_u
     from symtest import GaussianRBF, mc_invariance_test
     from symtest.groups import so
 
     n, m, B = 12, 2, 9
+    scored = _record_samples_scored(monkeypatch)
     tracer = _spans().Tracer()
     tracer.install()
     try:
@@ -86,7 +112,12 @@ def test_mmd_u_scores_each_copy_once_with_no_gram_and_no_transform_draws():
         tracer.uninstall()
     values = tracer.end()
     assert res.null_stats.size == B
-    assert values["mmd.invariance_stat_u.calls"] == B + 1
+    # the observed sample alone, then the stacks on one set of work arrays
+    assert [size for size, _ in scored] == [1, 4, 4, 1]
+    works = {work for _, work in scored[1:]}
+    assert scored[0][1] is None and len(works) == 1 and None not in works
+    assert values["mmd.invariance_stat_u.calls"] == len(scored)
+    assert values["mmd.invariance_stat_u.ms"] > 0.0
     assert values["kernels.gram.calls"] == 0
     assert values["groups.sample_batch.elements"] == 0
 
@@ -158,14 +189,16 @@ def test_conditional_replication_resolves_each_median_bandwidth_once(
     assert len(calls) == {"kci": 3, "cp": 2}[method]
 
 
-def test_inversion_scores_each_sample_once_with_no_gram_and_no_mmd_u():
+def test_inversion_scores_each_sample_once_with_no_gram_and_no_mmd_u(monkeypatch):
     # the inverting elements and each of the B fresh Haar samples are
-    # scored by one invariance_stat_u call each, with no Gram; no reference
-    # sample and no two-sample mmd_u
+    # scored once, the Haar samples in stacks of 4, one traced
+    # invariance_stat_u call per stack, with no Gram; no reference sample
+    # and no two-sample mmd_u
     from symtest import RotationKernelSO3, inversion_mc_test
     from symtest.groups import so
 
     B = 9
+    scored = _record_samples_scored(monkeypatch)
     tracer = _spans().Tracer()
     tracer.install()
     try:
@@ -176,7 +209,11 @@ def test_inversion_scores_each_sample_once_with_no_gram_and_no_mmd_u():
         tracer.uninstall()
     values = tracer.end()
     assert res.null_stats.size == B
-    assert values["mmd.invariance_stat_u.calls"] == B + 1
+    # the observed sample alone, then the stacks on one set of work arrays
+    assert [size for size, _ in scored] == [1, 4, 4, 1]
+    works = {work for _, work in scored[1:]}
+    assert scored[0][1] is None and len(works) == 1 and None not in works
+    assert values["mmd.invariance_stat_u.calls"] == len(scored)
     assert values["kernels.gram.calls"] == 0
     assert values["mmd.mmd_u.calls"] == 0
 
