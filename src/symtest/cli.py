@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .errors import (
@@ -118,7 +119,7 @@ def _cmd_power(args):
             "n_resamples": est.n_resamples,
             "B": est.B,
             "alpha": est.alpha,
-            "config": est.config,
+            "config": asdict(cfg),
         }
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2)

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .groups import default_invariant_kind, invariant_batch, tau_batch
 from .invariance import _rank_test
-from .kernels import GaussianRBF, _as_points, _rbf_exponent, center, gram
+from .kernels import GaussianRBF, _inner, center, gram
 
 
 @dataclass
@@ -200,9 +200,7 @@ def kci_test(X, Y, spec, config, alpha=0.05, rng=None, y_action="same",
 def _log_gram(kernel, A):
     if not isinstance(kernel, GaussianRBF):
         raise BadParameters("the density-ratio odds need strictly positive kernels")
-    if kernel.bandwidth is None:
-        raise BadParameters("RBF bandwidth has not been resolved")
-    return _rbf_exponent(_as_points(A), None, kernel.bandwidth)
+    return _inner(kernel, A)
 
 
 def _log_joint_sums(data, kernel_y, kernel_m):
@@ -264,7 +262,7 @@ def multiple_correlation_statistic(X, Z, orders=None):
     ``t[orders[b]]`` and all copies share one factorisation of the design
     and one SVD of Z.  A copy scores the same at any position in the stack.
     """
-    X, Z = _as_points(X), _as_points(Z)
+    X, Z = (np.column_stack([A]).astype(float, copy=False) for A in (X, Z))
     _check_finite(X, Z)
     n, d = X.shape
     if Z.shape[0] != n:

@@ -138,15 +138,11 @@ def _require_rng(rng):
         raise BadParameters("a numpy random Generator must be passed as rng")
 
 
-def _check_budget(B, name="B", minimum=1):
-    """Raise BadMonteCarloBudget unless B is an integer (not a bool) >= minimum.
-
-    ``minimum=0`` admits a zero budget.
-    """
-    if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < minimum:
-        kind = "positive" if minimum >= 1 else "nonnegative"
+def _check_budget(B, name="B"):
+    """Raise BadMonteCarloBudget unless B is a positive integer (not a bool)."""
+    if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 1:
         raise BadMonteCarloBudget(
-            f"the Monte Carlo budget {name} must be a {kind} integer"
+            f"the Monte Carlo budget {name} must be a positive integer"
         )
 
 

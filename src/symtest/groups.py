@@ -431,8 +431,10 @@ def inversion_kernel_batch(spec, X, rng):
 def invariant_batch(spec, kind, X):
     """A maximal invariant of the group action at every row of X, as rows.
 
-    Kinds: ``norm`` (SO(d)); ``sorted`` (S_d); ``minkowski-q`` (E^2 - |p|^2
-    per four-vector, for rows of one or more four-vectors);
+    Kinds: ``norm`` (SO(d)); ``sorted`` (S_d); ``minkowski-q`` (for rows of
+    k four-vectors (E, p) under one Lorentz transformation of them all, the
+    Minkowski products E_i E_j - p_i . p_j over i <= j, row by row: the
+    upper triangle of their Minkowski Gram matrix, E^2 - |p|^2 for k = 1);
     ``per-block-norm`` (independent plane rotations); ``paired-rotation``
     (both block norms, their inner product, and the sign of their planar
     cross product, for the shared SO(2) action on R^4).
@@ -448,7 +450,9 @@ def invariant_batch(spec, kind, X):
         if X.shape[1] % 4 != 0:
             raise DimensionMismatch("expected rows of four-vectors")
         p = X.reshape(X.shape[0], -1, 4)
-        return p[..., 0] ** 2 - np.sum(p[..., 1:] ** 2, axis=2)
+        e, q = p[..., 0], p[..., 1:]
+        i, j = np.triu_indices(p.shape[1])
+        return e[:, i] * e[:, j] - np.sum(q[:, i] * q[:, j], axis=2)
     if X.shape[1] != 4:
         raise DimensionMismatch(f"the {kind} invariant lives on R^4")
     p1, p2 = X[:, 0:2], X[:, 2:4]

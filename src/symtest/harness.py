@@ -56,7 +56,7 @@ METHODS = {
 # the methods that test the law of a response given X; the rest, of X alone
 _CONDITIONAL_METHODS = ("kci", "cp")
 
-# the methods that run ``mc_invariance_test``, which ``power_estimate`` can
+# the methods that run ``mc_invariance_test``, which ``symtest power`` can
 # rerun, with their statistics
 _POWER_STATISTICS = {"mmd": "mmd-u", "nmmd": "mmd-nystrom", "cw": "cw"}
 
@@ -318,23 +318,17 @@ def run_power_estimate(config, rng=None):
         raise ConfigInvalid(
             f"power estimation is defined for the methods {tuple(_POWER_STATISTICS)}"
         )
-    statistic = _POWER_STATISTICS[config.method]
     if rng is None:
         rng = _rep_rng(config.seed, 0)
     spec = parse_group(config.group)
     X, _, kernels = _draw_resolved(config, spec, rng)
     kernel = kernels.get("kernel")
 
-    # ``statistic`` names the test in the estimate's record; ``test_fn`` runs
-    # it with the configured landmark and projection counts
     def test_fn(sample):
         return _mc_invariance(config, sample, spec, kernel, rng).p_value
 
-    return power_estimate(
-        X, spec, kernel=kernel, m=config.m, B=config.B,
-        n_resamples=config.n_resamples, alpha=config.alpha,
-        statistic=statistic, rng=rng, test_fn=test_fn, seed=config.seed,
-    )
+    return power_estimate(X, test_fn, B=config.B, n_resamples=config.n_resamples,
+                          alpha=config.alpha, rng=rng)
 
 
 # ---------------------------------------------------------------------------

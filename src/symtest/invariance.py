@@ -17,7 +17,7 @@ copies, so each p-value is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -315,7 +315,6 @@ class PowerEstimate:
     n_resamples: int
     B: int
     alpha: float
-    config: dict = field(default_factory=dict)
 
 
 def conditional_power_binomial(p0, B, alpha):
@@ -338,40 +337,27 @@ def conditional_power_binomial(p0, B, alpha):
     return float(binom.cdf(kmax, B, p0))
 
 
-def power_estimate(X, spec, kernel=None, m=2, B=200, n_resamples=50,
-                   alpha=0.05, statistic="mmd-u", rng=None, test_fn=None,
-                   seed=None):
+def power_estimate(X, test_fn, B=200, n_resamples=50, alpha=0.05, rng=None):
     """Estimate test power from one dataset by bootstrap re-testing.
 
-    Each bootstrap resample of X is run through the Monte Carlo invariance
-    test; its p-value is converted to an estimate of the probability that a
-    single null copy beats the observed statistic, and the binomial formula
-    gives the implied rejection probability.  The average over resamples
-    estimates the power of the test at this sample size.
-
-    ``test_fn(sample) -> p_value`` may replace the built-in test.
+    Each bootstrap resample of X is run through ``test_fn(sample) ->
+    p_value``, a Monte Carlo test with B null copies; its p-value is
+    converted to an estimate of the probability that a single null copy
+    beats the observed statistic, and the binomial formula gives the
+    implied rejection probability.  The average over resamples estimates
+    the power of the test at this sample size.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    _check_budget(m, "m")
+    _check_budget(B)
     _check_budget(n_resamples, "n_resamples")
     _require_rng(rng)
     _check_alpha(alpha)
     betas = np.empty(n_resamples)
     p_nulls = np.empty(n_resamples)
     for c in range(n_resamples):
-        xc = X[rng.integers(0, n, n)]
-        if test_fn is not None:
-            p = float(test_fn(xc))
-        else:
-            p = mc_invariance_test(
-                xc, spec, kernel=kernel, m=m, B=B, alpha=alpha,
-                statistic=statistic, rng=rng,
-            ).p_value
+        p = float(test_fn(X[rng.integers(0, n, n)]))
         p0 = np.clip((p * (B + 1) - 1.0) / B, 0.0, 1.0)
         p_nulls[c] = p0
         betas[c] = conditional_power_binomial(p0, B, alpha)
-    return PowerEstimate(
-        float(betas.mean()), betas, p_nulls, n_resamples, B, alpha,
-        {"m": m, "alpha": alpha, "statistic": str(statistic), "seed": seed},
-    )
+    return PowerEstimate(float(betas.mean()), betas, p_nulls, n_resamples, B, alpha)

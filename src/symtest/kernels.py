@@ -179,41 +179,58 @@ def _rbf_exponent(A, B, bandwidth, out=None):
     return e
 
 
-def gram(kernel, X, Y=None):
-    """Gram matrix K[i, j] = k(X[i], Y[j]); Y defaults to X."""
+def _inner(kernel, X, Y=None, lead=1, out=None):
+    """The RBF exponent, or the rotation kernel's q . q' with diagonal 1, of all pairs.
+
+    X's points against Y's (``Y=None``: X's own) once they pass their checks;
+    with ``lead=2``, each sample of a (k, n, ...) stack against itself, as
+    one batched product written to ``out`` when given.
+    """
     if isinstance(kernel, RotationKernelSO3):
-        A = _check_quaternions(X)
+        A = _check_quaternions(X, ndim=lead + 1)
         if Y is None:
-            c = A @ A.T
-            _check_unit(c.diagonal())  # the squared norms, at no extra product
+            c = np.matmul(A, np.swapaxes(A, -1, -2), out=out)
+            diag = np.einsum("...ii->...i", c)  # a writeable view
+            _check_unit(diag)  # the squared norms, at no extra product
             # the exact cos(0) = 1: |q . q| rounds to 1 - 2e-16 on some rows,
             # which arccos turns into a half-angle of 2e-8
-            np.fill_diagonal(c, 1.0)
-        else:
-            B = _check_quaternions(Y)
-            AB = np.concatenate([A, B])
-            _check_unit(np.einsum("ij,ij->i", AB, AB))
-            c = A @ B.T
-        return _so3_from_cos(np.abs(c, out=c))
+            diag[...] = 1.0
+            return c
+        B = _check_quaternions(Y, ndim=lead + 1)
+        for Q in (A, B):
+            _check_unit(np.einsum("...ij,...ij->...i", Q, Q))
+        return np.matmul(A, np.swapaxes(B, -1, -2), out=out)
+    if isinstance(kernel, GaussianRBF):
+        if kernel.bandwidth is None:
+            raise BadParameters("RBF bandwidth has not been resolved")
+        A = _as_points(X, lead)
+        B = None if Y is None else _as_points(Y, lead)
+        if B is not None and A.shape[-1] != B.shape[-1]:
+            raise DimensionMismatch("samples of different dimension")
+        return _rbf_exponent(A, B, kernel.bandwidth, out=out)
+    raise UnsupportedKind(f"unknown kernel type {type(kernel).__name__}")
+
+
+def _evaluate(kernel, v, scratch=None):
+    """In-place kernel values of ``_inner``'s v; ``scratch`` is ``_so3_from_cos``'s."""
+    if isinstance(kernel, RotationKernelSO3):
+        return _so3_from_cos(np.abs(v, out=v), scratch)
+    # avoid subnormal kernel values: they are extremely slow to produce and
+    # indistinguishable from zero for every statistic built on top
+    if v.size and v.min() < -708.0:
+        np.copyto(v, -1000.0, where=v < -708.0)
+    return np.exp(v, out=v)
+
+
+def gram(kernel, X, Y=None):
+    """Gram matrix K[i, j] = k(X[i], Y[j]); Y defaults to X."""
     if isinstance(kernel, DiscreteDelta):
         A = _as_points(X)
         B = A if Y is None else _as_points(Y)
         if A.shape[1] != B.shape[1]:
             raise DimensionMismatch("samples of different dimension")
         return (A[:, None, :] == B[None, :, :]).all(axis=2).astype(float)
-    if isinstance(kernel, GaussianRBF):
-        if kernel.bandwidth is None:
-            raise BadParameters("RBF bandwidth has not been resolved")
-        A = _as_points(X)
-        B = A if Y is None else _as_points(Y)
-        if A.shape[1] != B.shape[1]:
-            raise DimensionMismatch("samples of different dimension")
-        e = _rbf_exponent(A, None if Y is None else B, kernel.bandwidth)
-        # avoid subnormal kernel values: they are extremely slow to produce
-        # and indistinguishable from zero for every statistic built on top
-        np.copyto(e, -1000.0, where=e < -708.0)
-        return np.exp(e, out=e)
-    raise UnsupportedKind(f"unknown kernel type {type(kernel).__name__}")
+    return _evaluate(kernel, _inner(kernel, X, Y))
 
 
 @lru_cache(maxsize=8)
@@ -249,34 +266,19 @@ def _take_pairs(full, work):
 def _stack_pair_values(kernel, X, work=None):
     """``pair_values`` of every sample of a (k, n, ...) stack, as (k, n(n-1)/2).
 
-    For the RBF and rotation kernels: one batched matrix product, one gather
-    of the pairs, one clamp check or unit-norm check and one elementwise
-    kernel evaluation for the whole stack, each row equal bit for bit to
-    that sample's ``pair_values``; the delta kernel reads each sample's Gram.
-    With a dict ``work`` (see ``_work_array``) their large arrays are kept
-    for the next call, and the result lives there until it.
+    One batched ``_inner`` and one ``_evaluate`` of the pairs for the whole
+    stack, each row equal bit for bit to that sample's ``pair_values``; the
+    delta kernel reads each sample's Gram.  With a dict ``work`` (see
+    ``_work_array``) the large arrays are kept for the next call, and the
+    result lives there until it.
     """
-    if isinstance(kernel, RotationKernelSO3):
-        A = _check_quaternions(X, ndim=3)
-        k, n = A.shape[:2]
-        full = _work_array(work, "full", (k, n, n))
-        np.matmul(A, np.swapaxes(A, 1, 2), out=full)
-        _check_unit(np.diagonal(full, axis1=1, axis2=2))
-        c = _take_pairs(full, work)
-        # the spent (n, n) cosines hold the work arrays of the kernel values
-        return _so3_from_cos(np.abs(c, out=c), scratch=full.reshape(-1))
-    if isinstance(kernel, GaussianRBF):
-        if kernel.bandwidth is None:
-            raise BadParameters("RBF bandwidth has not been resolved")
-        A = _as_points(X, lead=2)
-        k, n = A.shape[:2]
-        full = _work_array(work, "full", (k, n, n))
-        e = _take_pairs(_rbf_exponent(A, None, kernel.bandwidth, out=full), work)
-        # the clamp of ``gram``, run only when some exponent needs it
-        if e.size and e.min() < -708.0:
-            np.copyto(e, -1000.0, where=e < -708.0)
-        return np.exp(e, out=e)
-    return np.stack([gram(kernel, s).take(_pair_index(len(s))) for s in X])
+    if isinstance(kernel, DiscreteDelta):
+        return np.stack([gram(kernel, s).take(_pair_index(len(s))) for s in X])
+    k, n = np.shape(X)[:2]
+    full = _work_array(work, "full", (k, n, n))
+    # the spent (n, n) products hold the work arrays of the rotation kernel
+    return _evaluate(kernel, _take_pairs(_inner(kernel, X, lead=2, out=full), work),
+                     scratch=full.reshape(-1))
 
 
 def pair_values(kernel, X):

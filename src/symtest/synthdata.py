@@ -33,7 +33,6 @@ class Generator:
     mu: np.ndarray | None = None
     cov: np.ndarray | None = None
     kappa: float | None = None
-    xi: np.ndarray | None = None
 
     def __post_init__(self):
         if self.tag not in MARGINAL_TAGS + CONDITIONAL_TAGS:
@@ -142,8 +141,7 @@ def sample(gen, n, rng):
     if gen.tag == "exch-minus":
         return rng.standard_normal((n, d)) @ _psd_sqrt(exchangeable_cov(d, -1)).T
     if gen.tag == "vmf":
-        xi = gen.xi if gen.xi is not None else np.eye(d)[0]
-        u = vmf_sample(xi, gen.kappa, n, rng)
+        u = vmf_sample(np.eye(d)[0], gen.kappa, n, rng)
         return chi_sample(d, rng, n)[:, None] * u
     if gen.tag in ("cond-shift", "cond-abs", "cond-proj"):
         sigma = _wishart_identity(d, rng)

@@ -6,7 +6,8 @@ checked against one plain matrix-vector product per row.  The rotations that
 ``sample_batch`` builds from drawn angles have their own references, one
 matrix per row for a discrete rotation about a coordinate axis and the
 planar formula (c x - s y, s x + c y) for the two planes of R^4.  Unit
-quaternions are turned into rotation matrices by the textbook formula.
+quaternions are turned into rotation matrices by the textbook formula, and
+a Lorentz boost of four-vectors (E, p) is built from its velocity.
 """
 
 import numpy as np
@@ -80,3 +81,19 @@ def quaternion_matrix(q):
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ])
     return np.array(mats)
+
+
+def lorentz_boost(beta):
+    """The 4 x 4 boost of four-vectors (E, p) by the velocity ``beta``, |beta| < 1.
+
+    E' = gamma (E - beta . p) and p' = p + ((gamma - 1) (n . p) - gamma |beta| E) n
+    with n = beta / |beta| and gamma = 1 / sqrt(1 - |beta|^2).
+    """
+    beta = np.asarray(beta, dtype=float)
+    b2 = beta @ beta
+    gamma = 1.0 / np.sqrt(1.0 - b2)
+    m = np.eye(4)
+    m[0, 0] = gamma
+    m[0, 1:] = m[1:, 0] = -gamma * beta
+    m[1:, 1:] += (gamma - 1.0) * np.outer(beta, beta) / b2
+    return m

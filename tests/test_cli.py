@@ -206,18 +206,18 @@ class TestPowerCommand:
 
     def test_mmd_estimate_is_pinned(self, tmp_path):
         payload = self.power_of(tmp_path, "mmd")
-        assert payload["config"]["statistic"] == "mmd-u"
+        assert payload["config"]["method"] == "mmd"
+        assert payload["config"]["n_resamples"] == 4
         assert abs(payload["beta_hat"] - 0.7802100258407207) < 1e-12
 
     def test_nmmd_and_cw_use_their_statistics(self, tmp_path):
-        mmd = self.power_of(tmp_path, "mmd")["beta_hat"]
-        for method, statistic, option in (
-            ("nmmd", "mmd-nystrom", "n_landmarks"),
-            ("cw", "cw", "n_projections"),
+        for method, beta_hat, option in (
+            ("nmmd", 0.5095477563251857, "n_landmarks"),
+            ("cw", 0.03040248745733743, "n_projections"),
         ):
             payload = self.power_of(tmp_path, method)
-            assert payload["config"]["statistic"] == statistic
-            assert payload["beta_hat"] != mmd
+            assert payload["config"]["method"] == method
+            assert abs(payload["beta_hat"] - beta_hat) < 1e-12
             other = self.power_of(tmp_path, method, **{option: 2})
             assert other["betas"] != payload["betas"]
 

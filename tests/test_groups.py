@@ -5,6 +5,7 @@ from group_reference import (
     act_rows,
     axis_rotation,
     element_matrices,
+    lorentz_boost,
     quaternion_matrix,
     rot2,
     rotate_planes,
@@ -596,7 +597,27 @@ class TestMaximalInvariants:
             trivial(8), "minkowski-q",
             np.array([5.0, 1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0]),
         )
-        np.testing.assert_allclose(two, [11.0, 16.0])
+        # p1^2, p1 . p2 and p2^2
+        np.testing.assert_allclose(two, [11.0, 20.0, 16.0])
+
+    def test_minkowski_q_is_lorentz_invariant(self):
+        # one boost and one rotation hit both four-vectors of every row
+        rng = np.random.default_rng(31)
+        p = rng.normal(size=(20, 2, 4))
+        p[..., 0] = np.linalg.norm(p[..., 1:], axis=2) + rng.uniform(0.1, 2.0, (20, 2))
+        rotation = np.eye(4)
+        rotation[1:, 1:] = haar_rotations(3, 1, rng)[0]
+        move = lorentz_boost([0.5, -0.3, 0.6]) @ rotation
+        before = invariant_batch(trivial(8), "minkowski-q", p.reshape(20, 8))
+        after = invariant_batch(trivial(8), "minkowski-q", (p @ move.T).reshape(20, 8))
+        assert before.shape == (20, 3)
+        np.testing.assert_allclose(after, before, rtol=1e-9, atol=1e-9)
+        # each four-vector moved on its own changes p1 . p2
+        apart = np.concatenate([p[:, 0] @ move.T, p[:, 1]], axis=1)
+        moved = invariant_batch(trivial(8), "minkowski-q", apart)
+        np.testing.assert_allclose(moved[:, [0, 2]], before[:, [0, 2]],
+                                   rtol=1e-9, atol=1e-9)
+        assert not np.allclose(moved[:, 1], before[:, 1])
 
     def test_per_block_norm(self):
         out = _invariant(so2xso2(), "per-block-norm",

@@ -284,7 +284,7 @@ class TestRngRequired:
         lambda X, Y: cp_test(X, Y, so(2), KERNEL, KERNEL, burn_in=2, B=9),
         lambda X, Y: inversion_mc_test(X, so(2), KERNEL, B=9),
         lambda X, Y: transformation_two_sample_test(X, so(2), KERNEL, B=9),
-        lambda X, Y: power_estimate(X, so(2), KERNEL, B=9, n_resamples=2),
+        lambda X, Y: power_estimate(X, lambda s: 0.5, B=9, n_resamples=2),
         lambda X, Y: haar_rotations(3, 4, None),
         lambda X, Y: haar_quaternions(4, None),
         lambda X, Y: inversion_kernel_batch(so(3), np.ones((4, 3)), None),
@@ -358,7 +358,7 @@ class TestAlphaValidation:
                                  rng=np.random.default_rng(0)),
         lambda X, Y, a: cp_test(X, Y, so(2), KERNEL, KERNEL, alpha=a, burn_in=2,
                                 B=9, rng=np.random.default_rng(0)),
-        lambda X, Y, a: power_estimate(X, so(2), KERNEL, B=9, n_resamples=2,
+        lambda X, Y, a: power_estimate(X, lambda s: 0.5, B=9, n_resamples=2,
                                        alpha=a, rng=np.random.default_rng(0)),
         lambda X, Y, a: conditional_power_binomial(0.5, 9, a),
     ], ids=["mc_invariance_test", "cw_test", "transformation_two_sample_test",
@@ -608,15 +608,13 @@ class TestPower:
         # a test that always returns the smallest possible p-value implies
         # p0 = 0 and hence certain rejection
         est = power_estimate(
-            X, so(2), B=99, n_resamples=10, rng=rng,
-            test_fn=lambda sample: 1.0 / 100.0,
+            X, lambda sample: 1.0 / 100.0, B=99, n_resamples=10, rng=rng,
         )
         assert isinstance(est, PowerEstimate)
         assert est.beta_hat == 1.0
         # a test that always returns p = 1 implies p0 = 1 and zero power
         est = power_estimate(
-            X, so(2), B=99, n_resamples=10, rng=rng,
-            test_fn=lambda sample: 1.0,
+            X, lambda sample: 1.0, B=99, n_resamples=10, rng=rng,
         )
         assert est.beta_hat == 0.0
 
@@ -624,8 +622,7 @@ class TestPower:
         rng = np.random.default_rng(22)
         X = rng.normal(size=(30, 2))
         est = power_estimate(
-            X, so(2), B=99, n_resamples=5, rng=rng,
-            test_fn=lambda sample: 0.31,
+            X, lambda sample: 0.31, B=99, n_resamples=5, rng=rng,
         )
         # p = 0.31 with B = 99 implies p0 = (0.31 * 100 - 1) / 99 = 30/99
         assert np.allclose(est.p_nulls, 30.0 / 99.0)
@@ -635,7 +632,6 @@ class TestPower:
         X = rng.normal(size=(10, 2))
         for bad in (0, 2.5, True):
             with pytest.raises(BadMonteCarloBudget):
-                power_estimate(X, so(2), KERNEL, n_resamples=bad, rng=rng)
+                power_estimate(X, lambda s: 0.5, n_resamples=bad, rng=rng)
             with pytest.raises(BadMonteCarloBudget):
-                power_estimate(X, so(2), KERNEL, m=bad, B=9, n_resamples=2,
-                               rng=rng)
+                power_estimate(X, lambda s: 0.5, B=bad, n_resamples=2, rng=rng)

@@ -1,13 +1,14 @@
-"""The benchmark's traced layers must name functions that exist.
+"""The benchmark's traced layers and imports must name functions that exist.
 
 ``bench/spans.py`` looks each traced function up by module and attribute
-name, so renaming or deleting one of them would otherwise only fail in a
-traced benchmark run.  Work fused into an untraced caller would be charged
-to that caller's self time, so the CP test and the two exact kernel-sum
-tests are checked to score their null copies through the traced
-statistic.
+name, and the benchmark scripts import names from ``symtest``, so renaming
+or deleting one of them would otherwise only fail in a benchmark run.  Work
+fused into an untraced caller would be charged to that caller's self time,
+so the CP test and the two exact kernel-sum tests are checked to score
+their null copies through the traced statistic.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -15,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def _spans():
@@ -35,6 +37,25 @@ def test_traced_layer_resolves(layer):
     for part in attr.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in BENCH.glob("*.py")))
+def test_bench_imports_from_symtest_resolve(script):
+    # untraced code such as worker.py's KCI recheck runs only after a timed run
+    tree = ast.parse((BENCH / script).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "symtest":
+                    importlib.import_module(alias.name)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == "symtest":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                # a name is an attribute of the module or one of its submodules
+                assert (hasattr(module, alias.name)
+                        or importlib.util.find_spec(name)), f"{script}: {name}"
 
 
 def test_cp_null_copies_pass_through_the_traced_statistic(monkeypatch):
