@@ -45,6 +45,7 @@ from .errors import (
     _check_finite,
     _require_rng,
 )
+from .kernels import _row_norms
 
 _ZERO_TOL = 1e-12
 
@@ -310,7 +311,8 @@ def orbit_draw(spec, X, rng, count=None):
     k = 1 if count is None else count
     if spec.family == "so":
         out = rng.standard_normal((k,) + X.shape)
-        out *= (np.linalg.norm(X, axis=1) / np.linalg.norm(out, axis=2))[..., None]
+        norms = _row_norms(lambda c: out[..., c], X.shape[1])
+        out *= (np.linalg.norm(X, axis=1) / norms)[..., None]
     else:
         out = sample_batch(spec, rng, k * len(X)).apply(np.tile(X, (k, 1)))
     return out.reshape(X.shape if count is None else (k,) + X.shape)

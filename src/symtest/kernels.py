@@ -3,9 +3,9 @@
 Three kernel families cover every test in the package: a Gaussian RBF on
 Euclidean points, a heat-kernel-style kernel on SO(3) in unit quaternions,
 and an exact-match (delta) kernel for discrete values.  Helpers compute Gram
-matrices, a sample's kernel values on its pairs i < j and their sums over a
-stack of samples, the median-distance bandwidth heuristic, and double
-centering.
+matrices, the sums of a sample's kernel values over its pairs i < j, for a
+stack of samples at once, the median-distance bandwidth heuristic, and
+double centering.
 """
 
 from __future__ import annotations
@@ -102,16 +102,15 @@ def _so3_from_cos(c, scratch=None):
     theta = arccos(c) lies in [0, pi/2].  Both theta and
     sin(theta) = sqrt((1 - c)(1 + c)) are taken from the same c, which keeps
     theta / sin(theta) accurate near 0; below theta = 1e-6 the series
-    1 + theta^2 / 6 replaces the ratio.  ``scratch``, a flat float array of
-    at least 2 c.size entries, lets it overwrite c and hold its two work
-    arrays, the result among them, so that it allocates none of c's size.
+    1 + theta^2 / 6 replaces the ratio.  With ``scratch``, two float arrays
+    of c's shape, it overwrites c and allocates no array of c's size.
     """
     if scratch is None:
         c = np.clip(c, 0.0, 1.0)
         theta, sin = np.empty_like(c), np.empty_like(c)
     else:
         np.clip(c, 0.0, 1.0, out=c)
-        theta, sin = scratch[:2 * c.size].reshape((2,) + c.shape)
+        theta, sin = scratch
     np.arccos(c, out=theta)
     # (1 - c)(1 + c) and pi / 8 (pi - theta) ratio in place, to keep the
     # temporaries few; the ratio is one unmasked divide, which runs in SIMD,
@@ -137,82 +136,71 @@ def _check_quaternions(X, ndim=2):
     return X
 
 
-# The squared norms of quaternions whose norm lies within 1e-8 of 1.
-_UNIT_SQ_RANGE = ((1.0 - 1e-8) ** 2, (1.0 + 1e-8) ** 2)
-
-
 def _check_unit(sq):
-    """Raise InvalidRotation unless every squared norm in ``sq`` is in range."""
-    lo, hi = _UNIT_SQ_RANGE
+    """Raise InvalidRotation unless every squared norm in ``sq`` is that of a
+    norm within 1e-8 of 1."""
     # a NaN minimum or maximum fails the comparison and raises
-    if sq.size and not (lo <= sq.min() and sq.max() <= hi):
+    if sq.size and not ((1 - 1e-8) ** 2 <= sq.min() and sq.max() <= (1 + 1e-8) ** 2):
         raise InvalidRotation("quaternion rows must have unit norm")
 
 
-def _rbf_exponent(A, B, bandwidth, out=None):
-    """The RBF exponent -||A_i - B_j||^2 / (2 sigma^2) for all pairs of rows.
+def _factors(kernel, X, Y=None, lead=1):
+    """Checked factors L, R (a transposed view) of the RBF exponent, or of q . q'.
 
-    One matrix product of augmented rows, [2cA, -c|a|^2, -c] @ [B, 1, |b|^2]^T
-    with c = 1 / (2 sigma^2).  ``B=None`` means B = A, whose diagonal is set
-    to its exact value 0.  Cancellation leaves errors of about
-    1e-16 * c (|a|^2 + |b|^2) off the diagonal, so duplicate rows need not
-    give exactly 0 there.  A and B may be (k, n, d) stacks of samples, each
-    paired with its own: one batched product, each slice equal to the
-    product of that sample alone, written to ``out`` when given.
-    """
-    c = 1.0 / (2.0 * bandwidth**2)
-    R = A if B is None else B
-    d = A.shape[-1]
-    left = np.empty(A.shape[:-1] + (d + 2,))
-    right = np.empty(R.shape[:-1] + (d + 2,))
-    np.multiply(A, 2.0 * c, out=left[..., :d])
-    a2 = np.einsum("...ij,...ij->...i", A, A)
-    np.multiply(a2, -c, out=left[..., d])
-    left[..., d + 1] = -c
-    right[..., :d] = R
-    right[..., d] = 1.0
-    right[..., d + 1] = a2 if B is None else np.einsum("...ij,...ij->...i", B, B)
-    e = np.matmul(left, np.swapaxes(right, -1, -2), out=out)
-    if B is None:
-        diag = np.arange(A.shape[-2])
-        e[..., diag, diag] = 0.0
-    return e
-
-
-def _inner(kernel, X, Y=None, lead=1, out=None):
-    """The RBF exponent, or the rotation kernel's q . q' with diagonal 1, of all pairs.
-
-    X's points against Y's (``Y=None``: X's own) once they pass their checks;
-    with ``lead=2``, each sample of a (k, n, ...) stack against itself, as
-    one batched product written to ``out`` when given.
+    X's points against Y's (``Y=None``: X's own); with ``lead=2``, each
+    sample of a (k, n, ...) stack against itself.  The RBF's L has rows
+    [2ca, -c|a|^2, -c] and R columns [b, 1, |b|^2], c = 1 / (2 sigma^2), at
+    errors of about 1e-16 c (|a|^2 + |b|^2).  The rotation kernel's R of X's
+    own pairs is L's view, for SYRK, and their unit norms are the caller's.
     """
     if isinstance(kernel, RotationKernelSO3):
         A = _check_quaternions(X, ndim=lead + 1)
         if Y is None:
-            c = np.matmul(A, np.swapaxes(A, -1, -2), out=out)
-            diag = np.einsum("...ii->...i", c)  # a writeable view
-            _check_unit(diag)  # the squared norms, at no extra product
-            # the exact cos(0) = 1: |q . q| rounds to 1 - 2e-16 on some rows,
-            # which arccos turns into a half-angle of 2e-8
-            diag[...] = 1.0
-            return c
+            return A, np.swapaxes(A, -1, -2)
         B = _check_quaternions(Y, ndim=lead + 1)
         for Q in (A, B):
             _check_unit(np.einsum("...ij,...ij->...i", Q, Q))
-        return np.matmul(A, np.swapaxes(B, -1, -2), out=out)
-    if isinstance(kernel, GaussianRBF):
-        if kernel.bandwidth is None:
-            raise BadParameters("RBF bandwidth has not been resolved")
-        A = _as_points(X, lead)
-        B = None if Y is None else _as_points(Y, lead)
-        if B is not None and A.shape[-1] != B.shape[-1]:
-            raise DimensionMismatch("samples of different dimension")
-        return _rbf_exponent(A, B, kernel.bandwidth, out=out)
-    raise UnsupportedKind(f"unknown kernel type {type(kernel).__name__}")
+        return A, np.swapaxes(B, -1, -2)
+    if not isinstance(kernel, GaussianRBF):
+        raise UnsupportedKind(f"unknown kernel type {type(kernel).__name__}")
+    if kernel.bandwidth is None:
+        raise BadParameters("RBF bandwidth has not been resolved")
+    A = _as_points(X, lead)
+    B = A if Y is None else _as_points(Y, lead)
+    if A.shape[-1] != B.shape[-1]:
+        raise DimensionMismatch("samples of different dimension")
+    c = 1.0 / (2.0 * kernel.bandwidth**2)
+    d = A.shape[-1]
+    left = np.empty(A.shape[:-1] + (d + 2,))
+    right = np.empty(B.shape[:-1] + (d + 2,))
+    np.multiply(A, 2.0 * c, out=left[..., :d])
+    a2 = np.einsum("...ij,...ij->...i", A, A)
+    np.multiply(a2, -c, out=left[..., d])
+    left[..., d + 1] = -c
+    right[..., :d] = B
+    right[..., d] = 1.0
+    right[..., d + 1] = a2 if Y is None else np.einsum("...ij,...ij->...i", B, B)
+    return left, np.swapaxes(right, -1, -2)
+
+
+def _inner(kernel, X, Y=None):
+    """The product of ``_factors``, with X's own diagonal set to its exact 0 or 1.
+
+    cos(0) = 1 exactly: |q . q| rounds to 1 - 2e-16 on some rows, which
+    arccos turns into a half-angle of 2e-8.
+    """
+    left, right = _factors(kernel, X, Y)
+    v = left @ right
+    if Y is None:
+        diag = np.einsum("ii->i", v)  # a writeable view
+        if isinstance(kernel, RotationKernelSO3):
+            _check_unit(diag)  # the squared norms, at no extra product
+        diag[...] = float(isinstance(kernel, RotationKernelSO3))
+    return v
 
 
 def _evaluate(kernel, v, scratch=None):
-    """In-place kernel values of ``_inner``'s v; ``scratch`` is ``_so3_from_cos``'s."""
+    """In-place kernel values of ``_factors``'s products; scratch: ``_so3_from_cos``'s."""
     if isinstance(kernel, RotationKernelSO3):
         return _so3_from_cos(np.abs(v, out=v), scratch)
     # avoid subnormal kernel values: they are extremely slow to produce and
@@ -254,58 +242,71 @@ def _work_array(work, name, shape):
     return work[name][:size].reshape(shape)
 
 
-def _take_pairs(full, work):
-    """The entries i < j of each (n, n) slice of a (k, n, n) stack, as (k, n(n-1)/2)."""
-    k, n = full.shape[:2]
-    index = _pair_index(n)
-    out = _work_array(work, "pairs", (k, index.size))
-    # in-range indices, so "clip" changes nothing; it spares the copy "raise" makes
-    return full.reshape(k, n * n).take(index, axis=1, out=out, mode="clip")
+# pair_sums takes a sample's pairs in blocks of at most this many rows.
+_BLOCK_ROWS = 128
 
 
-def _stack_pair_values(kernel, X, work=None):
-    """``pair_values`` of every sample of a (k, n, ...) stack, as (k, n(n-1)/2).
-
-    One batched ``_inner`` and one ``_evaluate`` of the pairs for the whole
-    stack, each row equal bit for bit to that sample's ``pair_values``; the
-    delta kernel reads each sample's Gram.  With a dict ``work`` (see
-    ``_work_array``) the large arrays are kept for the next call, and the
-    result lives there until it.
-    """
-    if isinstance(kernel, DiscreteDelta):
-        return np.stack([gram(kernel, s).take(_pair_index(len(s))) for s in X])
-    k, n = np.shape(X)[:2]
-    full = _work_array(work, "full", (k, n, n))
-    # the spent (n, n) products hold the work arrays of the rotation kernel
-    return _evaluate(kernel, _take_pairs(_inner(kernel, X, lead=2, out=full), work),
-                     scratch=full.reshape(-1))
-
-
-def pair_values(kernel, X):
-    """k(X_i, X_j) over the pairs i < j, row by row (scipy ``pdist`` order).
-
-    Equal bit for bit to ``gram(kernel, X)[np.triu_indices(n, 1)]``.  The
-    RBF and rotation kernels are evaluated on those n(n-1)/2 pairs only,
-    after the one matrix product that gives every pair's exponent or
-    cosine; the delta kernel reads them from its Gram.
-    """
-    return _stack_pair_values(kernel, np.asarray(X)[None])[0]
+def _row_blocks(n, most):
+    """The [lo, hi) of ceil(n / most) blocks of equal size that cover range(n)."""
+    step = -(-n // -(-n // max(most, 1)))
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def pair_sums(kernel, X, work=None):
-    """The sum of ``pair_values`` of every sample of a (k, n, ...) stack, as (k,).
+    """The sum of k(X_i, X_j) over i < j for each sample of a (k, n, ...) stack.
 
-    Entry s is equal bit for bit to ``pair_values(kernel, X[s]).sum()``;
-    the whole stack costs one call of each numpy step.  Calls that share a
-    dict ``work`` reuse one set of large work arrays, so that a loop over
-    stacks allocates and pages in none of them afresh.
+    Over row blocks of equal size, at most ``_BLOCK_ROWS``: block [lo, hi)
+    adds its pairs with the rows [hi, n), one batched product evaluated and
+    summed in place, and its pairs inside, gathered from its own product.
+    Up to n = 128 that is one block and the sum of ``gram``'s upper triangle
+    bit for bit; above, it equals that to rounding.  A sample's sum is the
+    same bit for bit alone and at every place in a stack.  Calls that share
+    a dict ``work`` (see ``_work_array``) reuse its arrays, none of more than
+    k * 128 * n values.  The delta kernel reads each sample's Gram.
     """
-    return _stack_pair_values(kernel, X, work).sum(axis=1)
+    if isinstance(kernel, DiscreteDelta):
+        return np.array([gram(kernel, s).take(_pair_index(len(s))).sum() for s in X])
+    left, right = _factors(kernel, X, lead=2)
+    rotation = isinstance(kernel, RotationKernelSO3)
+    if not rotation:
+        right = np.ascontiguousarray(right)  # rows, which BLAS reads faster
+    k, n = left.shape[:2]
+    sums = np.zeros(k)
+    for lo, hi in _row_blocks(n, _BLOCK_ROWS):
+        rows = left[:, lo:hi]
+        own = np.matmul(rows, right[:, :, lo:hi],
+                        out=_work_array(work, "product", (k, hi - lo, hi - lo)))
+        if rotation:
+            _check_unit(np.einsum("...ii->...i", own))  # the squared norms
+        index = _pair_index(hi - lo)
+        # in-range indices, so "clip" changes nothing; it spares the copy "raise" makes
+        pairs = own.reshape(k, -1).take(index, axis=1, mode="clip",
+                                        out=_work_array(work, "pairs", (k, index.size)))
+        # the spent product holds the rotation kernel's work arrays
+        spent = own.reshape(-1)[:2 * pairs.size].reshape((2,) + pairs.shape)
+        sums += _evaluate(kernel, pairs, spent).sum(axis=1)
+        if hi < n:
+            rect = np.matmul(rows, right[:, :, hi:],
+                             out=_work_array(work, "product", (k, hi - lo, n - hi)))
+            names = ("theta", "sin") if rotation else ()
+            scratch = [_work_array(work, name, rect.shape) for name in names]
+            sums += _evaluate(kernel, rect, scratch).reshape(k, -1).sum(axis=1)
+    return sums
 
 
-# The median heuristic takes its row differences in blocks of at most this
-# many floats.
+# The median heuristic takes its differences in blocks of at most this many floats.
 _MEDIAN_BLOCK_ENTRIES = 1 << 20
+
+
+def _row_norms(column, d):
+    """The row norms of A, from its d columns column(c), bit for bit as
+    ``np.linalg.norm(A, axis=-1)``: numpy sums fewer than 8 squares in order."""
+    if d >= 8:
+        return np.linalg.norm(np.stack([column(c) for c in range(d)], axis=-1), axis=-1)
+    total = np.square(column(0))
+    for c in range(1, d):
+        total += np.square(column(c))
+    return np.sqrt(total)
 
 
 def median_heuristic(X):
@@ -314,17 +315,15 @@ def median_heuristic(X):
     n, d = X.shape
     if n < 2:
         raise SampleTooSmall("median heuristic needs at least two points")
-    # exact row differences X[j] - X[i] over the pairs j > i, so that duplicate
-    # rows give distances of exactly 0, taken for a block of rows i at a time
-    step = max(1, _MEDIAN_BLOCK_ENTRIES // (n * max(d, 1)))
-    dists = []
-    for lo in range(0, n - 1, step):
-        rows = np.arange(lo, min(lo + step, n - 1))
-        counts = n - 1 - rows
-        i = np.repeat(rows, counts)
-        # row i's partners i + 1, ..., n - 1, from each entry's offset in its run
-        j = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts) + i + 1
-        dists.append(np.linalg.norm(X.take(j, axis=0) - X.take(i, axis=0), axis=1))
+    if d == 0:
+        raise AllPointsIdentical("all points coincide; no usable bandwidth")
+    # exact differences X[j] - X[i], j > i, so that duplicate rows give distances
+    # of exactly 0, a column at a time over row blocks as pair_sums takes them
+    Xt, dists = X.T.copy(), []
+    for lo, hi in _row_blocks(n, min(_BLOCK_ROWS, _MEDIAN_BLOCK_ENTRIES // (n * d))):
+        own = _pair_index(hi - lo)
+        dists += [_row_norms(lambda c: (Xt[c, lo:hi] - Xt[c, lo:hi, None]).take(own), d),
+                  _row_norms(lambda c: (Xt[c, hi:] - Xt[c, lo:hi, None]).ravel(), d)]
     dists = np.concatenate(dists)
     # the median as np.median takes it, from one partition at the upper
     # middle h: for an even count the lower middle is the largest entry

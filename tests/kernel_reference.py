@@ -1,5 +1,6 @@
 """References for the kernels: one pair of points at a time, the SO(3)
-rotation kernel's Gram matrix and the median heuristic.
+rotation kernel's Gram matrix, a sample's kernel values on its pairs i < j
+and the median heuristic.
 
 The trace matrix is an einsum over the (n, 3, 3) stacks, and the kernel
 value is taken with boolean masks: theta / sin(theta) from ``np.sin`` away
@@ -10,7 +11,7 @@ heuristic takes one row's differences at a time.
 import numpy as np
 
 from symtest.errors import AllPointsIdentical
-from symtest.kernels import DiscreteDelta, GaussianRBF, RotationKernelSO3
+from symtest.kernels import DiscreteDelta, GaussianRBF, RotationKernelSO3, gram
 
 
 def eval_kernel(kernel, x, y):
@@ -49,6 +50,11 @@ def so3_trace(A, B):
 def so3_gram(A, B=None):
     """The rotation kernel's Gram matrix of two stacks; B defaults to A."""
     return so3_from_trace(so3_trace(A, A if B is None else B))
+
+
+def pair_values(kernel, X):
+    """k(X_i, X_j) over the pairs i < j, row by row: the upper triangle of the Gram."""
+    return gram(kernel, X)[np.triu_indices(len(X), 1)]
 
 
 def median_heuristic_by_rows(X):

@@ -372,6 +372,16 @@ class TestOrbitDraw:
                                    np.linalg.norm(X, axis=1), rtol=1e-12)
         assert np.array_equal(out[[7, 123]], np.zeros((2, d)))
 
+    @pytest.mark.parametrize("d", [2, 4, 9, 130])
+    def test_rows_are_rescaled_gaussians_bit_for_bit(self, d):
+        # each row is the generator's Gaussian row g times |x| / |g|, with
+        # both norms as np.linalg.norm takes them
+        X = np.random.default_rng(60 + d).standard_normal((11, d))
+        g = np.random.default_rng(61).standard_normal((3, 11, d))
+        expect = g * (np.linalg.norm(X, axis=1) / np.linalg.norm(g, axis=2))[..., None]
+        got = orbit_draw(so(d), X, np.random.default_rng(61), 3)
+        assert np.array_equal(got, expect)
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_same_law_as_rotating_each_row(self, d):
         from scipy.stats import ks_2samp

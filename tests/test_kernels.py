@@ -3,6 +3,7 @@ import pytest
 from kernel_reference import (
     eval_kernel,
     median_heuristic_by_rows,
+    pair_values,
     so3_from_trace,
     so3_gram,
     so3_trace,
@@ -39,7 +40,7 @@ from symtest.groups import (
     sym,
     trivial,
 )
-from symtest.kernels import _so3_from_cos, pair_values
+from symtest.kernels import _so3_from_cos
 
 
 def axis_rotation(theta):
@@ -325,52 +326,60 @@ class TestDelta:
         np.testing.assert_allclose(K, [[1, 0, 1], [0, 1, 0], [1, 0, 1]])
 
 
+def one_sample_sum(kernel, X):
+    return kernels.pair_sums(kernel, np.asarray(X)[None])[0]
+
+
 class TestPairValues:
-    # pair_values must equal the upper triangle of gram, row by row, bit for
-    # bit, for every kernel
+    # one sample's pair sum against the sum of the pairs of its Gram's upper
+    # triangle (the reference pair_values): bit for bit up to n = 128, where
+    # pair_sums takes one row block, and to rounding above
 
     @staticmethod
-    def upper(K):
-        return K[np.triu_indices(K.shape[0], 1)]
+    def check(kernel, X):
+        got, expect = one_sample_sum(kernel, X), pair_values(kernel, X).sum()
+        if len(X) <= 128:
+            assert got == expect
+        else:
+            assert got == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 17, 200])
     @pytest.mark.parametrize("bandwidth", [1.0, 0.1])
     def test_rbf(self, n, bandwidth):
         # at bandwidth 0.1 most exponents lie past -708, where gram clamps
         X = np.random.default_rng(n).normal(size=(n, 3))
-        k = GaussianRBF(bandwidth)
-        np.testing.assert_array_equal(pair_values(k, X), self.upper(gram(k, X)))
+        self.check(GaussianRBF(bandwidth), X)
 
     def test_rbf_clamp_is_reached(self):
         X = np.random.default_rng(200).normal(size=(200, 3))
         values = pair_values(GaussianRBF(0.1), X)
         assert (values == 0.0).any() and (values > 0.0).any()
+        self.check(GaussianRBF(0.1), X)
 
     @pytest.mark.parametrize("n", [2, 3, 17, 200])
     def test_so3_with_a_duplicate_row(self, n):
         Q = haar_quaternions(n, np.random.default_rng(n))
         Q[-1] = Q[0]  # a half-angle below 1e-6, on the series branch
         k = RotationKernelSO3()
-        values = pair_values(k, Q)
-        np.testing.assert_array_equal(values, self.upper(gram(k, Q)))
-        assert values[n - 2] == pytest.approx(np.pi**2 / 8.0, rel=1e-14)
+        assert pair_values(k, Q)[n - 2] == pytest.approx(np.pi**2 / 8.0, rel=1e-14)
+        self.check(k, Q)
 
     @pytest.mark.parametrize("n", [2, 3, 17, 200])
     def test_delta(self, n):
         X = np.random.default_rng(n).integers(0, 3, size=(n, 2)).astype(float)
-        k = DiscreteDelta()
-        np.testing.assert_array_equal(pair_values(k, X), self.upper(gram(k, X)))
+        self.check(DiscreteDelta(), X)
 
     def test_rejects_what_gram_rejects(self):
         with pytest.raises(BadParameters):
-            pair_values(GaussianRBF(), np.zeros((3, 2)))
+            one_sample_sum(GaussianRBF(), np.zeros((3, 2)))
         with pytest.raises(InvalidRotation):
-            pair_values(RotationKernelSO3(), np.full((3, 4), 0.6))
+            one_sample_sum(RotationKernelSO3(), np.full((3, 4), 0.6))
 
 
 class TestPairSums:
-    # each stacked sum must equal the per-sample pair_values(...).sum() bit
-    # for bit, also when the calls share their work arrays
+    # each stacked sum of samples of n <= 128 (one row block) must equal the
+    # per-sample pair_values(...).sum() bit for bit, also when the calls
+    # share their work arrays
 
     @staticmethod
     def per_sample(kernel, stack):
@@ -423,6 +432,72 @@ class TestPairSums:
             kernels.pair_sums(RotationKernelSO3(), stack[:, :, :3])
 
 
+class TestBlockRows:
+    # above n = 128 pair_sums sums each sample's pairs over row blocks: a
+    # rectangle against the later rows and the block's own triangle
+
+    KERNELS = [GaussianRBF(1.0), GaussianRBF(0.1), RotationKernelSO3()]
+    IDS = ["rbf", "rbf-clamp", "so3"]
+
+    @staticmethod
+    def stack(kernel, k, n, seed):
+        rng = np.random.default_rng(seed)
+        if isinstance(kernel, RotationKernelSO3):
+            return haar_quaternions(k * n, rng).reshape(k, n, 4)
+        return rng.normal(size=(k, n, 3))
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=IDS)
+    @pytest.mark.parametrize("n", [129, 200, 257, 1000])
+    def test_equal_to_the_gram_upper_triangle_to_rounding(self, kernel, n):
+        stack = self.stack(kernel, 2, n, n)
+        expect = [pair_values(kernel, s).sum() for s in stack]
+        np.testing.assert_allclose(kernels.pair_sums(kernel, stack), expect,
+                                   rtol=1e-12, atol=0)
+
+    def test_clamp_is_reached_in_a_rectangle(self):
+        # the rbf-clamp case at n = 200: the rectangle of rows [0, 100)
+        # against [100, 200) holds exponents past -708, clamped to a value
+        # of 0, and others
+        stack = self.stack(GaussianRBF(0.1), 2, 200, 200)
+        rect = gram(GaussianRBF(0.1), stack[0])[:100, 100:]
+        assert (rect == 0.0).any() and (rect > 0.0).any()
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=IDS)
+    @pytest.mark.parametrize("n", [2, 64, 127, 128])
+    def test_one_block_is_the_triangle_sum_bit_for_bit(self, kernel, n):
+        stack = self.stack(kernel, 3, n, n)
+        expect = [pair_values(kernel, s).sum() for s in stack]
+        assert np.array_equal(kernels.pair_sums(kernel, stack), expect)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=IDS)
+    @pytest.mark.parametrize("n", [129, 200, 300])
+    def test_a_copy_scores_alike_alone_and_at_every_stack_position(self, kernel, n):
+        others = self.stack(kernel, 3, n, n + 1)
+        copy = self.stack(kernel, 1, n, n)
+        alone = one_sample_sum(kernel, copy[0])
+        work = {}
+        for at in range(4):
+            stack = np.concatenate([others[:at], copy, others[at:]])
+            assert kernels.pair_sums(kernel, stack, work)[at] == alone
+            assert kernels.pair_sums(kernel, stack)[at] == alone
+
+    @pytest.mark.parametrize("kernel", [GaussianRBF(1.0), RotationKernelSO3()],
+                             ids=["rbf", "so3"])
+    def test_work_arrays_stay_within_the_block_rows(self, kernel):
+        k, n = 2, 2000
+        stack = self.stack(kernel, k, n, 7)
+        work = {}
+        got = kernels.pair_sums(kernel, stack, work)
+        assert work and max(a.size for a in work.values()) <= k * 128 * n
+        assert np.array_equal(got, [one_sample_sum(kernel, s) for s in stack])
+
+    def test_a_non_unit_quaternion_in_a_later_block_raises(self):
+        stack = self.stack(RotationKernelSO3(), 2, 300, 8)
+        stack[1, 250] *= 1.001
+        with pytest.raises(InvalidRotation):
+            kernels.pair_sums(RotationKernelSO3(), stack)
+
+
 class TestMedianHeuristic:
     def test_frozen_example(self):
         # pairwise distances {1, 3, 2} -> median 2
@@ -456,6 +531,17 @@ class TestMedianHeuristic:
             X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
             if n > 2:
                 X[n // 2] = X[0]  # one duplicate row
+            assert median_heuristic(X) == median_heuristic_by_rows(X), (n, d)
+
+    @pytest.mark.parametrize("block", [None, 1, 50])
+    def test_wide_rows_bit_identical_to_row_loop(self, block, monkeypatch):
+        # more than 128 columns, where numpy sums a row's squares in halves
+        if block is not None:
+            monkeypatch.setattr(kernels, "_MEDIAN_BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(11)
+        for n, d in [(20, 130), (9, 300)]:
+            X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+            X[n // 2] = X[0]
             assert median_heuristic(X) == median_heuristic_by_rows(X), (n, d)
 
     def test_nan_distance_gives_nan_as_np_median_does(self):
