@@ -311,7 +311,7 @@ def orbit_draw(spec, X, rng, count=None):
     k = 1 if count is None else count
     if spec.family == "so":
         out = rng.standard_normal((k,) + X.shape)
-        norms = _row_norms(lambda c: out[..., c], X.shape[1])
+        norms = _row_norms(lambda c: out[..., c], X.shape[1], rows=out)
         out *= (np.linalg.norm(X, axis=1) / norms)[..., None]
     else:
         out = sample_batch(spec, rng, k * len(X)).apply(np.tile(X, (k, 1)))

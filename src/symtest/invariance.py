@@ -39,7 +39,7 @@ from .groups import (
     rotation_quaternions,
     sample_batch,
 )
-from .kernels import _BLOCK_ROWS, RotationKernelSO3
+from .kernels import RotationKernelSO3, pair_sums_work
 from .mmd import _paired_swap_stats, invariance_stat_u, nystrom_invariance_stat
 
 
@@ -153,8 +153,8 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
 
 
 # The exact tests score their null copies in stacks of at most _STACK_COPIES
-# samples, and of fewer where the stack's block-row buffers, 128 n values a
-# copy, would hold more than _STACK_ENTRIES: fewer from n = 513, one from 1025.
+# samples, and of fewer where pair_sums' work arrays, pair_sums_work(n) values
+# a copy, would hold more than _STACK_ENTRIES: fewer from n = 513, one from 1025.
 _STACK_COPIES = 4
 _STACK_ENTRIES = 1 << 18
 
@@ -165,7 +165,7 @@ def _stacked_nulls(B, n, kernel, draw):
     One draw and one statistic call per stack, all calls sharing one set of
     work arrays.
     """
-    step = max(1, min(_STACK_COPIES, _STACK_ENTRIES // (_BLOCK_ROWS * n)))
+    step = max(1, min(_STACK_COPIES, _STACK_ENTRIES // pair_sums_work(n)))
     work = {}
     nulls = np.empty(B)
     for lo in range(0, B, step):

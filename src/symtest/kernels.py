@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -136,11 +136,15 @@ def _check_quaternions(X, ndim=2):
     return X
 
 
+# The squared norms of quaternions whose norm lies within 1e-8 of 1.
+_UNIT_SQ_RANGE = ((1.0 - 1e-8) ** 2, (1.0 + 1e-8) ** 2)
+
+
 def _check_unit(sq):
-    """Raise InvalidRotation unless every squared norm in ``sq`` is that of a
-    norm within 1e-8 of 1."""
+    """Raise InvalidRotation unless every squared norm in ``sq`` is in range."""
+    lo, hi = _UNIT_SQ_RANGE
     # a NaN minimum or maximum fails the comparison and raises
-    if sq.size and not ((1 - 1e-8) ** 2 <= sq.min() and sq.max() <= (1 + 1e-8) ** 2):
+    if sq.size and not (lo <= sq.min() and sq.max() <= hi):
         raise InvalidRotation("quaternion rows must have unit norm")
 
 
@@ -249,7 +253,12 @@ _BLOCK_ROWS = 128
 def _row_blocks(n, most):
     """The [lo, hi) of ceil(n / most) blocks of equal size that cover range(n)."""
     step = -(-n // -(-n // max(most, 1)))
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
+def pair_sums_work(n):
+    """The values a copy of n points adds to each of ``pair_sums``'s work arrays."""
+    return _BLOCK_ROWS * n
 
 
 def pair_sums(kernel, X, work=None):
@@ -262,7 +271,7 @@ def pair_sums(kernel, X, work=None):
     bit for bit; above, it equals that to rounding.  A sample's sum is the
     same bit for bit alone and at every place in a stack.  Calls that share
     a dict ``work`` (see ``_work_array``) reuse its arrays, none of more than
-    k * 128 * n values.  The delta kernel reads each sample's Gram.
+    k ``pair_sums_work(n)`` values.  The delta kernel reads each sample's Gram.
     """
     if isinstance(kernel, DiscreteDelta):
         return np.array([gram(kernel, s).take(_pair_index(len(s))).sum() for s in X])
@@ -271,7 +280,7 @@ def pair_sums(kernel, X, work=None):
     if not rotation:
         right = np.ascontiguousarray(right)  # rows, which BLAS reads faster
     k, n = left.shape[:2]
-    sums = np.zeros(k)
+    sums = []
     for lo, hi in _row_blocks(n, _BLOCK_ROWS):
         rows = left[:, lo:hi]
         own = np.matmul(rows, right[:, :, lo:hi],
@@ -284,25 +293,27 @@ def pair_sums(kernel, X, work=None):
                                         out=_work_array(work, "pairs", (k, index.size)))
         # the spent product holds the rotation kernel's work arrays
         spent = own.reshape(-1)[:2 * pairs.size].reshape((2,) + pairs.shape)
-        sums += _evaluate(kernel, pairs, spent).sum(axis=1)
+        sums.append(_evaluate(kernel, pairs, spent).sum(axis=1))
         if hi < n:
             rect = np.matmul(rows, right[:, :, hi:],
                              out=_work_array(work, "product", (k, hi - lo, n - hi)))
             names = ("theta", "sin") if rotation else ()
             scratch = [_work_array(work, name, rect.shape) for name in names]
-            sums += _evaluate(kernel, rect, scratch).reshape(k, -1).sum(axis=1)
-    return sums
+            sums.append(_evaluate(kernel, rect, scratch).reshape(k, -1).sum(axis=1))
+    return reduce(np.add, sums)  # block by block, in order
 
 
 # The median heuristic takes its differences in blocks of at most this many floats.
 _MEDIAN_BLOCK_ENTRIES = 1 << 20
 
 
-def _row_norms(column, d):
+def _row_norms(column, d, rows=None):
     """The row norms of A, from its d columns column(c), bit for bit as
-    ``np.linalg.norm(A, axis=-1)``: numpy sums fewer than 8 squares in order."""
+    ``np.linalg.norm(A, axis=-1)``: numpy sums fewer than 8 squares in order.
+    From 8 columns on it takes numpy's, of ``rows`` (A) when given."""
     if d >= 8:
-        return np.linalg.norm(np.stack([column(c) for c in range(d)], axis=-1), axis=-1)
+        rows = np.stack([column(c) for c in range(d)], axis=-1) if rows is None else rows
+        return np.linalg.norm(rows, axis=-1)
     total = np.square(column(0))
     for c in range(1, d):
         total += np.square(column(c))

@@ -489,6 +489,7 @@ class TestBlockRows:
         work = {}
         got = kernels.pair_sums(kernel, stack, work)
         assert work and max(a.size for a in work.values()) <= k * 128 * n
+        assert kernels.pair_sums_work(n) == 128 * n  # what the stack rule reads
         assert np.array_equal(got, [one_sample_sum(kernel, s) for s in stack])
 
     def test_a_non_unit_quaternion_in_a_later_block_raises(self):
