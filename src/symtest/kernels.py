@@ -257,7 +257,7 @@ def _row_blocks(n, most):
 
 
 def pair_sums_work(n):
-    """The values a copy of n points adds to each of ``pair_sums``'s work arrays."""
+    """The most values a copy of n points adds to any of ``pair_sums``'s work arrays."""
     return _BLOCK_ROWS * n
 
 
@@ -271,7 +271,7 @@ def pair_sums(kernel, X, work=None):
     bit for bit; above, it equals that to rounding.  A sample's sum is the
     same bit for bit alone and at every place in a stack.  Calls that share
     a dict ``work`` (see ``_work_array``) reuse its arrays, none of more than
-    k ``pair_sums_work(n)`` values.  The delta kernel reads each sample's Gram.
+    k * ``pair_sums_work(n)`` values.  The delta kernel reads each sample's Gram.
     """
     if isinstance(kernel, DiscreteDelta):
         return np.array([gram(kernel, s).take(_pair_index(len(s))).sum() for s in X])
