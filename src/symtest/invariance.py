@@ -39,7 +39,7 @@ from .groups import (
     rotation_quaternions,
     sample_batch,
 )
-from .kernels import RotationKernelSO3, pair_sums_work
+from .kernels import RotationKernelSO3
 from .mmd import _paired_swap_stats, invariance_stat_u, nystrom_invariance_stat
 
 
@@ -55,26 +55,18 @@ class TestResult:
     method: str
 
 
-def pvalue_from_nulls(t_obs, nulls, rng=None, tie_break=False):
+def pvalue_from_nulls(t_obs, nulls):
     """Monte Carlo p-value (1 + #{T_b >= T}) / (1 + B).
 
-    With ``tie_break=True`` ties between the observed statistic and null
-    copies are broken by independent uniforms, which restores exact size
-    even for statistics with atoms; it then needs ``rng``.  A NaN statistic,
-    observed or null, raises BadParameters: it compares false with
-    everything, so it would count as exceeded by nothing.
+    Ties count against rejection, so a statistic with atoms gives a
+    conservative test.  A NaN statistic, observed or null, raises
+    BadParameters: it compares false with everything, so it would count as
+    exceeded by nothing.
     """
     nulls = np.asarray(nulls, dtype=float)
     if np.isnan(t_obs) or np.isnan(nulls).any():
         raise BadParameters("the statistic is NaN on the sample or a null copy")
-    b = nulls.size
-    if not tie_break:
-        count = int(np.sum(nulls >= t_obs))
-    else:
-        _require_rng(rng)
-        u = rng.uniform(size=b + 1)
-        count = int(np.sum((nulls > t_obs) | ((nulls == t_obs) & (u[1:] >= u[0]))))
-    return (1.0 + count) / (1.0 + b)
+    return (1.0 + int(np.sum(nulls >= t_obs))) / (1.0 + nulls.size)
 
 
 def _rank_test(t_obs, nulls, alpha, method):
@@ -99,8 +91,8 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
     directions are drawn once and reused across the B re-randomised copies,
     while the Nyström landmarks are drawn afresh for each.  Each copy moves
     every row by its own Haar element through ``orbit_draw``; the ``mmd-u``
-    copies are drawn and scored in stacks of a few, bit for bit as one at
-    a time.  The p-value
+    copies are drawn and scored as stacks, bit for bit as one at a time.
+    The p-value
     is exact for any statistic, since the copies are exchangeable with X
     under the null.
     """
@@ -145,34 +137,24 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
 
     t_obs = stat_fn(X)
     if statistic == "mmd-u":
-        nulls = _stacked_nulls(B, n, kernel,
+        nulls = _stacked_nulls(B, X.size, kernel,
                                lambda count: orbit_draw(spec, X, rng, count))
     else:
         nulls = np.array([stat_fn(orbit_draw(spec, X, rng)) for _ in range(B)])
     return _rank_test(t_obs, nulls, alpha, method)
 
 
-# The exact tests score their null copies in stacks of at most _STACK_COPIES
-# samples, and of fewer where pair_sums' work arrays, pair_sums_work(n) values
-# a copy, would hold more than _STACK_ENTRIES: fewer from n = 513, one from 1025.
-_STACK_COPIES = 4
-_STACK_ENTRIES = 1 << 18
+# The exact tests hold at most this many values of null samples at once.
+_DRAW_ENTRIES = 1 << 18
 
 
-def _stacked_nulls(B, n, kernel, draw):
-    """``invariance_stat_u`` of B null n-samples, drawn by ``draw(count)`` as stacks.
-
-    One draw and one statistic call per stack, all calls sharing one set of
-    work arrays.
-    """
-    step = max(1, min(_STACK_COPIES, _STACK_ENTRIES // pair_sums_work(n)))
-    work = {}
-    nulls = np.empty(B)
-    for lo in range(0, B, step):
-        count = min(step, B - lo)
-        nulls[lo:lo + count] = invariance_stat_u(draw(count), kernel, stack=True,
-                                                 work=work)
-    return nulls
+def _stacked_nulls(B, size, kernel, draw):
+    """``invariance_stat_u`` of B null samples of ``size`` values each, drawn by
+    ``draw(count)`` as stacks of as many as ``_DRAW_ENTRIES`` allows, one draw
+    and one statistic call per stack."""
+    step = max(1, _DRAW_ENTRIES // size)
+    counts = [min(step, B - lo) for lo in range(0, B, step)]
+    return np.concatenate([invariance_stat_u(draw(c), kernel, stack=True) for c in counts])
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +244,8 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None):
     law of the element mapping the orbit representative to the point; under
     invariance these draws are jointly Haar.  The statistic is the mean
     off-diagonal Gram entry ``invariance_stat_u(tau, kernel)``, ranked among
-    the same on B fresh Haar samples of size n, drawn and scored in stacks
-    of a few samples, one sampler call and one kernel-sum call per stack.
+    the same on B fresh Haar samples of size n, drawn and scored as stacks,
+    one sampler call and one kernel-sum call per stack.
 
     The null copies are i.i.d. Haar samples, so under the null they are
     exchangeable with tau and the p-value is exact; they do not depend on
@@ -296,7 +278,7 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None):
                 else sample_batch(spec, rng, count * n).data)
         return null.reshape(count, n, *null.shape[1:])
 
-    nulls = _stacked_nulls(B, n, kernel, draw)
+    nulls = _stacked_nulls(B, tau.size, kernel, draw)
     return _rank_test(t_obs, nulls, alpha, "inversion-mmd")
 
 

@@ -235,19 +235,20 @@ def _pair_index(n):
 
 
 def _work_array(work, name, shape):
-    """An uninitialised float array of ``shape``: a fresh one, or with a dict
-    ``work``, a view of its array ``name``, grown as needed and kept there
-    for the next call."""
-    if work is None:
-        return np.empty(shape)
+    """An uninitialised float array of ``shape``: a view of the dict ``work``'s
+    array ``name``, grown as needed and kept there for the next call."""
     size = math.prod(shape)
     if name not in work or work[name].size < size:
         work[name] = np.empty(size)
     return work[name][:size].reshape(shape)
 
 
-# pair_sums takes a sample's pairs in blocks of at most this many rows.
+# pair_sums takes a sample's pairs in blocks of at most _BLOCK_ROWS rows, and a
+# stack in groups of at most _STACK_COPIES samples, fewer where their block-row
+# buffers, _BLOCK_ROWS * n values a sample, would pass _STACK_ENTRIES (from n = 513).
 _BLOCK_ROWS = 128
+_STACK_COPIES = 4
+_STACK_ENTRIES = 1 << 18
 
 
 def _row_blocks(n, most):
@@ -256,12 +257,7 @@ def _row_blocks(n, most):
     return ((lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
-def pair_sums_work(n):
-    """The most values a copy of n points adds to any of ``pair_sums``'s work arrays."""
-    return _BLOCK_ROWS * n
-
-
-def pair_sums(kernel, X, work=None):
+def pair_sums(kernel, X):
     """The sum of k(X_i, X_j) over i < j for each sample of a (k, n, ...) stack.
 
     Over row blocks of equal size, at most ``_BLOCK_ROWS``: block [lo, hi)
@@ -269,16 +265,27 @@ def pair_sums(kernel, X, work=None):
     summed in place, and its pairs inside, gathered from its own product.
     Up to n = 128 that is one block and the sum of ``gram``'s upper triangle
     bit for bit; above, it equals that to rounding.  A sample's sum is the
-    same bit for bit alone and at every place in a stack.  Calls that share
-    a dict ``work`` (see ``_work_array``) reuse its arrays, none of more than
-    k * ``pair_sums_work(n)`` values.  The delta kernel reads each sample's Gram.
+    same bit for bit alone and at every place in a stack, whose groups (see
+    ``_STACK_COPIES``) share one set of work arrays (see ``_work_array``).
+    The delta kernel counts each sample's equal rows: c of them make
+    c (c - 1) / 2 pairs.
     """
     if isinstance(kernel, DiscreteDelta):
-        return np.array([gram(kernel, s).take(_pair_index(len(s))).sum() for s in X])
+        counts = (np.unique(s, axis=0, return_counts=True)[1] for s in _as_points(X, 2))
+        return np.array([float((c * (c - 1) // 2).sum()) for c in counts])
     left, right = _factors(kernel, X, lead=2)
-    rotation = isinstance(kernel, RotationKernelSO3)
-    if not rotation:
+    if not isinstance(kernel, RotationKernelSO3):
         right = np.ascontiguousarray(right)  # rows, which BLAS reads faster
+    k, n = left.shape[:2]
+    step = max(1, min(_STACK_COPIES, _STACK_ENTRIES // (_BLOCK_ROWS * n)))
+    work = {}
+    return np.concatenate([_group_sums(kernel, left[g:g + step], right[g:g + step], work)
+                           for g in range(0, k, step)])
+
+
+def _group_sums(kernel, left, right, work):
+    """``pair_sums`` of one group of samples from its ``_factors``, on ``work``."""
+    rotation = isinstance(kernel, RotationKernelSO3)
     k, n = left.shape[:2]
     sums = []
     for lo, hi in _row_blocks(n, _BLOCK_ROWS):

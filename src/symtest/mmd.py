@@ -24,10 +24,10 @@ from .errors import (
 from .kernels import gram, pair_sums
 
 
-def _mean_offdiag(kernel, X, work=None):
+def _mean_offdiag(kernel, X):
     """Mean of k(X_i, X_j) over i != j of each sample of a stack, as an array."""
     n = X.shape[1]
-    return 2.0 * pair_sums(kernel, X, work) / (n * (n - 1))
+    return 2.0 * pair_sums(kernel, X) / (n * (n - 1))
 
 
 def mmd_u(X, Y, kernel):
@@ -60,15 +60,14 @@ def _paired_swap_stats(X, Y, kernel, signs):
     return np.einsum("ci,ci->c", signs @ h, signs) / (n * (n - 1))
 
 
-def invariance_stat_u(X, kernel, stack=False, work=None):
+def invariance_stat_u(X, kernel, stack=False):
     """Invariance statistic: the mean off-diagonal Gram entry S(X) / (n(n-1)).
 
     Here S(X) = sum_{i != j} k(X_i, X_j), twice the sum over the pairs
     i < j, which ``pair_sums`` gives without a Gram.  With ``stack=True``
     X is a stack of samples along its first axis, scored in one
-    ``pair_sums`` call (``work`` is passed on to it), and the statistics
-    come back as an array, each equal bit for bit to the statistic of its
-    sample alone.  The U-form
+    ``pair_sums`` call, and the statistics come back as an array, each
+    equal bit for bit to the statistic of its sample alone.  The U-form
     invariance MMD subtracts from it the mean off-diagonal entry of
     kbar(x, y) = E_G k(x, G y), G Haar.  When k(g x, g y) = k(x, y), the
     invariance of Haar measure gives kbar(g x, h y) = kbar(x, y) for all
@@ -85,7 +84,7 @@ def invariance_stat_u(X, kernel, stack=False, work=None):
     if n < 2:
         raise SampleTooSmall("the invariance statistic needs at least two points")
     _check_finite(X)
-    stats = _mean_offdiag(kernel, X if stack else X[None], work)
+    stats = _mean_offdiag(kernel, X if stack else X[None])
     return stats if stack else float(stats[0])
 
 

@@ -66,3 +66,27 @@ def test_a_stored_field_that_disagrees_fails(tmp_path, capsys):
     path.write_text(json.dumps(bench))
     assert _tool().main([str(path)]) == 1
     assert "equivariance-alt setup_s: stored parent=" in capsys.readouterr().out
+
+
+def test_wall_runs_print_their_medians_and_never_fail(tmp_path, capsys):
+    # wall runs 40% slower than the parent's are printed with their change
+    # and the verdict "info"; the file still passes
+    bench = _baseline()
+    parent = bench["workloads"]["mmd-null"]["rep_ms_p50"]["runs"]["parent"]
+    bench["workloads"]["mmd-null"]["wall"] = {
+        "rep_ms_p50": {"parent": parent, "change": [1.4 * v for v in parent]}}
+    path = tmp_path / "BENCH_wall.json"
+    path.write_text(json.dumps(bench))
+    assert _tool().main([str(path)]) == 0
+    out = capsys.readouterr().out
+    rows = [line.split() for line in out.splitlines() if "wall." in line]
+    assert len(rows) == 1
+    assert rows[0][:2] == ["mmd-null", "wall.rep_ms_p50"]
+    assert rows[0][-4:] == ["+40.0%", "lower", "-", "info"]
+    assert float(rows[0][2]) == pytest.approx(statistics.median(parent), abs=1e-4)
+    assert "problem" not in out
+
+
+def test_a_file_without_wall_runs_prints_no_wall_rows(capsys):
+    assert _tool().main([str(ROOT / "BENCH_pr11.json")]) == 0
+    assert "wall." not in capsys.readouterr().out

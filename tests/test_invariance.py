@@ -47,7 +47,7 @@ from symtest.groups import (
     sym,
     trivial,
 )
-from symtest import invariance, mmd
+from symtest import invariance, kernels, mmd
 from symtest.kernels import RotationKernelSO3
 
 
@@ -70,23 +70,6 @@ class TestPvalue:
         nulls = rng.normal(size=49)
         ps = [pvalue_from_nulls(t, nulls) for t in np.linspace(-3, 3, 21)]
         assert all(a >= b for a, b in zip(ps, ps[1:]))
-
-    def test_tie_break_is_exact_for_constant_statistic(self):
-        # with an atom at a single value, the plain p-value is always 1 but
-        # the randomised tie break restores the uniform lattice distribution
-        rng = np.random.default_rng(1)
-        B, reps, alpha = 19, 4000, 0.25
-        rej = sum(
-            pvalue_from_nulls(1.0, np.ones(B), rng, tie_break=True) <= alpha
-            for _ in range(reps)
-        )
-        # exact size is floor(alpha (B+1)) / (B+1) = 5/20
-        assert rej / reps == pytest.approx(0.25, abs=0.03)
-        assert pvalue_from_nulls(1.0, np.ones(B)) == 1.0
-
-    def test_tie_break_needs_rng(self):
-        with pytest.raises(BadParameters, match="rng"):
-            pvalue_from_nulls(1.0, np.ones(9), tie_break=True)
 
     def test_nan_observed_statistic_raises(self):
         # a NaN compares false with every null, so it would read as exceeded
@@ -248,16 +231,21 @@ class TestMcInvariance:
     @pytest.mark.parametrize("spec", [
         so(3), sym(3), paired_so2(), discrete_rotations(24.0, 3, axis=3),
     ], ids=str)
-    @pytest.mark.parametrize("copies", [None, 1, 3, 1000])
+    @pytest.mark.parametrize("copies,draws", [
+        (None, None), (1, 1), (3, 3), (1000, 1000), (None, 5),
+    ], ids=["default", "1", "3", "1000", "draws-of-5"])
     def test_mmd_u_stacks_match_copies_drawn_one_at_a_time(self, spec, copies,
-                                                            monkeypatch):
+                                                            draws, monkeypatch):
         # the stacked null copies must be the statistics of B single
         # orbit_draw calls on the same seed, bit for bit, whatever the
-        # stack size (1000 puts all B copies in one stack)
-        if copies is not None:
-            monkeypatch.setattr(invariance, "_STACK_COPIES", copies)
+        # group size of pair_sums and the number of copies a draw holds
+        # (1000 puts all B copies in one; 5 draws 5, 5, 5 and 4)
         d = 4 if spec.family == "paired-so2" else 3
         X = np.random.default_rng(14).normal(size=(21, d))
+        if copies is not None:
+            monkeypatch.setattr(kernels, "_STACK_COPIES", copies)
+        if draws is not None:
+            monkeypatch.setattr(invariance, "_DRAW_ENTRIES", draws * X.size)
         res = mc_invariance_test(X, spec, KERNEL, B=19, rng=np.random.default_rng(15))
         ref_rng = np.random.default_rng(15)
         nulls = [invariance_stat_u(orbit_draw(spec, X, ref_rng), KERNEL)
@@ -503,7 +491,7 @@ class TestInversion:
     def test_pvalues_match_the_reference_gram(self, monkeypatch):
         # the quaternion SO(3) pair sums give the p-values of the upper
         # triangle of the matrix einsum-plus-mask reference on the same draws
-        def reference_sums(kernel, stack, work=None):
+        def reference_sums(kernel, stack):
             n = stack.shape[1]
             return np.array([so3_gram(quaternion_matrix(X))[np.triu_indices(n, 1)].sum()
                              for X in stack])
@@ -527,21 +515,19 @@ class TestInversion:
         (so(4), GaussianRBF(2.0)),
         (sym(5), GaussianRBF(2.0)),
     ], ids=["so3-so3", "so4-rbf", "sym5-rbf"])
-    @pytest.mark.parametrize("block", [None, 1, 1000])
+    @pytest.mark.parametrize("block,draws", [
+        (None, None), (1, 1), (1000, 1000), (None, 5),
+    ], ids=["default", "1", "1000", "draws-of-5"])
     def test_one_null_draw_matches_a_draw_per_sample(self, spec, kernel, block,
-                                                     monkeypatch):
-        # the null samples come from one sampler call per stack of at most
-        # ``block`` samples, 4 by default and all B of them at 1000; they
-        # must be the samples of B calls of size n on the same seed, scored
-        # bit for bit as one at a time, and leave the generator where those
-        # calls leave it
-        if block is not None:
-            monkeypatch.setattr(invariance, "_STACK_COPIES", block)
+                                                     draws, monkeypatch):
+        # the null samples come from one sampler call per draw of at most
+        # ``draws`` samples, all B of them by default and at 1000, and 5, 5,
+        # 5 and 4 at 5, scored in groups of at most ``block``; they must be
+        # the samples of B calls of size n on the same seed, scored bit for
+        # bit as one at a time, and leave the generator where those calls
+        # leave it
         n, B = 30, 19
         X = np.random.default_rng(29).normal(size=(n, spec.dim))
-        rng = np.random.default_rng(30)
-        res = inversion_mc_test(X, spec, kernel, B=B, rng=rng)
-
         ref_rng = np.random.default_rng(30)
         tau = inversion_kernel_batch(spec, X, ref_rng).data
         if isinstance(kernel, RotationKernelSO3):
@@ -559,6 +545,13 @@ class TestInversion:
 
             def draw():
                 return ref_rng.permuted(base, axis=1).astype(float)
+
+        if block is not None:
+            monkeypatch.setattr(kernels, "_STACK_COPIES", block)
+        if draws is not None:  # a null sample has as many values as tau
+            monkeypatch.setattr(invariance, "_DRAW_ENTRIES", draws * tau.size)
+        rng = np.random.default_rng(30)
+        res = inversion_mc_test(X, spec, kernel, B=B, rng=rng)
 
         t_obs = invariance_stat_u(tau.astype(float), kernel)
         nulls = np.array([invariance_stat_u(draw(), kernel) for _ in range(B)])

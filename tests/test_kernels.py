@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from kernel_reference import (
@@ -378,8 +380,8 @@ class TestPairValues:
 
 class TestPairSums:
     # each stacked sum of samples of n <= 128 (one row block) must equal the
-    # per-sample pair_values(...).sum() bit for bit, also when the calls
-    # share their work arrays
+    # per-sample pair_values(...).sum() bit for bit, also when the stack is
+    # scored in several groups on one set of work arrays
 
     @staticmethod
     def per_sample(kernel, stack):
@@ -398,11 +400,20 @@ class TestPairSums:
     def test_equal_to_the_sum_of_pair_values(self, kernel, stack):
         expect = self.per_sample(kernel, stack)
         assert np.array_equal(kernels.pair_sums(kernel, stack), expect)
-        work = {}
         for lo, hi in [(0, 4), (0, 1), (1, 4), (3, 4)]:
-            # a full stack, a stack of one and short last stacks, on one work
-            got = kernels.pair_sums(kernel, stack[lo:hi], work)
+            # a full stack, a stack of one and shorter stacks
+            got = kernels.pair_sums(kernel, stack[lo:hi])
             assert np.array_equal(got, expect[lo:hi])
+
+    def test_delta_counts_repeated_rows_and_signed_zeros(self):
+        # three rows equal to (0, 1), one of them (-0.0, 1), which == takes
+        # as equal, and two rows (2, 2): 3 + 1 pairs
+        rows = [[0.0, 1.0], [-0.0, 1.0], [2.0, 2.0], [0.0, 1.0], [2.0, 2.0], [1.0, 0.0]]
+        repeats = np.random.default_rng(68).integers(0, 2, size=(3, 200, 2))
+        for stack in (np.array([rows, rows[::-1]]), repeats):
+            expect = self.per_sample(DiscreteDelta(), stack)
+            assert np.array_equal(kernels.pair_sums(DiscreteDelta(), stack), expect)
+        assert kernels.pair_sums(DiscreteDelta(), np.array([rows])).tolist() == [4.0]
 
     def test_clamp_path(self):
         # at bandwidth 0.1 most exponents lie past -708; a copy scaled to
@@ -411,17 +422,17 @@ class TestPairSums:
         stack[1] *= 1e-3
         k = GaussianRBF(0.1)
         assert np.array_equal(kernels.pair_sums(k, stack), self.per_sample(k, stack))
-        assert np.array_equal(kernels.pair_sums(k, stack[1:2], {}),
+        assert np.array_equal(kernels.pair_sums(k, stack[1:2]),
                               self.per_sample(k, stack[1:2]))
 
-    def test_work_arrays_follow_the_sample_size(self):
+    @pytest.mark.parametrize("copies", [1, 2, 3, 5])
+    def test_groups_share_work_arrays(self, copies, monkeypatch):
+        # five samples in groups of at most ``copies``, with a short last
+        # group at 2 and 3, on the work arrays of one call
+        monkeypatch.setattr(kernels, "_STACK_COPIES", copies)
         k = GaussianRBF(1.0)
-        rng = np.random.default_rng(66)
-        work = {}
-        for shape in [(2, 30, 3), (4, 10, 3), (1, 50, 3), (3, 2, 3)]:
-            stack = rng.normal(size=shape)
-            got = kernels.pair_sums(k, stack, work)
-            assert np.array_equal(got, self.per_sample(k, stack))
+        stack = np.random.default_rng(66).normal(size=(5, 30, 3))
+        assert np.array_equal(kernels.pair_sums(k, stack), self.per_sample(k, stack))
 
     def test_a_non_unit_quaternion_in_any_copy_raises(self):
         stack = haar_quaternions(3 * 10, np.random.default_rng(67)).reshape(3, 10, 4)
@@ -475,22 +486,33 @@ class TestBlockRows:
         others = self.stack(kernel, 3, n, n + 1)
         copy = self.stack(kernel, 1, n, n)
         alone = one_sample_sum(kernel, copy[0])
-        work = {}
         for at in range(4):
             stack = np.concatenate([others[:at], copy, others[at:]])
-            assert kernels.pair_sums(kernel, stack, work)[at] == alone
             assert kernels.pair_sums(kernel, stack)[at] == alone
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=IDS)
+    @pytest.mark.parametrize("k,n", [(9, 200), (3, 2000)])
+    def test_a_stack_of_several_groups_scores_each_copy_as_alone(self, kernel, k, n):
+        # groups of 4, 4 and 1 copies at n = 200; of one copy each at 2,000
+        stack = self.stack(kernel, k, n, k + n)
+        got = kernels.pair_sums(kernel, stack)
+        assert np.array_equal(got, [one_sample_sum(kernel, s) for s in stack])
 
     @pytest.mark.parametrize("kernel", [GaussianRBF(1.0), RotationKernelSO3()],
                              ids=["rbf", "so3"])
-    def test_work_arrays_stay_within_the_block_rows(self, kernel):
-        k, n = 2, 2000
+    def test_buffers_stay_within_one_group(self, kernel):
+        # at n = 2,000 a group holds one copy, so 6 copies allocate at most
+        # the block-row buffers of one, 128 n values, three times over for
+        # the rotation kernel's theta and sin, and the stack's small factors
+        k, n = 6, 2000
         stack = self.stack(kernel, k, n, 7)
-        work = {}
-        got = kernels.pair_sums(kernel, stack, work)
-        assert work and max(a.size for a in work.values()) <= k * 128 * n
-        assert kernels.pair_sums_work(n) == 128 * n  # what the stack rule reads
-        assert np.array_equal(got, [one_sample_sum(kernel, s) for s in stack])
+        tracemalloc.start()
+        try:
+            kernels.pair_sums(kernel, stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 128 * n * 8
 
     def test_a_non_unit_quaternion_in_a_later_block_raises(self):
         stack = self.stack(RotationKernelSO3(), 2, 300, 8)

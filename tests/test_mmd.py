@@ -239,9 +239,8 @@ class TestInvarianceStatistic:
         expect = [invariance_stat_u(s, KERNEL) for s in stack]
         got = invariance_stat_u(stack, KERNEL, stack=True)
         assert got.shape == (5,) and got.tolist() == expect
-        work = {}
         for lo, hi in [(0, 4), (4, 5)]:
-            got = invariance_stat_u(stack[lo:hi], KERNEL, stack=True, work=work)
+            got = invariance_stat_u(stack[lo:hi], KERNEL, stack=True)
             assert got.tolist() == expect[lo:hi]
 
     def test_non_finite_copy_in_a_stack_raises(self):

@@ -91,7 +91,7 @@ def test_cp_null_copies_pass_through_the_traced_statistic(monkeypatch):
 
 def _record_samples_scored(monkeypatch):
     """Route invariance_stat_u through a recorder of the samples each call
-    scores, and of the work arrays it is handed.
+    scores.
 
     Patched before the tracer installs, so that the traced layer wraps the
     recorder and counts its calls.
@@ -101,9 +101,9 @@ def _record_samples_scored(monkeypatch):
     original = mmd.invariance_stat_u
     scored = []
 
-    def recording(X, kernel, stack=False, work=None):
-        out = original(X, kernel, stack=stack, work=work)
-        scored.append((np.size(out), None if work is None else id(work)))
+    def recording(X, kernel, stack=False):
+        out = original(X, kernel, stack=stack)
+        scored.append(np.size(out))
         return out
 
     for module in (mmd, invariance):
@@ -115,9 +115,9 @@ def test_mmd_u_scores_each_copy_once_with_no_gram_and_no_transform_draws(
         monkeypatch):
     # the statistic is the mean kernel value over the pairs i < j: the
     # observed sample and each of the B copies are scored once, whatever m
-    # is, the copies in stacks of 4, one traced invariance_stat_u call per
-    # stack, with no Gram and no transform draws; the kernel time is
-    # charged to invariance_stat_u
+    # is, all B copies in one traced invariance_stat_u call, with no Gram
+    # and no transform draws; the kernel time is charged to
+    # invariance_stat_u
     from symtest import GaussianRBF, mc_invariance_test
     from symtest.groups import so
 
@@ -133,10 +133,8 @@ def test_mmd_u_scores_each_copy_once_with_no_gram_and_no_transform_draws(
         tracer.uninstall()
     values = tracer.end()
     assert res.null_stats.size == B
-    # the observed sample alone, then the stacks on one set of work arrays
-    assert [size for size, _ in scored] == [1, 4, 4, 1]
-    works = {work for _, work in scored[1:]}
-    assert scored[0][1] is None and len(works) == 1 and None not in works
+    # the observed sample alone, then every copy in one stack
+    assert scored == [1, B]
     assert values["mmd.invariance_stat_u.calls"] == len(scored)
     assert values["mmd.invariance_stat_u.ms"] > 0.0
     assert values["kernels.gram.calls"] == 0
@@ -212,9 +210,8 @@ def test_conditional_replication_resolves_each_median_bandwidth_once(
 
 def test_inversion_scores_each_sample_once_with_no_gram_and_no_mmd_u(monkeypatch):
     # the inverting elements and each of the B fresh Haar samples are
-    # scored once, the Haar samples in stacks of 4, one traced
-    # invariance_stat_u call per stack, with no Gram; no reference sample
-    # and no two-sample mmd_u
+    # scored once, the Haar samples in one traced invariance_stat_u call,
+    # with no Gram; no reference sample and no two-sample mmd_u
     from symtest import RotationKernelSO3, inversion_mc_test
     from symtest.groups import so
 
@@ -230,10 +227,8 @@ def test_inversion_scores_each_sample_once_with_no_gram_and_no_mmd_u(monkeypatch
         tracer.uninstall()
     values = tracer.end()
     assert res.null_stats.size == B
-    # the observed sample alone, then the stacks on one set of work arrays
-    assert [size for size, _ in scored] == [1, 4, 4, 1]
-    works = {work for _, work in scored[1:]}
-    assert scored[0][1] is None and len(works) == 1 and None not in works
+    # the observed sample alone, then every Haar sample in one stack
+    assert scored == [1, B]
     assert values["mmd.invariance_stat_u.calls"] == len(scored)
     assert values["kernels.gram.calls"] == 0
     assert values["mmd.mmd_u.calls"] == 0

@@ -10,6 +10,12 @@ better).  Prints one row per workload and metric.  Exits 1 when a metric is
 worse than its bound, or when a stored field (unit, better, bound, the
 medians, the relative change, within_bound) disagrees with what it
 recomputes.
+
+A workload may also carry ``wall`` runs: for each of WALL_METRICS, the
+parent and change values of the plain wall-time block ``wall`` of each
+run's ``.bench_runs/`` record.  Their medians and relative change are
+printed as ``wall.<metric>`` rows with the verdict ``info``; they never
+fail.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import sys
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+WALL_METRICS = ("rep_ms_p50", "rep_ms_p90", "reps_per_s")
 _REL_TOL = 1e-9
 
 
@@ -50,6 +57,21 @@ def compare_metric(entry, spec):
     return (parent, change, relative), problems
 
 
+def _row(name, metric, parent, change, better, bound, verdict):
+    relative = (change - parent) / parent
+    return (f"{name:<17} {metric:<15} {parent:>12.4f} {change:>12.4f} "
+            f"{relative:>+9.1%} {better:>6} {bound:>6}  {verdict}")
+
+
+def wall_rows(name, workload, benchmark):
+    """The informational rows of a workload's ``wall`` runs, if it has any."""
+    better = {spec["name"]: spec["better"] for spec in benchmark["end_to_end"]}
+    wall = workload.get("wall", {})
+    return [_row(name, f"wall.{metric}", statistics.median(wall[metric]["parent"]),
+                 statistics.median(wall[metric]["change"]), better[metric], "-", "info")
+            for metric in WALL_METRICS if metric in wall]
+
+
 def compare(bench, benchmark):
     """Return the printed rows and the list of problems found."""
     rows, problems = [], []
@@ -63,12 +85,11 @@ def compare(bench, benchmark):
             if metric not in workload:
                 problems.append(f"{name} {metric}: metric missing")
                 continue
-            (parent, change, relative), found = compare_metric(workload[metric], spec)
-            verdict = "ok" if not found else "FAIL"
-            rows.append(f"{name:<17} {metric:<12} {parent:>12.4f} {change:>12.4f} "
-                        f"{relative:>+9.1%} {spec['better']:>6} "
-                        f"{spec['bound']:>6.0%}  {verdict}")
+            (parent, change, _), found = compare_metric(workload[metric], spec)
+            rows.append(_row(name, metric, parent, change, spec["better"],
+                             f"{spec['bound']:.0%}", "FAIL" if found else "ok"))
             problems += [f"{name} {metric}: {p}" for p in found]
+        rows += wall_rows(name, workload, benchmark)
     return rows, problems
 
 
@@ -80,7 +101,7 @@ def main(argv=None):
     bench = json.loads(Path(args.bench).read_text())
     benchmark = json.loads(BENCHMARK.read_text())
     rows, problems = compare(bench, benchmark)
-    print(f"{'workload':<17} {'metric':<12} {'parent':>12} {'change':>12} "
+    print(f"{'workload':<17} {'metric':<15} {'parent':>12} {'change':>12} "
           f"{'rel':>9} {'better':>6} {'bound':>6}  verdict")
     print("\n".join(rows))
     for p in problems:
