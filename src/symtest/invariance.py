@@ -145,7 +145,7 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
 
 
 # The exact tests hold at most this many values of null samples at once.
-_DRAW_ENTRIES = 1 << 18
+_DRAW_ENTRIES = 1 << 17
 
 
 def _stacked_nulls(B, size, kernel, draw):

@@ -273,19 +273,19 @@ def pair_sums(kernel, X):
     if isinstance(kernel, DiscreteDelta):
         counts = (np.unique(s, axis=0, return_counts=True)[1] for s in _as_points(X, 2))
         return np.array([float((c * (c - 1) // 2).sum()) for c in counts])
-    left, right = _factors(kernel, X, lead=2)
-    if not isinstance(kernel, RotationKernelSO3):
-        right = np.ascontiguousarray(right)  # rows, which BLAS reads faster
-    k, n = left.shape[:2]
-    step = max(1, min(_STACK_COPIES, _STACK_ENTRIES // (_BLOCK_ROWS * n)))
+    X = np.asarray(X)
+    step = max(1, min(_STACK_COPIES, _STACK_ENTRIES // (_BLOCK_ROWS * X.shape[1])))
     work = {}
-    return np.concatenate([_group_sums(kernel, left[g:g + step], right[g:g + step], work)
-                           for g in range(0, k, step)])
+    return np.concatenate([_group_sums(kernel, X[g:g + step], work)
+                           for g in range(0, len(X), step)])
 
 
-def _group_sums(kernel, left, right, work):
-    """``pair_sums`` of one group of samples from its ``_factors``, on ``work``."""
+def _group_sums(kernel, X, work):
+    """``pair_sums`` of one group of samples, on the work arrays ``work``."""
+    left, right = _factors(kernel, X, lead=2)
     rotation = isinstance(kernel, RotationKernelSO3)
+    if not rotation:
+        right = np.ascontiguousarray(right)  # rows, which BLAS reads faster
     k, n = left.shape[:2]
     sums = []
     for lo, hi in _row_blocks(n, _BLOCK_ROWS):
