@@ -92,9 +92,8 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
     while the Nyström landmarks are drawn afresh for each.  Each copy moves
     every row by its own Haar element through ``orbit_draw``; the ``mmd-u``
     copies are drawn and scored as stacks, bit for bit as one at a time.
-    The p-value
-    is exact for any statistic, since the copies are exchangeable with X
-    under the null.
+    The p-value is exact for any statistic, since the copies are
+    exchangeable with X under the null.
     """
     if np.ndim(X) != 2:
         raise DimensionMismatch("the sample must be an (n, d) array")
@@ -145,7 +144,7 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
 
 
 # The exact tests hold at most this many values of null samples at once.
-_DRAW_ENTRIES = 1 << 17
+_DRAW_ENTRIES = 1 << 16
 
 
 def _stacked_nulls(B, size, kernel, draw):

@@ -236,7 +236,7 @@ def _pair_index(n):
 
 def _work_array(work, name, shape):
     """An uninitialised float array of ``shape``: a view of the dict ``work``'s
-    array ``name``, grown as needed and kept there for the next call."""
+    array ``name``, grown as needed and kept there for the next block."""
     size = math.prod(shape)
     if name not in work or work[name].size < size:
         work[name] = np.empty(size)

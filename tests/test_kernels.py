@@ -380,8 +380,7 @@ class TestPairValues:
 
 class TestPairSums:
     # each stacked sum of samples of n <= 128 (one row block) must equal the
-    # per-sample pair_values(...).sum() bit for bit, also when the stack is
-    # scored in several groups on one set of work arrays
+    # per-sample pair_values(...).sum() bit for bit
 
     @staticmethod
     def per_sample(kernel, stack):
@@ -396,7 +395,11 @@ class TestPairSums:
         (RotationKernelSO3(), haar_quaternions(4 * 19, np.random.default_rng(63))
          .reshape(4, 19, 4)),
         (DiscreteDelta(), np.random.default_rng(64).integers(0, 3, size=(4, 11, 2))),
-    ], ids=["rbf-points", "rbf-rotations", "rbf-permutations", "so3", "delta"])
+        # repeated rows, and a -0.0 that == takes as equal to 0.0
+        (DiscreteDelta(), np.array([[[0.0, 1.0], [-0.0, 1.0], [2.0, 2.0], [0.0, 1.0],
+                                     [2.0, 2.0], [1.0, 0.0]]] * 4)),
+    ], ids=["rbf-points", "rbf-rotations", "rbf-permutations", "so3", "delta",
+            "delta-signed-zero"])
     def test_equal_to_the_sum_of_pair_values(self, kernel, stack):
         expect = self.per_sample(kernel, stack)
         assert np.array_equal(kernels.pair_sums(kernel, stack), expect)
@@ -404,16 +407,6 @@ class TestPairSums:
             # a full stack, a stack of one and shorter stacks
             got = kernels.pair_sums(kernel, stack[lo:hi])
             assert np.array_equal(got, expect[lo:hi])
-
-    def test_delta_counts_repeated_rows_and_signed_zeros(self):
-        # three rows equal to (0, 1), one of them (-0.0, 1), which == takes
-        # as equal, and two rows (2, 2): 3 + 1 pairs
-        rows = [[0.0, 1.0], [-0.0, 1.0], [2.0, 2.0], [0.0, 1.0], [2.0, 2.0], [1.0, 0.0]]
-        repeats = np.random.default_rng(68).integers(0, 2, size=(3, 200, 2))
-        for stack in (np.array([rows, rows[::-1]]), repeats):
-            expect = self.per_sample(DiscreteDelta(), stack)
-            assert np.array_equal(kernels.pair_sums(DiscreteDelta(), stack), expect)
-        assert kernels.pair_sums(DiscreteDelta(), np.array([rows])).tolist() == [4.0]
 
     def test_clamp_path(self):
         # at bandwidth 0.1 most exponents lie past -708; a copy scaled to
@@ -425,14 +418,13 @@ class TestPairSums:
         assert np.array_equal(kernels.pair_sums(k, stack[1:2]),
                               self.per_sample(k, stack[1:2]))
 
-    @pytest.mark.parametrize("copies", [1, 2, 3, 5])
-    def test_groups_share_work_arrays(self, copies, monkeypatch):
-        # five samples in groups of at most ``copies``, with a short last
-        # group at 2 and 3, on the work arrays of one call
-        monkeypatch.setattr(kernels, "_STACK_COPIES", copies)
+    def test_work_arrays_follow_the_sample_size(self):
         k = GaussianRBF(1.0)
-        stack = np.random.default_rng(66).normal(size=(5, 30, 3))
-        assert np.array_equal(kernels.pair_sums(k, stack), self.per_sample(k, stack))
+        rng = np.random.default_rng(66)
+        for shape in [(2, 30, 3), (4, 10, 3), (1, 50, 3), (3, 2, 3)]:
+            stack = rng.normal(size=shape)
+            got = kernels.pair_sums(k, stack)
+            assert np.array_equal(got, self.per_sample(k, stack))
 
     def test_a_non_unit_quaternion_in_any_copy_raises(self):
         stack = haar_quaternions(3 * 10, np.random.default_rng(67)).reshape(3, 10, 4)
@@ -500,10 +492,10 @@ class TestBlockRows:
 
     @pytest.mark.parametrize("kernel", [GaussianRBF(1.0), RotationKernelSO3()],
                              ids=["rbf", "so3"])
-    def test_buffers_stay_within_one_group(self, kernel):
+    def test_work_arrays_stay_within_the_block_rows(self, kernel):
         # at n = 2,000 a group holds one copy, so 6 copies allocate at most
         # the block-row buffers of one, 128 n values, three times over for
-        # the rotation kernel's theta and sin, and the stack's small factors
+        # the rotation kernel's theta and sin, and one group's small factors
         k, n = 6, 2000
         stack = self.stack(kernel, k, n, 7)
         tracemalloc.start()

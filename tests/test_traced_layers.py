@@ -141,6 +141,19 @@ def test_mmd_u_scores_each_copy_once_with_no_gram_and_no_transform_draws(
     assert values["groups.sample_batch.elements"] == 0
 
 
+def test_null_draws_hold_no_more_values_than_the_bound(monkeypatch):
+    # room for 4 null samples and a bit: B = 9 copies come in stacks of 4,
+    # 4 and 1, one draw and one invariance_stat_u call each
+    from symtest import GaussianRBF, invariance, mc_invariance_test
+    from symtest.groups import so
+
+    X = np.random.default_rng(6).normal(size=(12, 3))
+    monkeypatch.setattr(invariance, "_DRAW_ENTRIES", 4 * X.size + 3)
+    scored = _record_samples_scored(monkeypatch)
+    mc_invariance_test(X, so(3), GaussianRBF(1.0), B=9, rng=np.random.default_rng(7))
+    assert scored == [1, 4, 4, 1]
+
+
 def test_nystrom_makes_two_grams_per_sample_and_no_transform_draws():
     # each of the observed sample and the B copies is scored from its own
     # landmark Gram and landmark-to-sample Gram; no G or H is drawn

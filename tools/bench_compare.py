@@ -54,7 +54,7 @@ def compare_metric(entry, spec):
                 if not _same(entry.get(key), value)]
     if not within:
         problems.append(f"worse by {worse:.1%}, past the bound {spec['bound']:.0%}")
-    return (parent, change, relative), problems
+    return (parent, change), problems
 
 
 def _row(name, metric, parent, change, better, bound, verdict):
@@ -85,7 +85,7 @@ def compare(bench, benchmark):
             if metric not in workload:
                 problems.append(f"{name} {metric}: metric missing")
                 continue
-            (parent, change, _), found = compare_metric(workload[metric], spec)
+            (parent, change), found = compare_metric(workload[metric], spec)
             rows.append(_row(name, metric, parent, change, spec["better"],
                              f"{spec['bound']:.0%}", "FAIL" if found else "ok"))
             problems += [f"{name} {metric}: {p}" for p in found]
