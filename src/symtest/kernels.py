@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -154,8 +155,11 @@ def _factors(kernel, X, Y=None, lead=1):
     X's points against Y's (``Y=None``: X's own); with ``lead=2``, each
     sample of a (k, n, ...) stack against itself.  The RBF's L has rows
     [2ca, -c|a|^2, -c] and R columns [b, 1, |b|^2], c = 1 / (2 sigma^2), at
-    errors of about 1e-16 c (|a|^2 + |b|^2).  The rotation kernel's R of X's
-    own pairs is L's view, for SYRK, and their unit norms are the caller's.
+    errors of about 1e-16 c (|a|^2 + |b|^2); with ``lead=2`` its R is a
+    contiguous (k, d + 2, n) array, whose rows BLAS reads faster (``gram``
+    keeps the view: a contiguous R moves its products by an ulp on some
+    shapes).  The rotation kernel's R of X's own pairs is L's view, for SYRK,
+    and their unit norms are the caller's.
     """
     if isinstance(kernel, RotationKernelSO3):
         A = _check_quaternions(X, ndim=lead + 1)
@@ -176,7 +180,10 @@ def _factors(kernel, X, Y=None, lead=1):
     c = 1.0 / (2.0 * kernel.bandwidth**2)
     d = A.shape[-1]
     left = np.empty(A.shape[:-1] + (d + 2,))
-    right = np.empty(B.shape[:-1] + (d + 2,))
+    if lead == 2:
+        right = np.swapaxes(np.empty(B.shape[:-2] + (d + 2, B.shape[-2])), -1, -2)
+    else:
+        right = np.empty(B.shape[:-1] + (d + 2,))
     np.multiply(A, 2.0 * c, out=left[..., :d])
     a2 = np.einsum("...ij,...ij->...i", A, A)
     np.multiply(a2, -c, out=left[..., d])
@@ -203,13 +210,17 @@ def _inner(kernel, X, Y=None):
     return v
 
 
-def _evaluate(kernel, v, scratch=None):
-    """In-place kernel values of ``_factors``'s products; scratch: ``_so3_from_cos``'s."""
+def _evaluate(kernel, v, scratch=None, least=-np.inf):
+    """In-place kernel values of ``_factors``'s products; scratch: ``_so3_from_cos``'s.
+
+    ``least`` is a lower bound of the RBF exponents v up to their rounding;
+    above -700 it proves that the clamp below cannot fire, and v is not scanned.
+    """
     if isinstance(kernel, RotationKernelSO3):
         return _so3_from_cos(np.abs(v, out=v), scratch)
     # avoid subnormal kernel values: they are extremely slow to produce and
     # indistinguishable from zero for every statistic built on top
-    if v.size and v.min() < -708.0:
+    if not least > -700.0 and v.size and v.min() < -708.0:
         np.copyto(v, -1000.0, where=v < -708.0)
     return np.exp(v, out=v)
 
@@ -236,59 +247,72 @@ def _pair_index(n):
 
 def _work_array(work, name, shape):
     """An uninitialised float array of ``shape``: a view of the dict ``work``'s
-    array ``name``, grown as needed and kept there for the next block."""
+    array ``name``, grown as needed and kept there for the next block and call."""
     size = math.prod(shape)
     if name not in work or work[name].size < size:
         work[name] = np.empty(size)
     return work[name][:size].reshape(shape)
 
 
-# pair_sums takes a sample's pairs in blocks of at most _BLOCK_ROWS rows, and a
-# stack in groups of at most _STACK_COPIES samples, fewer where their block-row
-# buffers, _BLOCK_ROWS * n values a sample, would pass _STACK_ENTRIES (from n = 513).
-_BLOCK_ROWS = 128
-_STACK_COPIES = 4
+# pair_sums takes a sample of up to _ONE_BLOCK rows as one block, and a larger
+# one in row blocks of at most _BLOCK_ROWS rows.  It takes a stack in groups of
+# at most _STACK_COPIES samples, fewer where their block-row buffers, n values
+# a sample for each row of a block, would pass _STACK_ENTRIES (from n = 410).
+_ONE_BLOCK = 128
+_BLOCK_ROWS = 40
+_STACK_COPIES = 16
 _STACK_ENTRIES = 1 << 18
+
+# pair_sums's work arrays, kept from call to call, one set per thread: made
+# afresh in each call, they were handed back to the system and faulted in
+# again page by page on every call of a replication
+_WORK = threading.local()
 
 
 def _row_blocks(n, most):
     """The [lo, hi) of ceil(n / most) blocks of equal size that cover range(n)."""
-    step = -(-n // -(-n // max(most, 1)))
+    step = -(-n // -(-n // max(most, 1))) if n else 1
     return ((lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 def pair_sums(kernel, X):
     """The sum of k(X_i, X_j) over i < j for each sample of a (k, n, ...) stack.
 
-    Over row blocks of equal size, at most ``_BLOCK_ROWS``: block [lo, hi)
-    adds its pairs with the rows [hi, n), one batched product evaluated and
-    summed in place, and its pairs inside, gathered from its own product.
-    Up to n = 128 that is one block and the sum of ``gram``'s upper triangle
-    bit for bit; above, it equals that to rounding.  A sample's sum is the
-    same bit for bit alone and at every place in a stack, whose groups (see
-    ``_STACK_COPIES``) share one set of work arrays (see ``_work_array``).
+    Over row blocks of equal size (see ``_BLOCK_ROWS``): block [lo, hi) adds
+    its pairs with the rows [hi, n), one batched product evaluated and summed
+    in place, and its pairs inside, gathered from its own product.  Up to
+    n = 128 that is one block and the sum of ``gram``'s upper triangle bit for
+    bit; above, it equals that to rounding.  A sample's sum is the same bit
+    for bit alone and at every place in a stack, whose groups (see
+    ``_STACK_COPIES``) share one set of work arrays (see ``_WORK``).
     The delta kernel counts each sample's equal rows: c of them make
-    c (c - 1) / 2 pairs.
+    c (c - 1) / 2 pairs.  An empty stack gives an empty array, and samples
+    of fewer than two rows give zeros.
     """
     if isinstance(kernel, DiscreteDelta):
         counts = (np.unique(s, axis=0, return_counts=True)[1] for s in _as_points(X, 2))
         return np.array([float((c * (c - 1) // 2).sum()) for c in counts])
     X = np.asarray(X)
-    step = max(1, min(_STACK_COPIES, _STACK_ENTRIES // (_BLOCK_ROWS * X.shape[1])))
-    work = {}
-    return np.concatenate([_group_sums(kernel, X[g:g + step], work)
-                           for g in range(0, len(X), step)])
+    k, n = X.shape[:2]
+    rows = n if n <= _ONE_BLOCK else _BLOCK_ROWS
+    step = max(1, min(_STACK_COPIES, _STACK_ENTRIES // max(rows * n, 1)))
+    sums, work = np.empty(k), vars(_WORK)
+    for g in range(0, k, step):
+        sums[g:g + step] = _group_sums(kernel, X[g:g + step], rows, work)
+    return sums
 
 
-def _group_sums(kernel, X, work):
-    """``pair_sums`` of one group of samples, on the work arrays ``work``."""
+def _group_sums(kernel, X, most, work):
+    """``pair_sums`` of one group of samples, in row blocks of at most ``most``
+    rows, on the work arrays ``work``."""
     left, right = _factors(kernel, X, lead=2)
     rotation = isinstance(kernel, RotationKernelSO3)
-    if not rotation:
-        right = np.ascontiguousarray(right)  # rows, which BLAS reads faster
+    # each RBF exponent -c |a_i - a_j|^2 is at least -4c max |a|^2, four
+    # times the least of the column -c |a|^2 of L
+    least = -np.inf if rotation else 4.0 * left[..., -2].min(initial=0.0)
     k, n = left.shape[:2]
-    sums = []
-    for lo, hi in _row_blocks(n, _BLOCK_ROWS):
+    sums = np.zeros(k)
+    for lo, hi in _row_blocks(n, most):
         rows = left[:, lo:hi]
         own = np.matmul(rows, right[:, :, lo:hi],
                         out=_work_array(work, "product", (k, hi - lo, hi - lo)))
@@ -300,14 +324,14 @@ def _group_sums(kernel, X, work):
                                         out=_work_array(work, "pairs", (k, index.size)))
         # the spent product holds the rotation kernel's work arrays
         spent = own.reshape(-1)[:2 * pairs.size].reshape((2,) + pairs.shape)
-        sums.append(_evaluate(kernel, pairs, spent).sum(axis=1))
+        sums += _evaluate(kernel, pairs, spent, least).sum(axis=1)
         if hi < n:
             rect = np.matmul(rows, right[:, :, hi:],
                              out=_work_array(work, "product", (k, hi - lo, n - hi)))
             names = ("theta", "sin") if rotation else ()
             scratch = [_work_array(work, name, rect.shape) for name in names]
-            sums.append(_evaluate(kernel, rect, scratch).reshape(k, -1).sum(axis=1))
-    return reduce(np.add, sums)  # block by block, in order
+            sums += _evaluate(kernel, rect, scratch, least).reshape(k, -1).sum(axis=1)
+    return sums  # block by block, in order
 
 
 # The median heuristic takes its differences in blocks of at most this many floats.
@@ -336,9 +360,9 @@ def median_heuristic(X):
     if d == 0:
         raise AllPointsIdentical("all points coincide; no usable bandwidth")
     # exact differences X[j] - X[i], j > i, so that duplicate rows give distances
-    # of exactly 0, a column at a time over row blocks as pair_sums takes them
+    # of exactly 0, a column at a time over row blocks of at most 128 rows
     Xt, dists = X.T.copy(), []
-    for lo, hi in _row_blocks(n, min(_BLOCK_ROWS, _MEDIAN_BLOCK_ENTRIES // (n * d))):
+    for lo, hi in _row_blocks(n, min(_ONE_BLOCK, _MEDIAN_BLOCK_ENTRIES // (n * d))):
         own = _pair_index(hi - lo)
         dists += [_row_norms(lambda c: (Xt[c, lo:hi] - Xt[c, lo:hi, None]).take(own), d),
                   _row_norms(lambda c: (Xt[c, hi:] - Xt[c, lo:hi, None]).ravel(), d)]

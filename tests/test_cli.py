@@ -297,3 +297,12 @@ class TestVersion:
         res = run_cli("--version")
         assert res.returncode == 0
         assert res.stdout.strip()
+
+
+class TestPackageAsModule:
+    def test_python_m_symtest_runs_the_cli(self):
+        res = run_python("-m", "symtest", "--help")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("usage: symtest")
+        for command in ("invariance", "equivariance", "simulate", "power", "tune"):
+            assert command in res.stdout
