@@ -263,9 +263,9 @@ _BLOCK_ROWS = 40
 _STACK_COPIES = 16
 _STACK_ENTRIES = 1 << 18
 
-# pair_sums's work arrays, kept from call to call, one set per thread: made
-# afresh in each call, they were handed back to the system and faulted in
-# again page by page on every call of a replication
+# pair_sums's work arrays, one set per thread, kept from call to call so that
+# their memory is not handed back to the system and faulted in again, page by
+# page, on every call
 _WORK = threading.local()
 
 

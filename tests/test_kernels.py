@@ -1,4 +1,5 @@
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -426,6 +427,21 @@ class TestPairSums:
             got = kernels.pair_sums(k, stack)
             assert np.array_equal(got, self.per_sample(k, stack))
 
+    @pytest.mark.parametrize("kernel,d", [
+        (GaussianRBF(1.0), 3), (RotationKernelSO3(), 4), (DiscreteDelta(), 2),
+    ], ids=["rbf", "so3", "delta"])
+    def test_an_empty_stack_gives_an_empty_array(self, kernel, d):
+        for n in (0, 5):
+            got = kernels.pair_sums(kernel, np.zeros((0, n, d)))
+            assert got.shape == (0,) and got.dtype == float
+
+    @pytest.mark.parametrize("kernel,d", [
+        (GaussianRBF(1.0), 3), (RotationKernelSO3(), 4), (DiscreteDelta(), 2),
+    ], ids=["rbf", "so3", "delta"])
+    def test_samples_of_no_rows_give_zeros(self, kernel, d):
+        got = kernels.pair_sums(kernel, np.zeros((3, 0, d)))
+        assert got.dtype == float and got.tolist() == [0.0, 0.0, 0.0]
+
     def test_a_non_unit_quaternion_in_any_copy_raises(self):
         stack = haar_quaternions(3 * 10, np.random.default_rng(67)).reshape(3, 10, 4)
         stack[2, 4] *= 1.001
@@ -433,6 +449,68 @@ class TestPairSums:
             kernels.pair_sums(RotationKernelSO3(), stack)
         with pytest.raises(InvalidRotation):
             kernels.pair_sums(RotationKernelSO3(), stack[:, :, :3])
+
+
+def along_a_line(positions, d=3):
+    """Points at the given positions along a unit vector of R^d."""
+    u = np.random.default_rng(70).normal(size=d)
+    return np.multiply.outer(positions, u / np.linalg.norm(u))
+
+
+def bandwidth_of(exponent, distance):
+    """The RBF bandwidth at which two points ``distance`` apart have ``exponent``."""
+    return GaussianRBF(distance / np.sqrt(-2.0 * exponent))
+
+
+class TestClampBound:
+    # pair_sums scans a copy group's exponents for the clamp at -708 only
+    # when 4 min(-c |x|^2), a lower bound of them, is not above -700; on
+    # either side of the bound, and in a stack where one group clamps and
+    # the others do not, each sum is that of pair_values: bit for bit up to
+    # n = 128 (one row block) and to rounding above
+
+    @staticmethod
+    def check(kernel, stack):
+        got = kernels.pair_sums(kernel, stack)
+        expect = [pair_values(kernel, s).sum() for s in stack]
+        if stack.shape[1] <= 128:
+            assert np.array_equal(got, expect)
+        else:
+            np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [2, 40, 128, 129, 200])
+    @pytest.mark.parametrize("bound", [-699.9, -708.1], ids=["idle", "clamps"])
+    def test_on_either_side_of_the_bound(self, n, bound):
+        # rows 0 and 1 at +-1, the rest between: 4 c max |x|^2 is -bound, and
+        # the exponent of that pair is the bound itself, whose exp is a
+        # normal number above -708 and clamped to 0 below
+        positions = np.r_[1.0, -1.0, np.random.default_rng(n).uniform(-1, 1, n - 2)]
+        X = along_a_line(positions)
+        kernel = bandwidth_of(bound, 2.0)
+        left = kernels._factors(kernel, X[None], lead=2)[0]
+        assert 4.0 * left[..., -2].min() == pytest.approx(bound, rel=1e-14)
+        assert (pair_values(kernel, X)[0] > 0.0) == (bound > -708.0)
+        self.check(kernel, X[None])
+
+    @pytest.mark.parametrize("n", [40, 200])
+    @pytest.mark.parametrize("group", [0, 1, 2])
+    def test_only_one_copy_group_clamps(self, n, group):
+        # at c = 1 the clamping copy has rows +-s e_a, two to an axis a, with
+        # s^2 = 352.5 on even axes and 360 on odd ones: rows on two axes meet at
+        # exponents -705, -712.5 and -720, the last two clamped to 0 from
+        # subnormal, and the two rows of an axis near -1420; the other copies
+        # lie within exponents of -10, and their groups skip the scan
+        step = kernels._STACK_COPIES
+        kernel = GaussianRBF(np.sqrt(0.5))
+        rows = np.arange(n)
+        axis = rows // 2
+        clamping = np.zeros((n, n // 2))
+        clamping[rows, axis] = (-1.0) ** rows * np.sqrt(np.where(axis % 2, 360.0, 352.5))
+        values = pair_values(kernel, clamping)
+        assert (values == 0.0).any() and values.max() == pytest.approx(np.exp(-705.0))
+        stack = 0.1 * np.random.default_rng(71).normal(size=(2 * step + 1, n, n // 2))
+        stack[[step - 1, step + 1, 2 * step][group]] = clamping  # last, inside, alone
+        self.check(kernel, stack)
 
 
 class TestBlockRows:
@@ -450,19 +528,22 @@ class TestBlockRows:
         return rng.normal(size=(k, n, 3))
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=IDS)
-    @pytest.mark.parametrize("n", [129, 200, 257, 1000])
+    @pytest.mark.parametrize("n", [129, 130, 159, 160, 161, 200, 241, 257, 1000])
     def test_equal_to_the_gram_upper_triangle_to_rounding(self, kernel, n):
+        # row blocks of at most 40 rows from n = 129 on: four of 40 at 160, and
+        # five of 33 or fewer at 161
         stack = self.stack(kernel, 2, n, n)
         expect = [pair_values(kernel, s).sum() for s in stack]
         np.testing.assert_allclose(kernels.pair_sums(kernel, stack), expect,
                                    rtol=1e-12, atol=0)
 
     def test_clamp_is_reached_in_a_rectangle(self):
-        # the rbf-clamp case at n = 200: the rectangle of rows [0, 100)
-        # against [100, 200) holds exponents past -708, clamped to a value
-        # of 0, and others
+        # the rbf-clamp case at n = 200: the rectangle of the first row block
+        # against the later rows holds exponents past -708, clamped to a
+        # value of 0, and others
         stack = self.stack(GaussianRBF(0.1), 2, 200, 200)
-        rect = gram(GaussianRBF(0.1), stack[0])[:100, 100:]
+        lo, hi = next(kernels._row_blocks(200, kernels._BLOCK_ROWS))
+        rect = gram(GaussianRBF(0.1), stack[0])[lo:hi, hi:]
         assert (rect == 0.0).any() and (rect > 0.0).any()
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=IDS)
@@ -474,18 +555,21 @@ class TestBlockRows:
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=IDS)
     @pytest.mark.parametrize("n", [129, 200, 300])
-    def test_a_copy_scores_alike_alone_and_at_every_stack_position(self, kernel, n):
-        others = self.stack(kernel, 3, n, n + 1)
+    @pytest.mark.parametrize("k", [4, 2 * kernels._STACK_COPIES + 1])
+    def test_a_copy_scores_alike_alone_and_at_every_stack_position(self, kernel, n, k):
+        # a stack of 2 _STACK_COPIES + 1 puts the copy first, inside and last
+        # in each of three groups
+        others = self.stack(kernel, k - 1, n, n + 1)
         copy = self.stack(kernel, 1, n, n)
         alone = one_sample_sum(kernel, copy[0])
-        for at in range(4):
+        for at in range(k):
             stack = np.concatenate([others[:at], copy, others[at:]])
             assert kernels.pair_sums(kernel, stack)[at] == alone
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=IDS)
-    @pytest.mark.parametrize("k,n", [(9, 200), (3, 2000)])
+    @pytest.mark.parametrize("k,n", [(2 * kernels._STACK_COPIES + 1, 200), (7, 2000)])
     def test_a_stack_of_several_groups_scores_each_copy_as_alone(self, kernel, k, n):
-        # groups of 4, 4 and 1 copies at n = 200; of one copy each at 2,000
+        # groups of 16, 16 and 1 copies at n = 200; of 3, 3 and 1 at 2,000
         stack = self.stack(kernel, k, n, k + n)
         got = kernels.pair_sums(kernel, stack)
         assert np.array_equal(got, [one_sample_sum(kernel, s) for s in stack])
@@ -493,11 +577,13 @@ class TestBlockRows:
     @pytest.mark.parametrize("kernel", [GaussianRBF(1.0), RotationKernelSO3()],
                              ids=["rbf", "so3"])
     def test_work_arrays_stay_within_the_block_rows(self, kernel):
-        # at n = 2,000 a group holds one copy, so 6 copies allocate at most
-        # the block-row buffers of one, 128 n values, three times over for
-        # the rotation kernel's theta and sin, and one group's small factors
+        # at n = 2,000 a group holds 3 copies, so 6 copies allocate at most
+        # the block-row buffers of three, 120 n values, three times over for
+        # the rotation kernel's theta and sin, and one group's small factors;
+        # the thread's work arrays are dropped first, so that they are counted
         k, n = 6, 2000
         stack = self.stack(kernel, k, n, 7)
+        vars(kernels._WORK).clear()
         tracemalloc.start()
         try:
             kernels.pair_sums(kernel, stack)
@@ -505,6 +591,24 @@ class TestBlockRows:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 128 * n * 8
+
+    def test_work_arrays_are_kept_from_call_to_call(self):
+        # kept, they are not handed back to the system and faulted in anew
+        stack = self.stack(GaussianRBF(1.0), 20, 300, 9)
+        kernels.pair_sums(GaussianRBF(1.0), stack)
+        kept = dict(vars(kernels._WORK))
+        kernels.pair_sums(GaussianRBF(1.0), stack[:5])
+        assert kept and all(vars(kernels._WORK)[name] is a for name, a in kept.items())
+
+    def test_threads_score_on_work_arrays_of_their_own(self):
+        kernel = GaussianRBF(1.0)
+        stacks = [self.stack(kernel, 17, n, n) for n in (150, 300)]
+        expect = [kernels.pair_sums(kernel, s) for s in stacks]
+        with ThreadPoolExecutor(2) as pool:
+            runs = [pool.submit(lambda s: [kernels.pair_sums(kernel, s) for _ in range(20)], s)
+                    for s in stacks]
+            for run, want in zip(runs, expect):
+                assert all(np.array_equal(got, want) for got in run.result())
 
     def test_a_non_unit_quaternion_in_a_later_block_raises(self):
         stack = self.stack(RotationKernelSO3(), 2, 300, 8)
