@@ -31,7 +31,7 @@ from .errors import (
 )
 from .groups import default_invariant_kind, invariant_batch, tau_batch
 from .invariance import _rank_test
-from .kernels import GaussianRBF, _inner, center, gram
+from .kernels import GaussianRBF, _inner, center, gram, resolve_bandwidth
 
 
 @dataclass
@@ -104,10 +104,10 @@ def transform_responses(X, Y, spec, y_action="same", m_kind=None):
 def _kci_matrices(data, config):
     """The conditioned matrices A = R K_XM R and B = R K_Z R."""
     _check_finite(data.X, data.Z, data.M)
-    k_y = center(gram(config.kernel_y, data.Z))
-    g_m = gram(config.kernel_m, data.M)
+    k_y = center(gram(resolve_bandwidth(config.kernel_y, data.Z), data.Z))
+    g_m = gram(resolve_bandwidth(config.kernel_m, data.M), data.M)
     k_m = center(g_m)
-    k_xm = center(gram(config.kernel_x, data.X) * g_m)
+    k_xm = center(gram(resolve_bandwidth(config.kernel_x, data.X), data.X) * g_m)
     n = k_y.shape[0]
     eps = config.epsilon
     r_m = eps * np.linalg.inv(k_m + eps * np.eye(n))
@@ -175,7 +175,7 @@ def kci_test_data(data, config, alpha=0.05, rng=None):
     """Kernel conditional independence test on a prepared paired dataset.
 
     The statistic and the null draws share one build of the conditioned
-    matrices.
+    matrices.  ``rbf(median)`` takes the median of data.X, data.Z or data.M.
     """
     if data.X.shape[0] < 2:
         raise SampleTooSmall("need at least two observations")
@@ -200,7 +200,7 @@ def kci_test(X, Y, spec, config, alpha=0.05, rng=None, y_action="same",
 def _log_gram(kernel, A):
     if not isinstance(kernel, GaussianRBF):
         raise BadParameters("the density-ratio odds need strictly positive kernels")
-    return _inner(kernel, A)
+    return _inner(resolve_bandwidth(kernel, A), A)
 
 
 def _log_joint_sums(data, kernel_y, kernel_m):
@@ -304,6 +304,7 @@ def cp_test(X, Y, spec, kernel_y, kernel_m, alpha=0.05, burn_in=50, B=100,
     as one stack, and the observed assignment is scored with the copies in
     one call, so that a copy equal to it scores exactly the observed
     statistic.  The observed statistic is ranked among the permuted ones.
+    ``rbf(median)`` takes the median of Z or of M, which the chains keep.
     """
     _check_budget(B)
     _check_budget(burn_in, "burn_in")

@@ -45,7 +45,7 @@ from .errors import (
     _check_finite,
     _require_rng,
 )
-from .kernels import _row_norms
+from .kernels import _pair_median, _row_norms
 
 _ZERO_TOL = 1e-12
 
@@ -316,6 +316,30 @@ def orbit_draw(spec, X, rng, count=None):
     else:
         out = sample_batch(spec, rng, k * len(X)).apply(np.tile(X, (k, 1)))
     return out.reshape(X.shape if count is None else (k,) + X.shape)
+
+
+def orbit_bandwidth(spec, X):
+    """The median over the pairs i < j of sqrt(E|g X_i - h X_j|^2), g, h Haar:
+    sqrt(|X_i|^2 + |X_j|^2 - 2 (P X_i) . (P X_j)), P = E g the projection on
+    the fixed subspace (0 for so, the R^4 products and a plane's rotations;
+    coordinate means for sym; the axis in R^3; I for a trivial action, where
+    it is ``median_heuristic``).  It reads |x| and P x, which g keeps, so
+    every orbit copy g_i X_i gives X's value and the tests stay exact."""
+    X = _points(spec, X)
+    _check_finite(X)
+    # P X in an orthonormal basis, and rows with the norms of (I - P) X
+    if spec.family == "sym":
+        mean = X.mean(axis=1, keepdims=True)
+        fixed, moving = mean * np.sqrt(X.shape[1]), X - mean
+    elif spec.family == "trivial" or (spec.family == "rot-discrete"
+                                      and round(360.0 / spec.step_deg) == 1):
+        fixed, moving = X, X[:, :0]
+    elif spec.family == "rot-discrete" and spec.dim == 3:
+        fixed, moving = X[:, spec.axis - 1:spec.axis], np.delete(X, spec.axis - 1, axis=1)
+    else:
+        fixed, moving = X[:, :0], X
+    terms = np.einsum("ij,ij->i", moving, moving) if moving.shape[1] else None
+    return _pair_median(fixed, terms)
 
 
 # ---------------------------------------------------------------------------

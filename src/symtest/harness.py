@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .condsym import KciConfig, cp_test, kci_test, transform_responses
+from .condsym import KciConfig, cp_test, kci_test
 from .errors import (
     ConfigInvalid,
     DataFileMissing,
@@ -32,26 +32,17 @@ from .errors import (
     SymtestError,
     TooFewValues,
 )
-from .groups import INVARIANT_KINDS, inversion_kernel_batch, parse_group
+from .groups import INVARIANT_KINDS, parse_group
 from .invariance import (
     inversion_mc_test,
     mc_invariance_test,
     power_estimate,
     transformation_two_sample_test,
 )
-from .kernels import GaussianRBF, parse_kernel, resolve_bandwidth
+from .kernels import parse_kernel
 from .synthdata import parse_generator, sample
 
-# each method, with the config kernel fields it reads
-METHODS = {
-    "mmd": ("kernel",),
-    "nmmd": ("kernel",),
-    "cw": (),
-    "2smmd": ("kernel",),
-    "inversion-mmd": ("kernel",),
-    "kci": ("kernel", "kernel_y", "kernel_m"),
-    "cp": ("kernel_y", "kernel_m"),
-}
+METHODS = ("mmd", "nmmd", "cw", "2smmd", "inversion-mmd", "kci", "cp")
 
 # the methods that test the law of a response given X; the rest, of X alone
 _CONDITIONAL_METHODS = ("kci", "cp")
@@ -186,76 +177,37 @@ def _rep_rng(seed, rep):
     return np.random.default_rng([int(seed), int(rep)])
 
 
-def _draw_data(gen, n, rng):
-    out = sample(gen, n, rng)
-    if gen.conditional:
-        return out
-    return out, None
-
-
-def _subsample(X, Y, n, rng, with_train):
-    total = X.shape[0]
-    need = 2 * n if with_train else n
-    if total < need:
-        raise SampleTooSmall(
-            f"data file has {total} rows; {need} are needed per replication"
-        )
-    idx = rng.permutation(total)
-    pick = lambda rows: (X[rows], None if Y is None else Y[rows])
-    return pick(idx[:n]), (pick(idx[n:2 * n]) if with_train else None)
-
-
-def _draw_resolved(config, spec, rng, dataset=None):
-    """The tested sample X, Y and the kernels the method reads, by field.
-
-    A training split is drawn exactly when one of those kernels is
-    ``rbf(median)``, and each median is taken on the split's points its
-    kernel acts on.
-    """
-    kernels = {name: parse_kernel(getattr(config, name))
-               for name in METHODS[config.method]}
-    needs_train = any(isinstance(k, GaussianRBF) and k.bandwidth is None
-                      for k in kernels.values())
-    if dataset is not None:
-        (X, Y), train = _subsample(*dataset, config.n, rng, needs_train)
-    else:
+def _draw(config, rng, dataset=None):
+    """The tested sample X, Y: n generated rows, or n random rows of ``dataset``."""
+    if dataset is None:
         gen = parse_generator(config.generator)
-        X, Y = _draw_data(gen, config.n, rng)
-        train = _draw_data(gen, config.n, rng) if needs_train else None
+        out = sample(gen, config.n, rng)
+        X, Y = out if gen.conditional else (out, None)
+    else:
+        X, Y = dataset
+        if X.shape[0] < config.n:
+            raise SampleTooSmall(f"data file has {X.shape[0]} rows; "
+                                 f"{config.n} are needed per replication")
+        rows = rng.permutation(X.shape[0])[:config.n]
+        X, Y = X[rows], None if Y is None else Y[rows]
     if config.method in _CONDITIONAL_METHODS and Y is None:
         raise ConfigInvalid(f"method {config.method!r} needs responses")
-    if not needs_train:
-        return X, Y, kernels
-    Xtr, Ytr = train
-    if config.method in _CONDITIONAL_METHODS:
-        data = transform_responses(Xtr, Ytr, spec, config.y_action, config.m_kind)
-        points = {"kernel": data.X, "kernel_y": data.Z, "kernel_m": data.M}
-    elif config.method == "inversion-mmd":
-        # the kernel acts on the inverting elements, not on the data
-        points = {"kernel": inversion_kernel_batch(spec, Xtr, rng).data}
-    else:
-        points = {"kernel": Xtr}
-    return X, Y, {name: resolve_bandwidth(k, points[name])
-                  for name, k in kernels.items()}
+    return X, Y
 
 
 def run_replication(config, rep, dataset=None):
     """Run one replication of a configured experiment; returns a TestResult."""
     rng = _rep_rng(config.seed, rep)
     spec = parse_group(config.group)
-    X, Y, kernels = _draw_resolved(config, spec, rng, dataset)
-    kernel = kernels.get("kernel")
+    X, Y = _draw(config, rng, dataset)
     if config.method in _POWER_STATISTICS:
-        return _mc_invariance(config, X, spec, kernel, rng)
-    if config.method == "2smmd":
-        return transformation_two_sample_test(
-            X, spec, kernel, B=config.B, alpha=config.alpha, rng=rng,
-        )
-    if config.method == "inversion-mmd":
-        return inversion_mc_test(
-            X, spec, kernel, B=config.B, alpha=config.alpha, rng=rng,
-        )
-    kernel_y, kernel_m = kernels["kernel_y"], kernels["kernel_m"]
+        return _mc_invariance(config, X, spec, rng)
+    kernel = parse_kernel(config.kernel)
+    if config.method in ("2smmd", "inversion-mmd"):
+        test = (transformation_two_sample_test if config.method == "2smmd"
+                else inversion_mc_test)
+        return test(X, spec, kernel, B=config.B, alpha=config.alpha, rng=rng)
+    kernel_y, kernel_m = parse_kernel(config.kernel_y), parse_kernel(config.kernel_m)
     common = dict(alpha=config.alpha, rng=rng, y_action=config.y_action,
                   m_kind=config.m_kind)
     if config.method == "kci":
@@ -266,10 +218,10 @@ def run_replication(config, rep, dataset=None):
                    B=config.B, **common)
 
 
-def _mc_invariance(config, X, spec, kernel, rng):
-    """``mc_invariance_test`` on X with the statistic and sizes of the config."""
+def _mc_invariance(config, X, spec, rng):
+    """``mc_invariance_test`` on X with the kernel, statistic and sizes of the config."""
     return mc_invariance_test(
-        X, spec, kernel=kernel, m=config.m, B=config.B, alpha=config.alpha,
+        X, spec, kernel=parse_kernel(config.kernel), m=config.m, B=config.B, alpha=config.alpha,
         statistic=_POWER_STATISTICS[config.method], rng=rng,
         n_landmarks=config.n_landmarks, n_projections=config.n_projections,
     )
@@ -321,11 +273,10 @@ def run_power_estimate(config, rng=None):
     if rng is None:
         rng = _rep_rng(config.seed, 0)
     spec = parse_group(config.group)
-    X, _, kernels = _draw_resolved(config, spec, rng)
-    kernel = kernels.get("kernel")
+    X, _ = _draw(config, rng)
 
     def test_fn(sample):
-        return _mc_invariance(config, sample, spec, kernel, rng).p_value
+        return _mc_invariance(config, sample, spec, rng).p_value
 
     return power_estimate(X, test_fn, B=config.B, n_resamples=config.n_resamples,
                           alpha=config.alpha, rng=rng)

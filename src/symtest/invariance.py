@@ -35,11 +35,12 @@ from .errors import (
 from .groups import (
     haar_quaternions,
     inversion_kernel_batch,
+    orbit_bandwidth,
     orbit_draw,
     rotation_quaternions,
     sample_batch,
 )
-from .kernels import RotationKernelSO3
+from .kernels import RotationKernelSO3, resolve_bandwidth
 from .mmd import _paired_swap_stats, invariance_stat_u, nystrom_invariance_stat
 
 
@@ -93,13 +94,16 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
     every row by its own Haar element through ``orbit_draw``; the ``mmd-u``
     copies are drawn and scored as stacks, bit for bit as one at a time.
     The p-value is exact for any statistic, since the copies are
-    exchangeable with X under the null.
+    exchangeable with X under the null.  ``mmd-u`` and ``mmd-nystrom`` take
+    ``groups.orbit_bandwidth`` for ``rbf(median)``, which every copy shares.
     """
     if np.ndim(X) != 2:
         raise DimensionMismatch("the sample must be an (n, d) array")
     X = _checked_sample(X, B, rng, alpha)
     _check_budget(m, "m")
     n = X.shape[0]
+    if statistic in ("mmd-u", "mmd-nystrom"):
+        kernel = resolve_bandwidth(kernel, X, lambda X: orbit_bandwidth(spec, X))
 
     if callable(statistic):
         method = getattr(statistic, "__name__", "custom")
@@ -220,9 +224,10 @@ def transformation_two_sample_test(X, spec, kernel, B=200, alpha=0.05, rng=None)
     flipping each pair by an independent fair sign gives null copies
     exchangeable with the observed pairs, and the p-value is exact.  The B
     copies are the statistics of B sign vectors, all read from one kernel
-    matrix built from three Grams.
+    matrix built from three Grams.  ``rbf(median)`` takes ``groups.orbit_bandwidth``.
     """
     X = _checked_sample(X, B, rng, alpha)
+    kernel = resolve_bandwidth(kernel, X, lambda X: orbit_bandwidth(spec, X))
     n = X.shape[0]
     Y = orbit_draw(spec, X, rng)
     signs = np.ones((B + 1, n))
@@ -256,7 +261,9 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None):
     ``so3`` kernel, ``rbf`` on rotation matrices or on permutations stored
     as index arrays, and ``delta`` all have this property.  The null samples
     are ``sample_batch`` draws; for the rotation kernel, which takes SO(3)
-    elements as unit quaternions, ``haar_quaternions`` draws.
+    elements as unit quaternions, ``haar_quaternions`` draws.  ``rbf(median)``
+    takes sqrt(E|g - h|^2) for independent Haar g, h: sqrt(2d) on rotation
+    matrices, of mean 0, and sqrt(d (d^2 - 1) / 6) on index arrays.
     """
     X = _checked_sample(X, B, rng, alpha)
     n = X.shape[0]
@@ -265,6 +272,9 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None):
     rotation_kernel = isinstance(kernel, RotationKernelSO3)
     if rotation_kernel and (spec.family, spec.dim) != ("so", 3):
         raise UnsupportedFamily("the rotation kernel is defined on SO(3)")
+    d = spec.dim
+    haar = float(np.sqrt(2 * d if spec.family == "so" else d * (d * d - 1) / 6))
+    kernel = resolve_bandwidth(kernel, X, lambda _: haar)
     tau = inversion_kernel_batch(spec, X, rng).data
     if rotation_kernel:
         tau = rotation_quaternions(tau)

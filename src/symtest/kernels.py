@@ -25,6 +25,7 @@ from .errors import (
     InvalidRotation,
     SampleTooSmall,
     UnsupportedKind,
+    _check_finite,
 )
 
 
@@ -32,8 +33,8 @@ from .errors import (
 class GaussianRBF:
     """k(x, y) = exp(-||x - y||^2 / (2 sigma^2)).
 
-    ``bandwidth=None`` marks a kernel whose sigma is to be resolved from a
-    training sample via the median heuristic before first use.
+    ``bandwidth=None`` (``rbf(median)``) marks a kernel whose sigma each
+    test resolves from the points it acts on (``resolve_bandwidth``).
     """
 
     bandwidth: float | None = None
@@ -338,34 +339,44 @@ def _group_sums(kernel, X, most, work):
 _MEDIAN_BLOCK_ENTRIES = 1 << 20
 
 
-def _row_norms(column, d, rows=None):
+def _row_norms(column, d, rows=None, extra=None):
     """The row norms of A, from its d columns column(c), bit for bit as
     ``np.linalg.norm(A, axis=-1)``: numpy sums fewer than 8 squares in order.
-    From 8 columns on it takes numpy's, of ``rows`` (A) when given."""
-    if d >= 8:
+    From 8 columns on it takes numpy's, of ``rows`` (A) when given.  With
+    ``extra``, sqrt(|A|^2 + extra), the squares summed in order."""
+    if d >= 8 and extra is None:
         rows = np.stack([column(c) for c in range(d)], axis=-1) if rows is None else rows
         return np.linalg.norm(rows, axis=-1)
-    total = np.square(column(0))
-    for c in range(1, d):
-        total += np.square(column(c))
+    total = extra
+    for c in range(d):
+        square = np.square(column(c))
+        total = square if total is None else np.add(total, square, out=square)
     return np.sqrt(total)
 
 
 def median_heuristic(X):
     """Median pairwise Euclidean distance of a sample, used as RBF sigma."""
-    X = _as_points(X)
+    return _pair_median(_as_points(X))
+
+
+def _pair_median(X, terms=None):
+    """The median over the pairs i < j of sqrt(|X_i - X_j|^2 + t_i + t_j), for
+    an (n, d) float X and t = ``terms`` >= 0 (none: X's distances).  A NaN
+    value gives NaN, as ``np.median`` does; a median of 0 raises."""
     n, d = X.shape
     if n < 2:
         raise SampleTooSmall("median heuristic needs at least two points")
-    if d == 0:
+    if d == 0 and terms is None:
         raise AllPointsIdentical("all points coincide; no usable bandwidth")
     # exact differences X[j] - X[i], j > i, so that duplicate rows give distances
     # of exactly 0, a column at a time over row blocks of at most 128 rows
     Xt, dists = X.T.copy(), []
-    for lo, hi in _row_blocks(n, min(_ONE_BLOCK, _MEDIAN_BLOCK_ENTRIES // (n * d))):
+    for lo, hi in _row_blocks(n, min(_ONE_BLOCK, _MEDIAN_BLOCK_ENTRIES // (n * max(d, 1)))):
         own = _pair_index(hi - lo)
-        dists += [_row_norms(lambda c: (Xt[c, lo:hi] - Xt[c, lo:hi, None]).take(own), d),
-                  _row_norms(lambda c: (Xt[c, hi:] - Xt[c, lo:hi, None]).ravel(), d)]
+        for cols, pick in ((slice(lo, hi), lambda v: v.take(own)), (slice(hi, n), np.ravel)):
+            pairs = lambda v, op: pick(op(v[cols], v[lo:hi, None]))
+            extra = None if terms is None else pairs(terms, np.add)
+            dists.append(_row_norms(lambda c: pairs(Xt[c], np.subtract), d, extra=extra))
     dists = np.concatenate(dists)
     # the median as np.median takes it, from one partition at the upper
     # middle h: for an even count the lower middle is the largest entry
@@ -384,10 +395,13 @@ def median_heuristic(X):
     return med
 
 
-def resolve_bandwidth(kernel, X):
-    """Fill in an unresolved RBF bandwidth from a training sample."""
+def resolve_bandwidth(kernel, X, rule=None):
+    """``kernel`` with an unresolved RBF bandwidth set to ``rule(X)``, by
+    default ``median_heuristic(X)``, for the points X the kernel acts on,
+    which must be finite.  Any other kernel is returned as it is."""
     if isinstance(kernel, GaussianRBF) and kernel.bandwidth is None:
-        return GaussianRBF(median_heuristic(X))
+        _check_finite(X)
+        return GaussianRBF((rule or median_heuristic)(X))
     return kernel
 
 

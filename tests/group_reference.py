@@ -7,10 +7,14 @@ checked against one plain matrix-vector product per row.  The rotations that
 matrix per row for a discrete rotation about a coordinate axis and the
 planar formula (c x - s y, s x + c y) for the two planes of R^4.  Unit
 quaternions are turned into rotation matrices by the textbook formula, and
-a Lorentz boost of four-vectors (E, p) is built from its velocity.
+a Lorentz boost of four-vectors (E, p) is built from its velocity.  The
+mean square distance of two orbit points under Haar draws is estimated by
+Monte Carlo.
 """
 
 import numpy as np
+
+from symtest.groups import sample_batch
 
 
 def rot2(theta):
@@ -97,3 +101,14 @@ def lorentz_boost(beta):
     m[0, 1:] = m[1:, 0] = -gamma * beta
     m[1:, 1:] += (gamma - 1.0) * np.outer(beta, beta) / b2
     return m
+
+
+def orbit_sq_distance(spec, x, y, rng, draws=100_000):
+    """Monte Carlo mean and standard error of |g x - h y|^2 over ``draws``
+    independent pairs of Haar elements g and h of ``sample_batch``, each
+    applied as its matrix."""
+    d = len(x)
+    g, h = (element_matrices(sample_batch(spec, rng, draws), d) for _ in range(2))
+    sq = np.sum((g @ np.asarray(x, dtype=float) - h @ np.asarray(y, dtype=float)) ** 2,
+                axis=1)
+    return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(draws))

@@ -38,7 +38,7 @@ from symtest.condsym import (
     kci_null_samples,
 )
 from symtest.groups import so, sym, tau_batch
-from symtest.kernels import center, gram, resolve_bandwidth
+from symtest.kernels import center, gram, median_heuristic, resolve_bandwidth
 from symtest.synthdata import parse_generator, sample
 
 
@@ -615,13 +615,29 @@ class TestCpTest:
             cp_test(X, rng.normal(size=(12, 2)), so(2), K1, K1, burn_in=2,
                     B=9, rng=rng)
 
-    def test_unresolved_bandwidth_raises(self):
+    @pytest.mark.parametrize("y_action", ["same", "trivial"])
+    def test_median_kernels_take_the_medians_of_the_tested_points(self, y_action):
+        # rbf(median) in cp_test and kci_test is the median heuristic of the
+        # Z, M and X that the test builds from the sample, and nothing else
         rng = np.random.default_rng(51)
         X, Y = rng.normal(size=(12, 2)), rng.normal(size=(12, 2))
+        data = transform_responses(X, Y, so(2), y_action)
+        medians = [GaussianRBF(median_heuristic(v)) for v in (data.X, data.Z, data.M)]
+        same = lambda r, s: (r.p_value == s.p_value and r.statistic == s.statistic
+                             and np.array_equal(r.null_stats, s.null_stats))
         k = GaussianRBF(1.0)
-        for kernel_y, kernel_m in ((GaussianRBF(None), k), (k, GaussianRBF(None))):
-            with pytest.raises(BadParameters, match="not been resolved"):
-                cp_test(X, Y, so(2), kernel_y, kernel_m, burn_in=2, B=9, rng=rng)
+        for ky, km, want_y, want_m in ((GaussianRBF(None), k, medians[1], k),
+                                       (k, GaussianRBF(None), k, medians[2])):
+            got, want = (cp_test(X, Y, so(2), a, b, burn_in=2, B=9, y_action=y_action,
+                                 rng=np.random.default_rng(52))
+                         for a, b in ((ky, km), (want_y, want_m)))
+            assert same(got, want)
+        unresolved = KciConfig(GaussianRBF(None), GaussianRBF(None), GaussianRBF(None),
+                               null_samples=50)
+        got, want = (kci_test(X, Y, so(2), cfg, y_action=y_action,
+                              rng=np.random.default_rng(53))
+                     for cfg in (unresolved, KciConfig(*medians, null_samples=50)))
+        assert same(got, want)
 
     def test_pvalues_match_sequential_reference(self):
         # the batched chains and statistic against one swap decision at a

@@ -6,6 +6,7 @@ from group_reference import (
     axis_rotation,
     element_matrices,
     lorentz_boost,
+    orbit_sq_distance,
     quaternion_matrix,
     rot2,
     rotate_planes,
@@ -17,6 +18,7 @@ from symtest import (
     TransformBatch,
     discrete_rotations,
     inversion_kernel_sample,
+    median_heuristic,
     paired_so2,
     parse_group,
     representative_inversion,
@@ -26,9 +28,11 @@ from symtest import (
     trivial,
 )
 from symtest.errors import (
+    AllPointsIdentical,
     BadParameters,
     DimensionMismatch,
     InvalidRotation,
+    SampleTooSmall,
     UnsupportedFamily,
     UnsupportedKind,
     VariantMismatch,
@@ -40,6 +44,7 @@ from symtest.groups import (
     haar_quaternions,
     haar_rotations,
     invariant_batch,
+    orbit_bandwidth,
     orbit_draw,
     rotation_quaternions,
     sample_batch,
@@ -444,6 +449,65 @@ class TestOrbitDraw:
         singles = np.stack([orbit_draw(spec, X, ref_rng) for _ in range(count)])
         assert np.array_equal(stack, singles)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# one family of each kind of fixed subspace: none, the ones direction, an
+# axis of R^3 (each of the three), and all of the space
+ORBIT_RULE_SPECS = [
+    so(2), so(4), sym(5), paired_so2(), so2xso2(), discrete_rotations(90.0, 2),
+    *(discrete_rotations(120.0, 3, axis=k) for k in (1, 2, 3)),
+    discrete_rotations(360.0, 2), trivial(3),
+]
+
+
+class TestOrbitBandwidth:
+    """``orbit_bandwidth``, the bandwidth of ``rbf(median)`` in the invariance tests."""
+
+    @pytest.mark.parametrize("spec", ORBIT_RULE_SPECS, ids=str)
+    def test_the_same_on_every_orbit_copy(self, spec):
+        # rows off the origin, so that every fixed part is nonzero
+        rng = np.random.default_rng(70)
+        X = rng.standard_normal((40, spec.dim)) + 0.7
+        want = orbit_bandwidth(spec, X)
+        for copy in orbit_draw(spec, X, rng, 5):
+            assert orbit_bandwidth(spec, copy) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("spec", ORBIT_RULE_SPECS, ids=str)
+    def test_square_is_the_haar_mean_square_distance(self, spec):
+        # for two points the median is sqrt(E|g x - h y|^2) itself
+        rng = np.random.default_rng(71)
+        x, y = rng.standard_normal((2, spec.dim)) + np.linspace(-0.8, 1.3, spec.dim)
+        mean, se = orbit_sq_distance(spec, x, y, rng)
+        closed = orbit_bandwidth(spec, np.stack([x, y])) ** 2
+        assert abs(mean - closed) <= 4.0 * se + 1e-12 * closed
+
+    @pytest.mark.parametrize("spec,d", [
+        (trivial(3), 3), (trivial(), 10), (discrete_rotations(360.0, 2), 2),
+        (discrete_rotations(360.0, 3, axis=2), 3),
+    ], ids=str)
+    def test_a_trivial_action_gives_the_median_heuristic(self, spec, d):
+        X = np.random.default_rng(72).standard_normal((30, d))
+        X[5] = X[0]  # one duplicate row
+        assert orbit_bandwidth(spec, X) == median_heuristic(X)
+
+    def test_rotations_read_the_row_norms_only(self):
+        # with no fixed subspace the pair value is sqrt(|x_i|^2 + |x_j|^2)
+        X = np.array([[3.0, 4.0], [0.0, 1.0], [1.0, 0.0]])
+        assert orbit_bandwidth(so(2), X) == np.sqrt(26.0)
+
+    @pytest.mark.parametrize("spec", [so(3), sym(3), trivial(3)], ids=str)
+    def test_bad_input_raises(self, spec):
+        X = np.random.default_rng(73).standard_normal((6, 3))
+        with pytest.raises(SampleTooSmall):
+            orbit_bandwidth(spec, X[:1])
+        with pytest.raises(DimensionMismatch):
+            orbit_bandwidth(spec, X[:, :2])
+        with pytest.raises(AllPointsIdentical):
+            orbit_bandwidth(spec, np.zeros((6, 3)))
+        for bad in (np.nan, np.inf):
+            X[2, 1] = bad
+            with pytest.raises(BadParameters, match="NaN or infinite"):
+                orbit_bandwidth(spec, X)
 
 
 class TestOrbits:

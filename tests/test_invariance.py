@@ -40,6 +40,7 @@ from symtest.groups import (
     haar_rotations,
     inversion_kernel_batch,
     inversion_kernel_sample,
+    orbit_bandwidth,
     orbit_draw,
     paired_so2,
     rotation_quaternions,
@@ -156,6 +157,29 @@ class TestMcInvariance:
         assert res.p_value * 10 == pytest.approx(round(res.p_value * 10))
         assert res.null_stats.size == 9
         assert res.reject == (res.p_value <= res.alpha)
+
+    @pytest.mark.parametrize("test", [
+        functools.partial(mc_invariance_test, statistic="mmd-u"),
+        functools.partial(mc_invariance_test, statistic="mmd-nystrom"),
+        transformation_two_sample_test,
+    ], ids=["mmd-u", "mmd-nystrom", "two-sample"])
+    def test_median_kernel_takes_the_orbit_bandwidth(self, test):
+        X = np.random.default_rng(9).normal(size=(20, 3)) + 0.5
+        spec = sym(3)
+        got, want = (test(X, spec, k, B=19, rng=np.random.default_rng(10))
+                     for k in (GaussianRBF(None), GaussianRBF(orbit_bandwidth(spec, X))))
+        assert got.p_value == want.p_value and got.statistic == want.statistic
+        assert np.array_equal(got.null_stats, want.null_stats)
+
+    def test_cw_and_callables_take_no_bandwidth(self, monkeypatch):
+        def refuse(spec, X):
+            raise AssertionError("a bandwidth was taken")
+
+        monkeypatch.setattr(invariance, "orbit_bandwidth", refuse)
+        X = np.random.default_rng(11).normal(size=(20, 2))
+        for statistic in ("cw", lambda sample: float(sample[:, 0].mean())):
+            mc_invariance_test(X, so(2), GaussianRBF(None), B=9, statistic=statistic,
+                               rng=np.random.default_rng(12))
 
     def test_custom_statistic_callable(self):
         rng = np.random.default_rng(7)
@@ -449,6 +473,23 @@ class TestInversion:
         X = rng.normal(size=(30, 5))
         res = inversion_mc_test(X, sym(5), GaussianRBF(2.0), B=19, rng=rng)
         assert 0 < res.p_value <= 1
+
+    @pytest.mark.parametrize("spec,sq", [
+        (so(2), 4.0), (so(3), 6.0), (so(4), 8.0), (sym(3), 4.0), (sym(10), 165.0),
+    ], ids=str)
+    def test_median_bandwidth_is_the_haar_constant(self, spec, sq):
+        # rbf(median) on the inverting elements is sqrt(E|g - h|^2) for
+        # independent Haar g and h as sample_batch stores them: 2d on SO(d),
+        # d (d^2 - 1) / 6 on the index arrays of S_d; no data is read
+        rng = np.random.default_rng(21)
+        g, h = (sample_batch(spec, rng, 100_000).data.reshape(100_000, -1) for _ in range(2))
+        dist = np.sum((g - h).astype(float) ** 2, axis=1)
+        assert abs(dist.mean() - sq) <= 4.0 * dist.std(ddof=1) / np.sqrt(dist.size)
+        X = rng.normal(size=(20, spec.dim))
+        got, want = (inversion_mc_test(X, spec, k, B=19, rng=np.random.default_rng(22))
+                     for k in (GaussianRBF(None), GaussianRBF(np.sqrt(sq))))
+        assert got.p_value == want.p_value and got.statistic == want.statistic
+        assert np.array_equal(got.null_stats, want.null_stats)
 
     def test_unsupported_family(self):
         rng = np.random.default_rng(18)

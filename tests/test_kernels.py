@@ -670,6 +670,27 @@ class TestMedianHeuristic:
         assert np.isnan(median_heuristic(X))
 
     @pytest.mark.parametrize("block", [None, 1, 50])
+    def test_row_terms_match_a_pair_loop(self, block, monkeypatch):
+        # the pair values sqrt(|X_i - X_j|^2 + t_i + t_j) of the orbit rule
+        if block is not None:
+            monkeypatch.setattr(kernels, "_MEDIAN_BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(12)
+        for n, d in [(2, 0), (3, 1), (64, 0), (200, 1), (65, 9)]:
+            X, t = rng.normal(size=(n, d)), rng.uniform(0.0, 2.0, n)
+            want = np.median([np.sqrt(np.sum((X[i] - X[j]) ** 2) + t[i] + t[j])
+                              for i in range(n) for j in range(i + 1, n)])
+            assert kernels._pair_median(X, t) == pytest.approx(want, rel=1e-15), (n, d)
+
+    def test_resolving_a_non_finite_sample_raises_the_nan_message(self):
+        X = np.random.default_rng(10).normal(size=(9, 3))
+        for bad in (np.nan, np.inf):
+            X[4, 1] = bad
+            with pytest.raises(BadParameters, match="NaN or infinite"):
+                kernels.resolve_bandwidth(GaussianRBF(None), X)
+        # a resolved kernel is returned as it is, with no look at the sample
+        assert kernels.resolve_bandwidth(GaussianRBF(2.0), X) == GaussianRBF(2.0)
+
+    @pytest.mark.parametrize("block", [None, 1, 50])
     def test_duplicate_rows_raise_in_blocks(self, block, monkeypatch):
         if block is not None:
             monkeypatch.setattr(kernels, "_MEDIAN_BLOCK_ENTRIES", block)

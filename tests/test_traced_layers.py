@@ -199,9 +199,10 @@ def test_kci_test_builds_one_matrix_set_of_three_grams():
 @pytest.mark.parametrize("method", ["kci", "cp"])
 def test_conditional_replication_resolves_each_median_bandwidth_once(
         method, monkeypatch):
-    # rbf(median) for every kernel field: one median, on the training split,
-    # for each kernel the method reads; kci reads the kernels on X, on Z and
-    # on M, and cp only those on Z and on M
+    # rbf(median) for every kernel field: one median, on the tested sample's
+    # points, for each kernel the method reads; kci reads the kernels on X,
+    # on Z and on M, and cp only those on Z and on M.  The sample is
+    # standardised once, by whichever module, and no training split is
     from symtest import kernels
     from symtest.harness import ExperimentConfig, run_replication
 
@@ -217,8 +218,14 @@ def test_conditional_replication_resolves_each_median_bandwidth_once(
         method=method, group="so(3)", generator="cond-abs(d=3)", n=20, B=9,
         burn_in=2, null_samples=50, reps=1, seed=4,
     ))
-    run_replication(cfg, 0)
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        run_replication(cfg, 0)
+    finally:
+        tracer.uninstall()
     assert len(calls) == {"kci": 3, "cp": 2}[method]
+    assert tracer.end()["condsym.transform_responses.rows"] == cfg.n
 
 
 def test_inversion_scores_each_sample_once_with_no_gram_and_no_mmd_u(monkeypatch):
