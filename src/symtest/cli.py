@@ -9,7 +9,8 @@ Subcommands::
     symtest tune        --config cfg.json               bandwidth grid search
 
 Configurations are JSON objects with the fields of ExperimentConfig; command
-line overrides (--n, --reps, --seed, ...) take precedence.  Exit codes:
+line overrides (--n, --reps, --seed, ...) take precedence.  ``tune`` takes
+neither overrides nor ``--format``, and ``power`` no ``--format``.  Exit codes:
 0 success, 2 configuration problems, 3 data file problems.
 """
 
@@ -51,14 +52,6 @@ _OVERRIDES = (
     ("alpha", float), ("seed", int),
     ("n_resamples", int), ("null_samples", int), ("burn_in", int),
 )
-
-
-def _add_common(parser):
-    parser.add_argument("--config", required=True, help="JSON configuration file")
-    parser.add_argument("--out", help="write the report to this path")
-    parser.add_argument("--format", default="json", choices=("json", "csv"))
-    for name, typ in _OVERRIDES:
-        parser.add_argument(f"--{name.replace('_', '-')}", type=typ, dest=name)
 
 
 def _read_json_object(path):
@@ -183,7 +176,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("invariance", "equivariance", "simulate", "power", "tune"):
         p = sub.add_parser(name)
-        _add_common(p)
+        p.add_argument("--config", required=True, help="JSON configuration file")
+        p.add_argument("--out", help="write the report to this path")
+        if name != "tune":
+            for field, typ in _OVERRIDES:
+                p.add_argument(f"--{field.replace('_', '-')}", type=typ, dest=field)
+        if name not in ("power", "tune"):
+            p.add_argument("--format", default="json", choices=("json", "csv"))
     return parser
 
 

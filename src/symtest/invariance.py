@@ -40,7 +40,7 @@ from .groups import (
     rotation_quaternions,
     sample_batch,
 )
-from .kernels import RotationKernelSO3, resolve_bandwidth
+from .kernels import GaussianRBF, RotationKernelSO3, resolve_bandwidth
 from .mmd import _paired_swap_stats, invariance_stat_u, nystrom_invariance_stat
 
 
@@ -76,7 +76,7 @@ def _rank_test(t_obs, nulls, alpha, method):
     return TestResult(t_obs, p, nulls, alpha, p <= alpha, method)
 
 
-def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
+def mc_invariance_test(X, spec, kernel=GaussianRBF(), m=2, B=200, alpha=0.05,
                        statistic="mmd-u", rng=None, n_landmarks=None,
                        n_projections=None):
     """Conditional Monte Carlo test of invariance of the law of X.
@@ -95,7 +95,8 @@ def mc_invariance_test(X, spec, kernel=None, m=2, B=200, alpha=0.05,
     copies are drawn and scored as stacks, bit for bit as one at a time.
     The p-value is exact for any statistic, since the copies are
     exchangeable with X under the null.  ``mmd-u`` and ``mmd-nystrom`` take
-    ``groups.orbit_bandwidth`` for ``rbf(median)``, which every copy shares.
+    ``groups.orbit_bandwidth`` for ``rbf(median)``, the default ``kernel``,
+    which every copy shares.
     """
     if np.ndim(X) != 2:
         raise DimensionMismatch("the sample must be an (n, d) array")
@@ -263,7 +264,8 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None):
     are ``sample_batch`` draws; for the rotation kernel, which takes SO(3)
     elements as unit quaternions, ``haar_quaternions`` draws.  ``rbf(median)``
     takes sqrt(E|g - h|^2) for independent Haar g, h: sqrt(2d) on rotation
-    matrices, of mean 0, and sqrt(d (d^2 - 1) / 6) on index arrays.
+    matrices, of mean 0, and sqrt(d (d^2 - 1) / 6) on index arrays; that is
+    0 on sym(1), whose inverting elements all coincide: AllPointsIdentical.
     """
     X = _checked_sample(X, B, rng, alpha)
     n = X.shape[0]

@@ -398,10 +398,14 @@ def _pair_median(X, terms=None):
 def resolve_bandwidth(kernel, X, rule=None):
     """``kernel`` with an unresolved RBF bandwidth set to ``rule(X)``, by
     default ``median_heuristic(X)``, for the points X the kernel acts on,
-    which must be finite.  Any other kernel is returned as it is."""
+    which must be finite; a rule that gives 0 raises AllPointsIdentical.  Any
+    other kernel is returned as it is."""
     if isinstance(kernel, GaussianRBF) and kernel.bandwidth is None:
         _check_finite(X)
-        return GaussianRBF((rule or median_heuristic)(X))
+        sigma = (rule or median_heuristic)(X)
+        if sigma == 0:
+            raise AllPointsIdentical("all points coincide; no usable bandwidth")
+        return GaussianRBF(sigma)
     return kernel
 
 

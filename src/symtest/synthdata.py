@@ -1,6 +1,6 @@
 """Synthetic data models for calibration and power studies.
 
-Marginal models: isotropic and shifted Gaussians, fixed and Wishart-random
+Marginal models: isotropic and shifted Gaussians, Wishart-random
 covariances, exchangeable covariances with positive or negative equal
 correlation, and a rotated von Mises-Fisher model whose radius is an
 independent chi variable.  Conditional models pair a covariate sample with
@@ -17,11 +17,21 @@ import numpy as np
 
 from .errors import BadParameters, UnsupportedKind, _require_rng
 
-MARGINAL_TAGS = (
-    "gauss-iso", "gauss-mean", "gauss-cov", "wishart-cov",
-    "exch-plus", "exch-minus", "vmf",
-)
-CONDITIONAL_TAGS = ("cond-shift", "cond-abs", "cond-proj", "top-quark")
+# Each descriptor name, with the arguments its descriptor takes and whether
+# it draws responses Y with X.  top-quark takes none: its two four-vectors
+# fix d = 8.
+MODELS = {
+    "gauss-iso": (("d",), False),
+    "gauss-mean": (("d", "mu"), False),
+    "wishart": (("d",), False),
+    "exch-plus": (("d",), False),
+    "exch-minus": (("d",), False),
+    "vmf": (("d", "kappa"), False),
+    "cond-shift": (("d",), True),
+    "cond-abs": (("d",), True),
+    "cond-proj": (("d",), True),
+    "top-quark": ((), True),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,24 +41,23 @@ class Generator:
     tag: str
     d: int
     mu: np.ndarray | None = None
-    cov: np.ndarray | None = None
     kappa: float | None = None
 
     def __post_init__(self):
-        if self.tag not in MARGINAL_TAGS + CONDITIONAL_TAGS:
+        if self.tag not in MODELS:
             raise UnsupportedKind(f"unknown generator tag {self.tag!r}")
         if self.d < 1:
             raise BadParameters("dimension must be positive")
         if self.tag == "exch-minus" and self.d < 2:
             raise BadParameters("negative exchangeable correlation needs d >= 2")
-        if self.tag == "vmf" and (self.kappa is None or self.kappa < 0):
-            raise BadParameters("vMF concentration must be nonnegative")
+        if self.tag == "vmf" and (self.kappa is None or not 0 <= self.kappa < np.inf):
+            raise BadParameters("vMF concentration must be finite and nonnegative")
         if self.tag == "top-quark" and self.d != 8:
             raise BadParameters("the collision model produces two four-vectors")
 
     @property
     def conditional(self):
-        return self.tag in CONDITIONAL_TAGS
+        return MODELS[self.tag][1]
 
 
 def exchangeable_cov(d, sign):
@@ -85,6 +94,8 @@ def vmf_sample(mu, kappa, n, rng):
     nrm = np.linalg.norm(mu)
     if nrm <= 0:
         raise BadParameters("the vMF mean direction must be nonzero")
+    if not 0 <= kappa < np.inf:
+        raise BadParameters("vMF concentration must be finite and nonnegative")
     mu = mu / nrm
     if kappa == 0:
         v = rng.standard_normal((n, d))
@@ -110,12 +121,6 @@ def vmf_sample(mu, kappa, n, rng):
     return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
-def _wishart_identity(d, rng):
-    """One draw from Wishart(I_d, d) via a square Gaussian factor."""
-    a = rng.standard_normal((d, d))
-    return a @ a.T
-
-
 _ENERGY_SCALE = 100.0
 _ENERGY_CUT = 200.0
 _MASS_SCALE = 50.0
@@ -131,21 +136,17 @@ def sample(gen, n, rng):
         return rng.standard_normal((n, d))
     if gen.tag == "gauss-mean":
         return rng.standard_normal((n, d)) + gen.mu
-    if gen.tag == "gauss-cov":
-        return rng.standard_normal((n, d)) @ _psd_sqrt(gen.cov).T
-    if gen.tag == "wishart-cov":
-        sigma = _wishart_identity(d, rng)
-        return rng.standard_normal((n, d)) @ _psd_sqrt(sigma).T
-    if gen.tag == "exch-plus":
-        return rng.standard_normal((n, d)) @ _psd_sqrt(exchangeable_cov(d, +1)).T
-    if gen.tag == "exch-minus":
-        return rng.standard_normal((n, d)) @ _psd_sqrt(exchangeable_cov(d, -1)).T
+    if gen.tag in ("exch-plus", "exch-minus"):
+        sign = 1 if gen.tag == "exch-plus" else -1
+        return rng.standard_normal((n, d)) @ _psd_sqrt(exchangeable_cov(d, sign)).T
     if gen.tag == "vmf":
         u = vmf_sample(np.eye(d)[0], gen.kappa, n, rng)
         return chi_sample(d, rng, n)[:, None] * u
-    if gen.tag in ("cond-shift", "cond-abs", "cond-proj"):
-        sigma = _wishart_identity(d, rng)
-        x = rng.standard_normal((n, d)) @ _psd_sqrt(sigma).T
+    if gen.tag in ("wishart", "cond-shift", "cond-abs", "cond-proj"):
+        a = rng.standard_normal((d, d))  # a a^T ~ Wishart(I_d, d)
+        x = rng.standard_normal((n, d)) @ _psd_sqrt(a @ a.T).T
+        if gen.tag == "wishart":
+            return x
         noise = rng.standard_normal((n, d))
         if gen.tag == "cond-shift":
             y = x + noise
@@ -190,41 +191,32 @@ def _parse_mu(text, d):
 def parse_generator(text):
     """Parse a generator descriptor such as ``gauss-mean(d=4,mu=0.4e1)``.
 
-    Supported forms: ``gauss-iso(d=..)``, ``gauss-mean(d=..,mu=<coef>e<axis>)``,
-    ``wishart(d=..)``, ``exch-plus(d=..)``, ``exch-minus(d=..)``,
-    ``vmf(d=..,kappa=..)``, ``cond-shift(d=..)``, ``cond-abs(d=..)``,
-    ``cond-proj(d=..)``, ``top-quark``.
+    A descriptor is ``name(k=v,...)`` with a name and the arguments that
+    ``MODELS`` lists for it; ``top-quark`` is written bare.  An argument the
+    model does not take, or a number that does not parse, raises
+    ``UnsupportedKind``.  ``vmf``'s ``kappa`` defaults to 0.
     """
-    s = text.strip().lower()
-    if s == "top-quark":
-        return Generator("top-quark", 8)
-    m = re.match(r"^([a-z-]+)\(([^)]*)\)$", s)
-    if not m:
+    m = re.match(r"^([a-z-]+)(?:\(([^)]*)\))?$", text.strip().lower())
+    if not m or m.group(1) not in MODELS:
         raise UnsupportedKind(f"unrecognised generator descriptor {text!r}")
-    name, argstr = m.group(1), m.group(2)
+    name, takes = m.group(1), MODELS[m.group(1)][0]
     args = {}
-    for part in argstr.split(","):
-        if not part:
-            continue
-        if "=" not in part:
-            raise UnsupportedKind(f"bad generator argument {part!r}")
-        k, v = part.split("=", 1)
-        args[k.strip()] = v.strip()
+    for part in filter(None, (m.group(2) or "").split(",")):
+        k, eq, v = (x.strip() for x in part.partition("="))
+        if not eq or k not in takes:
+            raise UnsupportedKind(f"{name} takes no argument {part.strip()!r}; "
+                                  f"it takes {takes}")
+        args[k] = v
+    if not takes:
+        return Generator(name, 8)
     if "d" not in args:
         raise BadParameters("generator descriptors need a dimension d")
-    d = int(args["d"])
-    if name == "gauss-iso":
-        return Generator("gauss-iso", d)
-    if name == "gauss-mean":
-        if "mu" not in args:
-            raise BadParameters("gauss-mean needs a mu argument")
-        return Generator("gauss-mean", d, mu=_parse_mu(args["mu"], d))
-    if name == "wishart":
-        return Generator("wishart-cov", d)
-    if name in ("exch-plus", "exch-minus"):
-        return Generator(name, d)
-    if name == "vmf":
-        return Generator("vmf", d, kappa=float(args.get("kappa", 0.0)))
-    if name in ("cond-shift", "cond-abs", "cond-proj"):
-        return Generator(name, d)
-    raise UnsupportedKind(f"unrecognised generator descriptor {text!r}")
+    if name == "gauss-mean" and "mu" not in args:
+        raise BadParameters("gauss-mean needs a mu argument")
+    try:
+        d = int(args["d"])
+        kappa = float(args.get("kappa", 0.0)) if name == "vmf" else None
+        mu = _parse_mu(args["mu"], d) if "mu" in args else None
+    except ValueError:
+        raise UnsupportedKind(f"bad number in generator descriptor {text!r}") from None
+    return Generator(name, d, mu=mu, kappa=kappa)

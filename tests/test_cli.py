@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -221,6 +223,15 @@ class TestPowerCommand:
             other = self.power_of(tmp_path, method, **{option: 2})
             assert other["betas"] != payload["betas"]
 
+    def test_format_is_a_usage_error(self, tmp_path, capsys):
+        # power always writes JSON
+        from symtest import cli
+
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["power", "--config", write_config(tmp_path), "--format", "csv"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
     def test_methods_without_power_estimate_exit_2(self, tmp_path):
         for method in ("2smmd", "inversion-mmd", "kci"):
             cfg = write_config(tmp_path, method=method)
@@ -247,6 +258,17 @@ class TestTuneCommand:
         payload = json.loads(out.read_text())
         assert payload["selected"]["kernel"] in (1.0, 2.0)
         assert len(payload["records"]) == 2
+
+    def test_overrides_and_format_are_usage_errors(self, tmp_path, capsys):
+        # tune reads its configs' own sizes, so a flag would be ignored
+        from symtest import cli
+
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["tune", "--config", cfg, "--reps", "500", "--n", "7",
+                      "--format", "csv"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_sections(self, tmp_path):
         cfg = tmp_path / "tune.json"

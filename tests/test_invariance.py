@@ -9,6 +9,7 @@ from kernel_reference import eval_kernel, so3_gram
 from scipy.stats import ks_2samp
 
 from symtest import (
+    AllPointsIdentical,
     BadMonteCarloBudget,
     BadParameters,
     DimensionMismatch,
@@ -169,6 +170,15 @@ class TestMcInvariance:
         got, want = (test(X, spec, k, B=19, rng=np.random.default_rng(10))
                      for k in (GaussianRBF(None), GaussianRBF(orbit_bandwidth(spec, X))))
         assert got.p_value == want.p_value and got.statistic == want.statistic
+        assert np.array_equal(got.null_stats, want.null_stats)
+
+    @pytest.mark.parametrize("statistic", ["mmd-u", "mmd-nystrom"])
+    def test_default_kernel_is_rbf_median(self, statistic):
+        X = np.random.default_rng(13).normal(size=(20, 3))
+        got, want = (mc_invariance_test(X, so(3), *kernel, B=19, statistic=statistic,
+                                        rng=np.random.default_rng(14))
+                     for kernel in ((), (GaussianRBF(None),)))
+        assert got.p_value == want.p_value
         assert np.array_equal(got.null_stats, want.null_stats)
 
     def test_cw_and_callables_take_no_bandwidth(self, monkeypatch):
@@ -490,6 +500,17 @@ class TestInversion:
                      for k in (GaussianRBF(None), GaussianRBF(np.sqrt(sq))))
         assert got.p_value == want.p_value and got.statistic == want.statistic
         assert np.array_equal(got.null_stats, want.null_stats)
+
+    def test_median_bandwidth_on_sym1_is_all_points_identical(self):
+        # S_1's one element inverts every point, so the inverting elements
+        # coincide and their Haar constant sqrt(d (d^2 - 1) / 6) is 0
+        X = np.random.default_rng(23).normal(size=(10, 1))
+        with pytest.raises(AllPointsIdentical):
+            inversion_mc_test(X, sym(1), GaussianRBF(None), B=9,
+                              rng=np.random.default_rng(24))
+        res = inversion_mc_test(X, sym(1), GaussianRBF(1.0), B=9,
+                                rng=np.random.default_rng(24))
+        assert res.p_value == 1.0
 
     def test_unsupported_family(self):
         rng = np.random.default_rng(18)
