@@ -40,6 +40,7 @@ from .harness import (
     run_power_estimate,
     run_simulation,
     tune_bandwidths,
+    write_json,
 )
 
 _INVARIANCE_METHODS = tuple(m for m in METHODS if m not in _CONDITIONAL_METHODS)
@@ -104,19 +105,16 @@ def _cmd_power(args):
     cfg = _load_config(args)
     est = run_power_estimate(cfg)
     print(f"estimated-power={est.beta_hat:.4f} over {est.n_resamples} resamples "
-          f"(B={est.B}, alpha={est.alpha})")
+          f"(B={cfg.B}, alpha={cfg.alpha})")
     if args.out:
-        payload = {
+        write_json(args.out, {
             "beta_hat": est.beta_hat,
             "betas": [float(b) for b in est.betas],
             "n_resamples": est.n_resamples,
-            "B": est.B,
-            "alpha": est.alpha,
+            "B": cfg.B,
+            "alpha": cfg.alpha,
             "config": asdict(cfg),
-        }
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        })
         print(f"report written to {args.out}")
     return 0
 
@@ -161,9 +159,7 @@ def _cmd_tune(args):
         print(f"combo={rec['combo']} h0={rec['h0_rate']:.3f} h1={rec['h1_rate']:.3f}")
     print(f"selected: {best}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"selected": best, "records": records}, fh, indent=2)
-            fh.write("\n")
+        write_json(args.out, {"selected": best, "records": records})
     return 0
 
 

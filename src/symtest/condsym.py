@@ -61,8 +61,8 @@ class KciConfig:
     null_samples: int = 1000
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise BadParameters("the ridge epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise BadParameters("the ridge epsilon must be positive and finite")
         _check_budget(self.null_samples, "null_samples")
 
 

@@ -47,9 +47,8 @@ METHODS = ("mmd", "nmmd", "cw", "2smmd", "inversion-mmd", "kci", "cp")
 # the methods that test the law of a response given X; the rest, of X alone
 _CONDITIONAL_METHODS = ("kci", "cp")
 
-# the methods that run ``mc_invariance_test``, which ``symtest power`` can
-# rerun, with their statistics
-_POWER_STATISTICS = {"mmd": "mmd-u", "nmmd": "mmd-nystrom", "cw": "cw"}
+# the methods that run ``mc_invariance_test``, with their statistics
+_MC_STATISTICS = {"mmd": "mmd-u", "nmmd": "mmd-nystrom", "cw": "cw"}
 
 
 def _is_int(v):
@@ -119,8 +118,8 @@ class ExperimentConfig:
             raise ConfigInvalid("seed must be a nonnegative integer")
         if not _is_real(self.alpha) or not 0 < self.alpha < 1:
             raise ConfigInvalid("alpha must lie strictly between 0 and 1")
-        if not _is_real(self.epsilon) or not self.epsilon > 0:
-            raise ConfigInvalid("epsilon must be positive")
+        if not _is_real(self.epsilon) or not 0 < self.epsilon < math.inf:
+            raise ConfigInvalid("epsilon must be positive and finite")
         if (self.generator is None) == (self.data is None):
             raise ConfigInvalid("exactly one of 'generator' or 'data' is required")
         if self.data is not None and self.schema is None:
@@ -200,9 +199,18 @@ def run_replication(config, rep, dataset=None):
     rng = _rep_rng(config.seed, rep)
     spec = parse_group(config.group)
     X, Y = _draw(config, rng, dataset)
-    if config.method in _POWER_STATISTICS:
-        return _mc_invariance(config, X, spec, rng)
+    return _run_test(config, X, Y, spec, rng)
+
+
+def _run_test(config, X, Y, spec, rng):
+    """The config's test, with its kernels and sizes, on the sample X, Y."""
     kernel = parse_kernel(config.kernel)
+    if config.method in _MC_STATISTICS:
+        return mc_invariance_test(
+            X, spec, kernel=kernel, m=config.m, B=config.B, alpha=config.alpha,
+            statistic=_MC_STATISTICS[config.method], rng=rng,
+            n_landmarks=config.n_landmarks, n_projections=config.n_projections,
+        )
     if config.method in ("2smmd", "inversion-mmd"):
         test = (transformation_two_sample_test if config.method == "2smmd"
                 else inversion_mc_test)
@@ -218,25 +226,18 @@ def run_replication(config, rep, dataset=None):
                    B=config.B, **common)
 
 
-def _mc_invariance(config, X, spec, rng):
-    """``mc_invariance_test`` on X with the kernel, statistic and sizes of the config."""
-    return mc_invariance_test(
-        X, spec, kernel=parse_kernel(config.kernel), m=config.m, B=config.B, alpha=config.alpha,
-        statistic=_POWER_STATISTICS[config.method], rng=rng,
-        n_landmarks=config.n_landmarks, n_projections=config.n_projections,
-    )
+def _read_dataset(config):
+    """The (X, Y-or-None) rows of the config's data file; None for generated data."""
+    if config.data is None:
+        return None
+    X, Y, _ = ingest_csv(config.data, config.schema)
+    return X, Y
 
 
-def run_simulation(config, dataset=None):
-    """Run all replications of an experiment and summarise the outcomes.
-
-    ``dataset`` is an optional preloaded (X, Y-or-None) pair for file-backed
-    experiments; when the configuration names a data file it is read here.
-    """
+def run_simulation(config):
+    """Run all replications of an experiment and summarise the outcomes."""
     config.validate()
-    if config.data is not None and dataset is None:
-        x_all, y_all, _ = ingest_csv(config.data, config.schema)
-        dataset = (x_all, y_all)
+    dataset = _read_dataset(config)
     pvalues = np.empty(config.reps)
     seconds = np.empty(config.reps)
     for rep in range(config.reps):
@@ -257,29 +258,22 @@ def run_simulation(config, dataset=None):
     )
 
 
-def run_power_estimate(config, rng=None):
-    """Draw one dataset from the configured generator and estimate power.
+def run_power_estimate(config):
+    """Estimate the power of the config's test from replication 0's sample.
 
-    Defined for the methods ``mmd``, ``nmmd`` and ``cw``, whose Monte Carlo
-    invariance test is rerun on each bootstrap resample.
+    Defined for the methods that test X alone: the sample X that
+    replication 0 draws is resampled ``n_resamples`` times, and the test of
+    a replication is rerun on each resample.
     """
     config.validate()
-    if config.generator is None:
-        raise ConfigInvalid("power estimation is defined for generated data")
-    if config.method not in _POWER_STATISTICS:
-        raise ConfigInvalid(
-            f"power estimation is defined for the methods {tuple(_POWER_STATISTICS)}"
-        )
-    if rng is None:
-        rng = _rep_rng(config.seed, 0)
+    if config.method in _CONDITIONAL_METHODS:
+        raise ConfigInvalid(f"power estimation is defined for the methods that "
+                            f"test X alone, not for {config.method!r}")
+    rng = _rep_rng(config.seed, 0)
     spec = parse_group(config.group)
-    X, _ = _draw(config, rng)
-
-    def test_fn(sample):
-        return _mc_invariance(config, sample, spec, rng).p_value
-
-    return power_estimate(X, test_fn, B=config.B, n_resamples=config.n_resamples,
-                          alpha=config.alpha, rng=rng)
+    X, _ = _draw(config, rng, _read_dataset(config))
+    return power_estimate(X, lambda sample: _run_test(config, sample, None, spec, rng),
+                          config.n_resamples, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -391,25 +385,32 @@ def emit_report(report, path, fmt="json"):
     with a ``#`` summary comment line; its p-value column round-trips
     through ``ingest_csv``.
     """
-    payload = asdict(report)
+    if fmt == "json":
+        write_json(path, asdict(report))
+        return
+    if fmt != "csv":
+        raise IoError(f"unknown report format {fmt!r}")
     try:
-        if fmt == "json":
-            with open(path, "w") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-        elif fmt == "csv":
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["rep", "pvalue", "reject"])
-                for i, p in enumerate(payload["pvalues"]):
-                    writer.writerow([i, repr(p), int(p <= report.alpha)])
-                fh.write(
-                    f"# method={report.method} group={report.group} "
-                    f"n={report.n} reps={report.reps} alpha={report.alpha} "
-                    f"rejection_rate={report.rejection_rate} "
-                    f"rejection_se={report.rejection_se}\n"
-                )
-        else:
-            raise IoError(f"unknown report format {fmt!r}")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["rep", "pvalue", "reject"])
+            for i, p in enumerate(report.pvalues):
+                writer.writerow([i, repr(p), int(p <= report.alpha)])
+            fh.write(
+                f"# method={report.method} group={report.group} "
+                f"n={report.n} reps={report.reps} alpha={report.alpha} "
+                f"rejection_rate={report.rejection_rate} "
+                f"rejection_se={report.rejection_se}\n"
+            )
+    except OSError as exc:
+        raise IoError(f"cannot write report to {path}: {exc}") from exc
+
+
+def write_json(path, payload):
+    """Write a JSON report, indented, ending in a newline."""
+    try:
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
     except OSError as exc:
         raise IoError(f"cannot write report to {path}: {exc}") from exc

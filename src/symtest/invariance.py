@@ -305,8 +305,6 @@ class PowerEstimate:
     betas: np.ndarray
     p_nulls: np.ndarray
     n_resamples: int
-    B: int
-    alpha: float
 
 
 def conditional_power_binomial(p0, B, alpha):
@@ -329,27 +327,26 @@ def conditional_power_binomial(p0, B, alpha):
     return float(binom.cdf(kmax, B, p0))
 
 
-def power_estimate(X, test_fn, B=200, n_resamples=50, alpha=0.05, rng=None):
+def power_estimate(X, test_fn, n_resamples=50, rng=None):
     """Estimate test power from one dataset by bootstrap re-testing.
 
     Each bootstrap resample of X is run through ``test_fn(sample) ->
-    p_value``, a Monte Carlo test with B null copies; its p-value is
-    converted to an estimate of the probability that a single null copy
-    beats the observed statistic, and the binomial formula gives the
-    implied rejection probability.  The average over resamples estimates
-    the power of the test at this sample size.
+    TestResult``, a Monte Carlo test with B null copies.  The fraction p0 =
+    (p (B+1) - 1) / B of its null copies at or above its observed statistic,
+    read from its p-value p, estimates the probability that a single null
+    copy beats the observation, and the binomial formula at the test's own
+    B and alpha gives the implied rejection probability.  The average over
+    resamples estimates the power of the test at this sample size.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    _check_budget(B)
     _check_budget(n_resamples, "n_resamples")
     _require_rng(rng)
-    _check_alpha(alpha)
     betas = np.empty(n_resamples)
     p_nulls = np.empty(n_resamples)
     for c in range(n_resamples):
-        p = float(test_fn(X[rng.integers(0, n, n)]))
-        p0 = np.clip((p * (B + 1) - 1.0) / B, 0.0, 1.0)
-        p_nulls[c] = p0
-        betas[c] = conditional_power_binomial(p0, B, alpha)
-    return PowerEstimate(float(betas.mean()), betas, p_nulls, n_resamples, B, alpha)
+        res = test_fn(X[rng.integers(0, n, n)])
+        B = res.null_stats.size
+        p_nulls[c] = np.clip((res.p_value * (B + 1) - 1.0) / B, 0.0, 1.0)
+        betas[c] = conditional_power_binomial(p_nulls[c], B, res.alpha)
+    return PowerEstimate(float(betas.mean()), betas, p_nulls, n_resamples)

@@ -40,8 +40,8 @@ class GaussianRBF:
     bandwidth: float | None = None
 
     def __post_init__(self):
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise BadParameters("RBF bandwidth must be positive")
+        if self.bandwidth is not None and not 0 < self.bandwidth < math.inf:
+            raise BadParameters("RBF bandwidth must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,21 @@ class TestConfigErrors:
         ok = write_config(tmp_path, method="nmmd", n=12, n_landmarks=12, reps=1)
         assert run_cli("simulate", "--config", ok).returncode == 0
 
+    def test_non_finite_bandwidth_and_epsilon_exit_2(self, tmp_path):
+        # JSON reads 1e400 as inf
+        cfg = write_config(tmp_path, kernel="rbf(1e400)")
+        res = run_cli("invariance", "--config", cfg)
+        assert res.returncode == 2, res.stderr
+        assert "bad kernel descriptor" in res.stderr
+        cfg = tmp_path / "kci.json"
+        cfg.write_text(json.dumps(dict(
+            method="kci", group="so(2)", generator="cond-shift(d=2)", n=16,
+            reps=1, null_samples=50, epsilon=1.0,
+        )).replace('"epsilon": 1.0', '"epsilon": 1e400'))
+        res = run_cli("equivariance", "--config", str(cfg))
+        assert res.returncode == 2, res.stderr
+        assert "epsilon must be positive and finite" in res.stderr
+
     def test_bad_method(self, tmp_path):
         cfg = write_config(tmp_path, method="anova")
         res = run_cli("invariance", "--config", cfg)
@@ -232,12 +247,37 @@ class TestPowerCommand:
         assert exit_.value.code == 2
         assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
+    def test_2smmd_and_inversion_mmd_estimates_are_pinned(self, tmp_path):
+        for method, beta_hat in (("2smmd", 0.09904285864654466),
+                                 ("inversion-mmd", 0.3497980270238228)):
+            payload = self.power_of(tmp_path, method)
+            assert payload["config"]["method"] == method
+            assert abs(payload["beta_hat"] - beta_hat) < 1e-12
+
+    def test_data_file_config_runs(self, tmp_path):
+        cfg = write_config(
+            tmp_path, generator=None, group="so(4)", n=10, n_resamples=2,
+            data=os.path.join(FIXTURES, "dijet.csv"),
+            schema={"features": ["pt1", "phi1", "pt2", "phi2"]},
+        )
+        res = run_cli("power", "--config", cfg)
+        assert res.returncode == 0, res.stderr
+        assert "estimated-power=" in res.stdout
+
     def test_methods_without_power_estimate_exit_2(self, tmp_path):
-        for method in ("2smmd", "inversion-mmd", "kci"):
+        for method in ("kci", "cp"):
             cfg = write_config(tmp_path, method=method)
             res = run_cli("power", "--config", cfg)
             assert res.returncode == 2
             assert "power estimation" in res.stderr
+
+    def test_unwritable_out_exit_1(self, tmp_path):
+        out = str(tmp_path / "missing" / "power.json")
+        res = run_cli("power", "--config", write_config(tmp_path, n_resamples=2),
+                      "--out", out)
+        assert res.returncode == 1
+        assert f"error: cannot write report to {out}" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 class TestTuneCommand:
@@ -276,14 +316,24 @@ class TestTuneCommand:
         res = run_cli("tune", "--config", str(cfg))
         assert res.returncode == 2
 
-    def run_tune(self, tmp_path, **fields):
+    def tune_config(self, tmp_path, **fields):
         h0 = dict(method="mmd", group="so(2)", n=10, m=1, B=9,
                   generator="gauss-iso(d=2)", seed=1)
         raw = dict(grids={"kernel": [1.0]}, h0=h0, h1=h0, train_reps=2)
         raw.update(fields)
         cfg = tmp_path / "tune.json"
         cfg.write_text(json.dumps(raw))
-        return run_cli("tune", "--config", str(cfg))
+        return str(cfg)
+
+    def run_tune(self, tmp_path, **fields):
+        return run_cli("tune", "--config", self.tune_config(tmp_path, **fields))
+
+    def test_unwritable_out_exit_1(self, tmp_path):
+        out = str(tmp_path / "missing" / "tuned.json")
+        res = run_cli("tune", "--config", self.tune_config(tmp_path), "--out", out)
+        assert res.returncode == 1
+        assert f"error: cannot write report to {out}" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_non_integer_train_reps_exit_2(self, tmp_path):
         res = self.run_tune(tmp_path, train_reps="x")

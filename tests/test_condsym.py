@@ -259,6 +259,12 @@ class TestKciTest:
         with pytest.raises(BadParameters):
             kci_test_data(data, CFG, rng=np.random.default_rng(0))
 
+    def test_non_finite_epsilon(self):
+        # with an infinite ridge, kci_test fails in numpy's linear algebra
+        for bad in (np.inf, np.nan):
+            with pytest.raises(BadParameters, match="finite"):
+                KciConfig(CFG.kernel_x, CFG.kernel_y, CFG.kernel_m, epsilon=bad)
+
     def test_config_validation(self):
         with pytest.raises(BadParameters):
             KciConfig(CFG.kernel_x, CFG.kernel_y, CFG.kernel_m, epsilon=0.0)

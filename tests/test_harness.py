@@ -82,6 +82,13 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match=field):
             tiny_config(**{field: value})
 
+    def test_rejects_non_finite_bandwidth_and_epsilon(self):
+        with pytest.raises(ConfigInvalid, match="finite"):
+            tiny_config(kernel="rbf(1e400)")
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ConfigInvalid, match="epsilon must be positive and finite"):
+                tiny_config(epsilon=bad)
+
     def test_generator_xor_data(self):
         with pytest.raises(ConfigInvalid):
             tiny_config(generator=None)

@@ -306,7 +306,7 @@ class TestRngRequired:
         lambda X, Y: cp_test(X, Y, so(2), KERNEL, KERNEL, burn_in=2, B=9),
         lambda X, Y: inversion_mc_test(X, so(2), KERNEL, B=9),
         lambda X, Y: transformation_two_sample_test(X, so(2), KERNEL, B=9),
-        lambda X, Y: power_estimate(X, lambda s: 0.5, B=9, n_resamples=2),
+        lambda X, Y: power_estimate(X, lambda s: None, n_resamples=2),
         lambda X, Y: haar_rotations(3, 4, None),
         lambda X, Y: haar_quaternions(4, None),
         lambda X, Y: inversion_kernel_batch(so(3), np.ones((4, 3)), None),
@@ -380,12 +380,9 @@ class TestAlphaValidation:
                                  rng=np.random.default_rng(0)),
         lambda X, Y, a: cp_test(X, Y, so(2), KERNEL, KERNEL, alpha=a, burn_in=2,
                                 B=9, rng=np.random.default_rng(0)),
-        lambda X, Y, a: power_estimate(X, lambda s: 0.5, B=9, n_resamples=2,
-                                       alpha=a, rng=np.random.default_rng(0)),
         lambda X, Y, a: conditional_power_binomial(0.5, 9, a),
     ], ids=["mc_invariance_test", "cw_test", "transformation_two_sample_test",
-            "inversion_mc_test", "kci_test", "cp_test", "power_estimate",
-            "conditional_power_binomial"])
+            "inversion_mc_test", "kci_test", "cp_test", "conditional_power_binomial"])
     @pytest.mark.parametrize("alpha", [0, 1, 2, -1, np.nan, True],
                              ids=["0", "1", "2", "-1", "nan", "True"])
     def test_alpha_outside_the_unit_interval_raises(self, call, alpha):
@@ -657,36 +654,54 @@ class TestPower:
         with pytest.raises(BadMonteCarloBudget):
             conditional_power_binomial(0.5, 0, 0.05)
 
+    @staticmethod
+    def stub_test(exceeding, B=99, alpha=0.05):
+        # a test whose result on any sample has B null copies, ``exceeding``
+        # of which lie above its statistic
+        def test_fn(sample):
+            nulls = np.r_[np.ones(exceeding), np.zeros(B - exceeding)]
+            p = pvalue_from_nulls(0.5, nulls)
+            return invariance.TestResult(0.5, p, nulls, alpha, p <= alpha, "stub")
+
+        return test_fn
+
     def test_power_estimate_with_stub_test(self):
         rng = np.random.default_rng(21)
         X = rng.normal(size=(40, 2))
-        # a test that always returns the smallest possible p-value implies
-        # p0 = 0 and hence certain rejection
-        est = power_estimate(
-            X, lambda sample: 1.0 / 100.0, B=99, n_resamples=10, rng=rng,
-        )
+        # no null copy beats the statistic: p0 = 0 and hence certain rejection
+        est = power_estimate(X, self.stub_test(0), n_resamples=10, rng=rng)
         assert isinstance(est, PowerEstimate)
         assert est.beta_hat == 1.0
-        # a test that always returns p = 1 implies p0 = 1 and zero power
-        est = power_estimate(
-            X, lambda sample: 1.0, B=99, n_resamples=10, rng=rng,
-        )
+        # every null copy beats it: p0 = 1 and zero power
+        est = power_estimate(X, self.stub_test(99), n_resamples=10, rng=rng)
         assert est.beta_hat == 0.0
 
     def test_power_estimate_p0_recovery(self):
         rng = np.random.default_rng(22)
         X = rng.normal(size=(30, 2))
-        est = power_estimate(
-            X, lambda sample: 0.31, B=99, n_resamples=5, rng=rng,
-        )
-        # p = 0.31 with B = 99 implies p0 = (0.31 * 100 - 1) / 99 = 30/99
+        est = power_estimate(X, self.stub_test(30), n_resamples=5, rng=rng)
         assert np.allclose(est.p_nulls, 30.0 / 99.0)
+
+    def test_power_estimate_reads_budget_and_level_from_the_result(self):
+        rng = np.random.default_rng(26)
+        X = rng.normal(size=(30, 2))
+
+        def test_fn(sample):
+            # 19 null copies, the first coordinates of the resample, against
+            # a statistic of 0, so p0 moves with the resample
+            nulls = sample[:19, 0]
+            p = pvalue_from_nulls(0.0, nulls)
+            return invariance.TestResult(0.0, p, nulls, 0.1, p <= 0.1, "stub")
+
+        est = power_estimate(X, test_fn, n_resamples=6, rng=rng)
+        assert len(set(est.p_nulls)) > 1
+        np.testing.assert_allclose(est.p_nulls * 19, np.round(est.p_nulls * 19))
+        assert list(est.betas) == [conditional_power_binomial(p0, 19, 0.1)
+                                   for p0 in est.p_nulls]
 
     def test_power_estimate_validation(self):
         rng = np.random.default_rng(23)
         X = rng.normal(size=(10, 2))
         for bad in (0, 2.5, True):
             with pytest.raises(BadMonteCarloBudget):
-                power_estimate(X, lambda s: 0.5, n_resamples=bad, rng=rng)
-            with pytest.raises(BadMonteCarloBudget):
-                power_estimate(X, lambda s: 0.5, B=bad, n_resamples=2, rng=rng)
+                power_estimate(X, self.stub_test(0), n_resamples=bad, rng=rng)

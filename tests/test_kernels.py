@@ -89,6 +89,14 @@ class TestRbf:
         with pytest.raises(BadParameters):
             GaussianRBF(0.0)
 
+    def test_non_finite_bandwidth(self):
+        # an infinite bandwidth sets every kernel value to 1
+        for bad in (np.inf, np.nan):
+            with pytest.raises(BadParameters, match="finite"):
+                GaussianRBF(bad)
+        with pytest.raises(BadParameters, match="finite"):
+            parse_kernel("rbf(1e400)")
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             gram(GaussianRBF(1.0), np.zeros((3, 2)), np.zeros((3, 4)))

@@ -22,6 +22,7 @@ def test_one_hash_per_benchmark_and_pinned_config():
         "mmd-null/mmd", "inversion-alt/inversion-mmd", "equivariance-alt/kci",
         "equivariance-alt/cp", "pinned/mmd", "pinned/nmmd", "pinned/cw",
         "pinned/2smmd", "pinned/inversion-mmd", "pinned/kci", "pinned/cp",
+        "pinned/power-mmd", "pinned/power-nmmd", "pinned/power-cw",
     ]
     assert all(re.fullmatch("[0-9a-f]{64}", h) for h in hashes.values())
     # the same source gives the same outputs; another seed moves the

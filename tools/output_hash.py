@@ -7,8 +7,12 @@ benchmark runs, with seed ``--seed``) and each ``PINNED`` config of
 ``tests/test_harness.py`` (at the sizes and seed that test uses), runs
 replications 0 to ``--reps`` - 1 through ``harness.run_replication`` and
 prints one SHA-256 over their ``statistic``, ``p_value`` and
-``null_stats``, as ``<name> <hash>``.  Two versions of the library give
-the same line exactly when they give the same outputs bit for bit.
+``null_stats``, as ``<name> <hash>``.  For the ``PINNED`` configs of the
+methods in ``POWER_METHODS`` it then prints, as ``pinned/power-<method>``,
+one SHA-256 over the ``betas`` and ``p_nulls`` of
+``harness.run_power_estimate`` at ``POWER_RESAMPLES`` resamples.  Two
+versions of the library give the same line exactly when they give the
+same outputs bit for bit.
 ``--src`` imports symtest from another checkout's ``src`` directory; the
 configs always come from this checkout.
 """
@@ -16,12 +20,17 @@ configs always come from this checkout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# the PINNED methods whose power estimates are hashed, and their resamples
+POWER_METHODS = ("mmd", "nmmd", "cw")
+POWER_RESAMPLES = 4
 
 
 def _module(name, path):
@@ -62,6 +71,19 @@ def output_hash(cfg, reps):
     return digest.hexdigest()
 
 
+def power_hash(cfg):
+    """SHA-256 over the ``betas`` and ``p_nulls`` of the power estimate of ``cfg``."""
+    import numpy as np
+
+    from symtest.harness import run_power_estimate
+
+    est = run_power_estimate(cfg)
+    digest = hashlib.sha256()
+    for value in (est.betas, est.p_nulls):
+        digest.update(np.asarray(value, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"))
@@ -69,8 +91,13 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
-    for name, cfg in configs(args.seed):
+    named = configs(args.seed)
+    for name, cfg in named:
         print(f"{name} {output_hash(cfg, args.reps)}", flush=True)
+    for name, cfg in named:
+        if name.startswith("pinned/") and cfg.method in POWER_METHODS:
+            cfg = dataclasses.replace(cfg, n_resamples=POWER_RESAMPLES)
+            print(f"pinned/power-{cfg.method} {power_hash(cfg)}", flush=True)
     return 0
 
 
