@@ -138,12 +138,15 @@ def _require_rng(rng):
         raise BadParameters("a numpy random Generator must be passed as rng")
 
 
+def _check_count(value, error, what):
+    """Raise ``error`` unless value is a positive integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise error(f"{what} must be a positive integer")
+
+
 def _check_budget(B, name="B"):
     """Raise BadMonteCarloBudget unless B is a positive integer (not a bool)."""
-    if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 1:
-        raise BadMonteCarloBudget(
-            f"the Monte Carlo budget {name} must be a positive integer"
-        )
+    _check_count(B, BadMonteCarloBudget, f"the Monte Carlo budget {name}")
 
 
 def _check_alpha(alpha):

@@ -25,9 +25,11 @@ from .errors import (
     BadParameters,
     BadProjectionCount,
     DimensionMismatch,
+    SampleTooSmall,
     UnsupportedFamily,
     _check_alpha,
     _check_budget,
+    _check_count,
     _check_finite,
     _checked_sample,
     _require_rng,
@@ -90,13 +92,15 @@ def mc_invariance_test(X, spec, kernel=GaussianRBF(), m=2, B=200, alpha=0.05,
     elements), or a callable ``f(X) -> float``.  Only ``cw`` draws
     transforms, so m matters only to it; its transforms and projection
     directions are drawn once and reused across the B re-randomised copies,
-    while the Nyström landmarks are drawn afresh for each.  Each copy moves
-    every row by its own Haar element through ``orbit_draw``; the ``mmd-u``
-    copies are drawn and scored as stacks, bit for bit as one at a time.
-    The p-value is exact for any statistic, since the copies are
-    exchangeable with X under the null.  ``mmd-u`` and ``mmd-nystrom`` take
-    ``groups.orbit_bandwidth`` for ``rbf(median)``, the default ``kernel``,
-    which every copy shares.
+    while the Nyström landmarks are drawn afresh for each.  X is scored as a
+    stack of one, and its B copies, each moving every row by its own Haar
+    element, are drawn by ``orbit_draw`` and scored in stacks
+    (``_stacked_nulls``), bit for bit as one at a time; ``mmd-nystrom``
+    draws a copy's landmarks after its orbit draw, so each of its stacks
+    holds one copy.  The p-value is exact for any statistic, since the
+    copies are exchangeable with X under the null.  ``mmd-u`` and
+    ``mmd-nystrom`` take ``groups.orbit_bandwidth`` for ``rbf(median)``, the
+    default ``kernel``, which every copy shares.
     """
     if np.ndim(X) != 2:
         raise DimensionMismatch("the sample must be an (n, d) array")
@@ -105,46 +109,31 @@ def mc_invariance_test(X, spec, kernel=GaussianRBF(), m=2, B=200, alpha=0.05,
     n = X.shape[0]
     if statistic in ("mmd-u", "mmd-nystrom"):
         kernel = resolve_bandwidth(kernel, X, lambda X: orbit_bandwidth(spec, X))
-
+    copy_entries = X.size
     if callable(statistic):
         method = getattr(statistic, "__name__", "custom")
-
-        def stat_fn(sample):
-            return float(statistic(sample))
-
+        score = _each(lambda sample: float(statistic(sample)))
     elif statistic == "mmd-u":
         method = "mc-invariance/mmd-u"
-
-        def stat_fn(sample):
-            return invariance_stat_u(sample, kernel)
-
+        score = lambda stack: invariance_stat_u(stack, kernel, stack=True)
     elif statistic == "mmd-nystrom":
         method = "mc-invariance/mmd-nystrom"
         j = n_landmarks if n_landmarks is not None else int(np.ceil(np.sqrt(n)))
-
-        def stat_fn(sample):
-            return nystrom_invariance_stat(sample, kernel, j, rng)
-
+        score = _each(lambda sample: nystrom_invariance_stat(sample, kernel, j, rng))
+        copy_entries = _DRAW_ENTRIES  # one copy a stack, its landmarks after it
     elif statistic == "cw":
         method = "mc-invariance/cw"
         j = n_projections if n_projections is not None else int(np.ceil(np.sqrt(n)))
-        if j < 1:
-            raise BadProjectionCount("need at least one projection direction")
+        _check_count(j, BadProjectionCount, "the projection count")
         dirs = _random_directions(j, X.shape[1], rng)
         transforms = sample_batch(spec, rng, m)
-
-        def stat_fn(sample):
-            return cw_statistic(sample, transforms, dirs)
-
+        score = _each(lambda sample: cw_statistic(sample, transforms, dirs))
     else:
         raise BadParameters(f"unknown statistic choice {statistic!r}")
 
-    t_obs = stat_fn(X)
-    if statistic == "mmd-u":
-        nulls = _stacked_nulls(B, X.size, kernel,
-                               lambda count: orbit_draw(spec, X, rng, count))
-    else:
-        nulls = np.array([stat_fn(orbit_draw(spec, X, rng)) for _ in range(B)])
+    t_obs = float(score(X[None])[0])
+    nulls = _stacked_nulls(B, copy_entries, score,
+                           lambda count: orbit_draw(spec, X, rng, count))
     return _rank_test(t_obs, nulls, alpha, method)
 
 
@@ -152,13 +141,20 @@ def mc_invariance_test(X, spec, kernel=GaussianRBF(), m=2, B=200, alpha=0.05,
 _DRAW_ENTRIES = 1 << 16
 
 
-def _stacked_nulls(B, size, kernel, draw):
-    """``invariance_stat_u`` of B null samples of ``size`` values each, drawn by
-    ``draw(count)`` as stacks of as many as ``_DRAW_ENTRIES`` allows, one draw
-    and one statistic call per stack."""
+def _stacked_nulls(B, size, score, draw):
+    """The statistics of B null samples of ``size`` values each, drawn by
+    ``draw(count)`` as stacks of as many as ``_DRAW_ENTRIES`` allows and
+    scored by ``score(stack)``, one draw and one score a stack.  A ``size``
+    of ``_DRAW_ENTRIES`` puts one copy in each stack, for a score that draws
+    from the generator, whose draws must come between the copies'."""
     step = max(1, _DRAW_ENTRIES // size)
     counts = [min(step, B - lo) for lo in range(0, B, step)]
-    return np.concatenate([invariance_stat_u(draw(c), kernel, stack=True) for c in counts])
+    return np.concatenate([score(draw(c)) for c in counts])
+
+
+def _each(stat):
+    """The score of a stack that applies ``stat`` to each of its samples."""
+    return lambda stack: np.array([stat(sample) for sample in stack], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +171,8 @@ def _random_directions(j, d, rng):
 def ks_distance(a, b):
     """Exact sup distance between the ECDFs of two 1-d samples."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not (a.size and b.size):
+        raise SampleTooSmall("each sample needs at least one value")
     _check_finite(a, b)
     return _ks_sup(a, b)
 
@@ -199,8 +197,9 @@ def cw_statistic(X, transforms, directions):
     X = np.asarray(X, dtype=float)
     _check_finite(X)
     directions = np.asarray(directions, dtype=float)
-    if directions.ndim != 2 or directions.shape[1] != X.shape[1]:
-        raise BadProjectionCount("directions must be a (J, d) array")
+    if directions.ndim != 2 or directions.shape[1] != X.shape[1] \
+            or directions.shape[0] < 1:
+        raise BadProjectionCount("directions must be a (J, d) array, J >= 1")
     if transforms.count < 1:
         raise BadParameters("at least one group element is required")
     proj = X @ directions.T  # n x J
@@ -280,7 +279,8 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None):
     tau = inversion_kernel_batch(spec, X, rng).data
     if rotation_kernel:
         tau = rotation_quaternions(tau)
-    t_obs = invariance_stat_u(tau, kernel)
+    score = lambda stack: invariance_stat_u(stack, kernel, stack=True)
+    t_obs = float(score(tau[None])[0])
 
     def draw(count):
         # one sampler call of count * n rows, whose values and generator
@@ -289,7 +289,7 @@ def inversion_mc_test(X, spec, kernel, B=200, alpha=0.05, rng=None):
                 else sample_batch(spec, rng, count * n).data)
         return null.reshape(count, n, *null.shape[1:])
 
-    nulls = _stacked_nulls(B, tau.size, kernel, draw)
+    nulls = _stacked_nulls(B, tau.size, score, draw)
     return _rank_test(t_obs, nulls, alpha, "inversion-mmd")
 
 
@@ -331,11 +331,11 @@ def power_estimate(X, test_fn, n_resamples=50, rng=None):
     """Estimate test power from one dataset by bootstrap re-testing.
 
     Each bootstrap resample of X is run through ``test_fn(sample) ->
-    TestResult``, a Monte Carlo test with B null copies.  The fraction p0 =
-    (p (B+1) - 1) / B of its null copies at or above its observed statistic,
-    read from its p-value p, estimates the probability that a single null
-    copy beats the observation, and the binomial formula at the test's own
-    B and alpha gives the implied rejection probability.  The average over
+    TestResult``, a Monte Carlo test with B null copies.  The fraction p0 of
+    its null copies at or above its observed statistic, counted from its
+    ``null_stats``, estimates the probability that a single null copy beats
+    the observation, and the binomial formula at the test's own B and alpha
+    gives the implied rejection probability.  The average over
     resamples estimates the power of the test at this sample size.
     """
     X = np.asarray(X, dtype=float)
@@ -347,6 +347,6 @@ def power_estimate(X, test_fn, n_resamples=50, rng=None):
     for c in range(n_resamples):
         res = test_fn(X[rng.integers(0, n, n)])
         B = res.null_stats.size
-        p_nulls[c] = np.clip((res.p_value * (B + 1) - 1.0) / B, 0.0, 1.0)
+        p_nulls[c] = np.count_nonzero(res.null_stats >= res.statistic) / B
         betas[c] = conditional_power_binomial(p_nulls[c], B, res.alpha)
     return PowerEstimate(float(betas.mean()), betas, p_nulls, n_resamples)

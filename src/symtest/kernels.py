@@ -369,27 +369,28 @@ def _pair_median(X, terms=None):
     if d == 0 and terms is None:
         raise AllPointsIdentical("all points coincide; no usable bandwidth")
     # exact differences X[j] - X[i], j > i, so that duplicate rows give distances
-    # of exactly 0, a column at a time over row blocks of at most 128 rows
-    Xt, dists = X.T.copy(), []
+    # of exactly 0, a column at a time over row blocks of at most 128 rows,
+    # written in order into one array of the n(n-1)/2 distances
+    Xt, dists, at = X.T.copy(), np.empty(n * (n - 1) // 2), 0
     for lo, hi in _row_blocks(n, min(_ONE_BLOCK, _MEDIAN_BLOCK_ENTRIES // (n * max(d, 1)))):
         own = _pair_index(hi - lo)
         for cols, pick in ((slice(lo, hi), lambda v: v.take(own)), (slice(hi, n), np.ravel)):
             pairs = lambda v, op: pick(op(v[cols], v[lo:hi, None]))
             extra = None if terms is None else pairs(terms, np.add)
-            dists.append(_row_norms(lambda c: pairs(Xt[c], np.subtract), d, extra=extra))
-    dists = np.concatenate(dists)
-    # the median as np.median takes it, from one partition at the upper
-    # middle h: for an even count the lower middle is the largest entry
+            block = _row_norms(lambda c: pairs(Xt[c], np.subtract), d, extra=extra)
+            dists[at:at + block.size], at = block, at + block.size
+    # the median as np.median takes it, from one partition in place at the
+    # upper middle h: for an even count the lower middle is the largest entry
     # before h.  NaN sorts last, so a NaN distance lands at h or after it,
     # where np.median would return NaN
     h = dists.size // 2
-    part = np.partition(dists, h)
-    if np.isnan(part[h:]).any():
+    dists.partition(h)
+    if np.isnan(dists[h:]).any():
         med = np.nan
     elif dists.size % 2:
-        med = float(part[h])
+        med = float(dists[h])
     else:
-        med = float((part[:h].max() + part[h]) / 2.0)
+        med = float((dists[:h].max() + dists[h]) / 2.0)
     if med <= 0.0:
         raise AllPointsIdentical("all points coincide; no usable bandwidth")
     return med

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     BadLandmarkCount,
     SampleTooSmall,
+    _check_count,
     _check_finite,
     _require_rng,
 )
@@ -106,7 +107,8 @@ def nystrom_invariance_stat(X, kernel, n_landmarks, rng=None):
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    if not 1 <= n_landmarks <= n:
+    _check_count(n_landmarks, BadLandmarkCount, "the landmark count")
+    if n_landmarks > n:
         raise BadLandmarkCount("landmark count must lie in [1, n]")
     _check_finite(X)
     _require_rng(rng)

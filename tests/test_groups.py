@@ -437,11 +437,12 @@ class TestOrbitDraw:
         discrete_rotations(90.0, 2), discrete_rotations(24.0, 3, axis=3),
     ], ids=str)
     @pytest.mark.parametrize("count", [1, 5])
-    def test_stacked_draw_equals_single_draws(self, spec, count):
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_stacked_draw_equals_single_draws(self, spec, count, n):
         # one stacked draw of count copies must be the count single draws on
         # the same seed and leave the generator where they leave it; odd n,
-        # so that no draw falls on a boundary of paired generator words
-        n = 7
+        # so that no draw falls on a boundary of paired generator words, and
+        # even n as well
         X = np.random.default_rng(55).standard_normal((n, spec.dim))
         rng, ref_rng = np.random.default_rng(56), np.random.default_rng(56)
         stack = orbit_draw(spec, X, rng, count)

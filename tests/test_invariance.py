@@ -10,12 +10,15 @@ from scipy.stats import ks_2samp
 
 from symtest import (
     AllPointsIdentical,
+    BadLandmarkCount,
     BadMonteCarloBudget,
     BadParameters,
+    BadProjectionCount,
     DimensionMismatch,
     GaussianRBF,
     KciConfig,
     PowerEstimate,
+    SampleTooSmall,
     UnsupportedFamily,
     chi_sample,
     conditional_power_binomial,
@@ -26,6 +29,7 @@ from symtest import (
     kci_test,
     ks_distance,
     mc_invariance_test,
+    nystrom_invariance_stat,
     parse_generator,
     power_estimate,
     pvalue_from_nulls,
@@ -110,6 +114,12 @@ class TestKsDistance:
     def test_disjoint_supports(self):
         assert ks_distance([0.0, 1.0], [5.0, 6.0]) == 1.0
 
+    @pytest.mark.parametrize("a,b", [([], [1.0]), ([1.0], []), ([], [])],
+                             ids=["a", "b", "both"])
+    def test_empty_sample_raises(self, a, b):
+        with pytest.raises(SampleTooSmall):
+            ks_distance(a, b)
+
 
 class TestCwStatistic:
     def test_zero_under_identity_transform(self):
@@ -148,6 +158,13 @@ class TestCwStatistic:
         g = sample_batch(so(3), rng, 1)
         with pytest.raises(Exception):
             cw_statistic(X, g, np.eye(2))
+
+    @pytest.mark.parametrize("spec", [so(3), sym(3)], ids=str)
+    def test_no_directions_raises(self, spec):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(10, 3))
+        with pytest.raises(BadProjectionCount):
+            cw_statistic(X, sample_batch(spec, rng, 2), np.empty((0, 3)))
 
 
 class TestMcInvariance:
@@ -287,6 +304,55 @@ class TestMcInvariance:
         assert res.statistic == invariance_stat_u(X, KERNEL)
         assert res.null_stats.tolist() == nulls
         assert res.p_value == pvalue_from_nulls(res.statistic, nulls)
+
+    @pytest.mark.parametrize("spec", [so(3), sym(3)], ids=str)
+    @pytest.mark.parametrize("statistic", [
+        "mmd-u", "mmd-nystrom", "cw", lambda sample: float(np.abs(sample[:, 0]).mean()),
+    ], ids=["mmd-u", "mmd-nystrom", "cw", "callable"])
+    @pytest.mark.parametrize("draws", [1, 4, 1000], ids=["1", "4", "1000"])
+    def test_stacks_match_the_per_copy_loop(self, spec, statistic, draws,
+                                            monkeypatch):
+        # every statistic's copies, drawn and scored in stacks of `draws`
+        # copies (4 draws 4, 4, 4, 4 and 3; 1000 draws all 19 at once), must
+        # be those of the per-copy loop on the same seed: the statistic of X,
+        # then one orbit_draw and one statistic call per copy
+        X = np.random.default_rng(16).normal(size=(21, 3))
+        monkeypatch.setattr(invariance, "_DRAW_ENTRIES", draws * X.size)
+        res = mc_invariance_test(X, spec, KERNEL, B=19, statistic=statistic,
+                                 rng=np.random.default_rng(17), n_landmarks=5,
+                                 n_projections=4)
+        rng = np.random.default_rng(17)
+        if statistic == "mmd-u":
+            stat_fn = functools.partial(invariance_stat_u, kernel=KERNEL)
+        elif statistic == "mmd-nystrom":
+            def stat_fn(sample):
+                return nystrom_invariance_stat(sample, KERNEL, 5, rng)
+        elif statistic == "cw":
+            dirs = invariance._random_directions(4, 3, rng)
+            transforms = sample_batch(spec, rng, 2)
+
+            def stat_fn(sample):
+                return cw_statistic(sample, transforms, dirs)
+        else:
+            stat_fn = statistic
+        assert res.statistic == stat_fn(X)
+        nulls = [stat_fn(orbit_draw(spec, X, rng)) for _ in range(19)]
+        assert res.null_stats.tolist() == nulls
+        assert res.p_value == pvalue_from_nulls(res.statistic, nulls)
+
+    @pytest.mark.parametrize("statistic,counts,error", [
+        ("mmd-nystrom", dict(n_landmarks=2.5), BadLandmarkCount),
+        ("mmd-nystrom", dict(n_landmarks=True), BadLandmarkCount),
+        ("cw", dict(n_projections=True), BadProjectionCount),
+        ("cw", dict(n_projections=2.5), BadProjectionCount),
+    ], ids=["landmarks-2.5", "landmarks-True", "projections-True",
+            "projections-2.5"])
+    def test_count_that_is_not_a_positive_int_raises(self, statistic, counts,
+                                                     error):
+        X = np.random.default_rng(18).normal(size=(20, 3))
+        with pytest.raises(error):
+            mc_invariance_test(X, so(3), KERNEL, B=9, statistic=statistic,
+                               rng=np.random.default_rng(19), **counts)
 
     @pytest.mark.parametrize("m", [2.5, True, 0])
     def test_transform_count_validation(self, m):
@@ -677,10 +743,12 @@ class TestPower:
         assert est.beta_hat == 0.0
 
     def test_power_estimate_p0_recovery(self):
+        # p0 is the count k / B: at k = 27 of B = 99, (p (B+1) - 1) / B from
+        # the p-value p is one ulp off it
         rng = np.random.default_rng(22)
         X = rng.normal(size=(30, 2))
-        est = power_estimate(X, self.stub_test(30), n_resamples=5, rng=rng)
-        assert np.allclose(est.p_nulls, 30.0 / 99.0)
+        est = power_estimate(X, self.stub_test(27), n_resamples=5, rng=rng)
+        assert est.p_nulls.tolist() == [27 / 99] * 5
 
     def test_power_estimate_reads_budget_and_level_from_the_result(self):
         rng = np.random.default_rng(26)

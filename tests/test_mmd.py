@@ -361,6 +361,12 @@ class TestNystrom:
         with pytest.raises(BadLandmarkCount):
             nystrom_invariance_stat(X, KERNEL, 7, rng=rng)
 
+    @pytest.mark.parametrize("count", [2.0, 2.5, True, np.float64(3.0)], ids=repr)
+    def test_landmark_count_that_is_not_an_int_raises(self, count):
+        X = np.random.default_rng(34).normal(size=(6, 3))
+        with pytest.raises(BadLandmarkCount):
+            nystrom_invariance_stat(X, KERNEL, count, np.random.default_rng(35))
+
 
 class TestInputChecks:
     @pytest.mark.parametrize("call", [

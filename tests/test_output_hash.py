@@ -20,7 +20,8 @@ def test_one_hash_per_benchmark_and_pinned_config():
     hashes = _hashes()
     assert list(hashes) == [
         "mmd-null/mmd", "inversion-alt/inversion-mmd", "equivariance-alt/kci",
-        "equivariance-alt/cp", "pinned/mmd", "pinned/nmmd", "pinned/cw",
+        "equivariance-alt/cp", "stacked/mmd", "stacked/nmmd", "stacked/cw",
+        "stacked/inversion-mmd", "pinned/mmd", "pinned/nmmd", "pinned/cw",
         "pinned/2smmd", "pinned/inversion-mmd", "pinned/kci", "pinned/cp",
         "pinned/power-mmd", "pinned/power-nmmd", "pinned/power-cw",
     ]

@@ -3,7 +3,9 @@
     python3 tools/output_hash.py [--src DIR] [--reps 40] [--seed 0]
 
 For each config of each workload in ``bench/worker.py`` (at the sizes the
-benchmark runs, with seed ``--seed``) and each ``PINNED`` config of
+benchmark runs, with seed ``--seed``), each ``STACKED`` config (with seed
+``--seed``), whose null copies span several of the stacks that the exact
+tests draw at once, and each ``PINNED`` config of
 ``tests/test_harness.py`` (at the sizes and seed that test uses), runs
 replications 0 to ``--reps`` - 1 through ``harness.run_replication`` and
 prints one SHA-256 over their ``statistic``, ``p_value`` and
@@ -32,6 +34,17 @@ ROOT = Path(__file__).resolve().parents[1]
 POWER_METHODS = ("mmd", "nmmd", "cw")
 POWER_RESAMPLES = 4
 
+# configs whose null copies fill several stacks of 2^16 values: 5 of 81
+# copies for mmd, 4 of 65 for cw, 6 of 54 for inversion-mmd, and one copy a
+# stack for nmmd
+STACKED = [
+    dict(method="mmd", group="so(4)", generator="gauss-iso(d=4)", n=200, B=399),
+    dict(method="nmmd", group="so(4)", generator="gauss-iso(d=4)", n=200, B=99),
+    dict(method="cw", group="sym(5)", generator="exch-plus(d=5)", n=200, B=199),
+    dict(method="inversion-mmd", group="so(3)", generator="vmf(d=3,kappa=1)",
+         n=300, B=299, kernel="so3"),
+]
+
 
 def _module(name, path):
     spec = importlib.util.spec_from_file_location(name, path)
@@ -51,6 +64,9 @@ def configs(seed):
         for fields in spec["configs"]:
             cfg = ExperimentConfig.from_dict(dict(fields, seed=seed, reps=1))
             out.append((f"{workload}/{cfg.method}", cfg))
+    for fields in STACKED:
+        cfg = ExperimentConfig.from_dict(dict(fields, seed=seed, reps=1))
+        out.append((f"stacked/{cfg.method}", cfg))
     for fields, _ in pinned.PINNED:
         cfg = ExperimentConfig.from_dict(dict(fields, **pinned.PINNED_SIZES))
         out.append((f"pinned/{cfg.method}", cfg))
