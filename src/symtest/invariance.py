@@ -195,8 +195,10 @@ def cw_statistic(X, transforms, directions):
     largest value found.
     """
     X = np.asarray(X, dtype=float)
-    _check_finite(X)
     directions = np.asarray(directions, dtype=float)
+    if X.shape[0] < 1:
+        raise SampleTooSmall("need at least one observation")
+    _check_finite(X, directions)
     if directions.ndim != 2 or directions.shape[1] != X.shape[1] \
             or directions.shape[0] < 1:
         raise BadProjectionCount("directions must be a (J, d) array, J >= 1")

@@ -166,6 +166,15 @@ class TestCwStatistic:
         with pytest.raises(BadProjectionCount):
             cw_statistic(X, sample_batch(spec, rng, 2), np.empty((0, 3)))
 
+    @pytest.mark.parametrize("X,dirs,error", [
+        (np.ones((4, 3)), np.full((1, 3), np.nan), BadParameters),
+        (np.empty((0, 3)), np.eye(3), SampleTooSmall),
+    ], ids=["nan-direction", "no-rows"])
+    def test_nan_direction_or_empty_sample_raises(self, X, dirs, error):
+        g = sample_batch(so(3), np.random.default_rng(7), 2)
+        with pytest.raises(error):
+            cw_statistic(X, g, dirs)
+
 
 class TestMcInvariance:
     def test_pvalue_on_lattice(self):
