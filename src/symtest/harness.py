@@ -31,6 +31,7 @@ from .errors import (
     SchemaMismatch,
     SymtestError,
     TooFewValues,
+    _check_budget,
 )
 from .groups import INVARIANT_KINDS, parse_group
 from .invariance import (
@@ -161,15 +162,25 @@ class SimulationReport:
     version: str = __version__
 
 
-def pvalue_uniformity_check(pvalues):
-    """Kolmogorov-Smirnov distance of p-values from the uniform law on [0, 1]."""
-    p = np.asarray(pvalues, dtype=float)
+def pvalue_uniformity_check(pvalues, null_count):
+    """Kolmogorov-Smirnov distance of Monte Carlo p-values from their null law.
+
+    A p-value ranked among ``null_count`` = N null copies lies on the grid
+    {1, ..., N+1}/(N+1), on which it is uniform under the null.  The
+    distance to that discrete uniform law is read at its atoms, and its tail
+    from the continuous Kolmogorov law, which is conservative for a discrete
+    null (Noether 1963).
+    """
+    p = np.sort(np.asarray(pvalues, dtype=float))
     if p.size < 5:
         raise TooFewValues("uniformity needs at least five p-values")
-    from scipy.stats import kstest
+    _check_budget(null_count, "null_count")
+    from scipy.stats import kstwo
 
-    res = kstest(p, "uniform")
-    return float(res.statistic), float(res.pvalue)
+    atoms = np.arange(1, null_count + 2) / (null_count + 1.0)
+    ecdf = np.searchsorted(p, atoms, side="right") / p.size
+    stat = float(np.abs(ecdf - atoms).max())
+    return stat, float(kstwo.sf(stat, p.size))
 
 
 def _rep_rng(seed, rep):
@@ -242,12 +253,14 @@ def run_simulation(config):
     seconds = np.empty(config.reps)
     for rep in range(config.reps):
         t0 = time.perf_counter()
-        pvalues[rep] = run_replication(config, rep, dataset).p_value
+        res = run_replication(config, rep, dataset)
         seconds[rep] = time.perf_counter() - t0
+        pvalues[rep] = res.p_value
     rate = float(np.mean(pvalues <= config.alpha))
     se = float(np.sqrt(rate * (1.0 - rate) / config.reps))
     if config.reps >= 5:
-        ks_stat, ks_p = pvalue_uniformity_check(pvalues)
+        # every replication of a config ranks its statistic among as many nulls
+        ks_stat, ks_p = pvalue_uniformity_check(pvalues, res.null_stats.size)
     else:
         ks_stat = ks_p = float("nan")
     return SimulationReport(

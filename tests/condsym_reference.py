@@ -1,4 +1,10 @@
-"""Sequential references for the conditional permutation (CP) test.
+"""References for the conditional tests: the KCI spectral null and CP.
+
+``kci_test`` draws its null from a Gamma law matched to two moments of the
+product A o B.  ``spectral_null_draws`` is the law it approximates, read from
+the spectrum of A o B (Zhang, Peters, Janzing & Schoelkopf 2011, Prop. 5),
+and ``spectral_moments`` gives that law's mean and variance from the full
+spectrum.
 
 ``cp_test`` advances its B swap chains as one stack and scores all permuted
 copies from one factorisation of the design and one SVD of the responses.
@@ -13,6 +19,36 @@ import numpy as np
 
 from symtest.condsym import _log_joint_sums, transform_responses
 from symtest.invariance import pvalue_from_nulls
+
+_EIG_TRUNC = 1e-10
+
+
+def all_eigs(ab):
+    """Every eigenvalue of the symmetrised product ``(ab + ab^T) / 2``."""
+    return np.linalg.eigvalsh((ab + ab.T) / 2.0)
+
+
+def _trimmed_eigs(ab):
+    """The positive eigenvalues of the symmetrised ``ab``, above a relative cut."""
+    vals = all_eigs(ab)
+    vals = vals[vals > 0]
+    if vals.size == 0:
+        return vals
+    return vals[vals >= _EIG_TRUNC * vals.max()]
+
+
+def spectral_null_draws(ab, null_samples, rng):
+    """``null_samples`` draws of (1/n) sum_k g_k z_k^2, g the spectrum of A o B."""
+    g = _trimmed_eigs(ab)
+    if g.size == 0:
+        return np.zeros(null_samples)
+    return (rng.standard_normal((null_samples, g.size)) ** 2) @ g / ab.shape[0]
+
+
+def spectral_moments(ab):
+    """Mean sum(lam)/n and variance 2 sum(lam^2)/n^2 of the spectral null."""
+    lam, n = all_eigs(ab), ab.shape[0]
+    return float(lam.sum()) / n, 2.0 * float(lam @ lam) / n**2
 
 
 def kcde_swap_odds(data, config, i, j, assignment=None):

@@ -79,6 +79,25 @@ class TestUniformity:
         print(f"[uniformity] ks={rep.ks_stat:.4f} p={rep.ks_p:.4f}")
         assert rep.ks_p > 0.01
 
+    def test_coarse_grid_of_an_exact_test_is_not_flagged(self):
+        # 1,000 p-values on the 20-point grid of B = 19 are far from the
+        # continuous uniform law, but not from the uniform law on the grid
+        rep = simulate(
+            method="mmd", group="so(4)", generator="gauss-iso(d=4)",
+            n=30, reps=1000, B=19, seed=910,
+        )
+        print(f"[uniformity, B=19] ks={rep.ks_stat:.4f} p={rep.ks_p:.4f}")
+        assert rep.ks_p > 0.01
+
+    def test_excess_size_of_cp_is_flagged(self):
+        rep = simulate(
+            method="cp", group="so(3)", generator="cond-shift(d=3)",
+            n=64, reps=400, B=99, seed=2603,
+        )
+        print(f"[uniformity, cp] rate={rep.rejection_rate:.4f} "
+              f"ks={rep.ks_stat:.4f} p={rep.ks_p:.4f}")
+        assert rep.ks_p < 0.01
+
 
 class TestRotationRates:
     def test_size_under_isotropy(self):
@@ -341,6 +360,42 @@ class TestNystromSize:
         print(f"[nmmd size] rate={rep.rejection_rate:.4f} target={target:.4f} "
               f"interval=[{lo:.4f}, {hi:.4f}]")
         assert lo <= rep.rejection_rate <= hi
+
+
+# each non-so, non-sym family with the dimension of its action
+SIZE_FAMILIES = {
+    "paired-so2": 4, "so2xso2": 4, "rot-discrete(90deg,d=3,axis=3)": 3,
+    "rot-discrete(120deg,d=2)": 2,
+}
+
+
+class TestExactSizeOnEveryFamily:
+    @pytest.mark.parametrize("family", SIZE_FAMILIES)
+    @pytest.mark.parametrize("method", ["mmd", "2smmd", "nmmd"])
+    def test_size_under_an_invariant_law(self, method, family):
+        # the null copies are exchangeable with X on every family, so the
+        # size is exactly floor(alpha (B + 1)) / (B + 1) = 1 / 20
+        from scipy.stats import binom
+
+        reps, B = (300 if method == "nmmd" else 1000), 19
+        rep = simulate(
+            method=method, group=family,
+            generator=f"gauss-iso(d={SIZE_FAMILIES[family]})",
+            n=30, reps=reps, B=B, seed=900,
+        )
+        lo, hi = binom.ppf([0.0005, 0.9995], reps, 1 / (B + 1)) / reps
+        print(f"[{method} size, {family}] rate={rep.rejection_rate:.4f} "
+              f"interval=[{lo:.4f}, {hi:.4f}]")
+        assert lo <= rep.rejection_rate <= hi
+
+    @pytest.mark.parametrize("method", ["mmd", "2smmd", "cw"])
+    def test_trivial_group_never_rejects(self, method):
+        # every copy equals X, so every null statistic ties the observed one
+        rep = simulate(
+            method=method, group="trivial(4)", generator="gauss-iso(d=4)",
+            n=30, reps=20, B=19, seed=900,
+        )
+        assert rep.pvalues == [1.0] * 20
 
 
 class TestCpSize:

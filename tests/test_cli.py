@@ -35,6 +35,14 @@ def write_config(tmp_path, name="cfg.json", **fields):
     return str(path)
 
 
+def test_import_loads_no_scipy():
+    # start-up time: scipy is imported only by the two functions that need it
+    out = run_python("-c", "import sys, symtest; "
+                     "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 class TestInvarianceCommand:
     def test_runs_and_reports(self, tmp_path):
         cfg = write_config(tmp_path)

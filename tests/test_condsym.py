@@ -1,15 +1,19 @@
 """Tests for the conditional-symmetry (equivariance) tests."""
 
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from condsym_reference import (
+    _trimmed_eigs,
     kcde_swap_odds,
     reference_cp_pvalue,
     reference_multiple_correlation,
     reference_sweeps,
+    spectral_moments,
+    spectral_null_draws,
 )
 from group_reference import act_rows
 from kernel_reference import eval_kernel
@@ -33,8 +37,9 @@ from symtest import (
 from symtest.condsym import (
     _chain_sweeps,
     _kci_matrices,
+    _kci_null_draws,
+    _kci_parts,
     _log_joint_sums,
-    _trimmed_eigs,
     kci_null_samples,
 )
 from symtest.groups import so, sym, tau_batch
@@ -177,8 +182,46 @@ class TestKciNull:
         from_w = np.sort(from_w[from_w > 1e-10 * from_w.max()])
         assert np.allclose(from_w, _trimmed_eigs(a * b), rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("n,seed,dependent", [
+        (10, 9, False), (20, 0, False), (30, 21, True), (64, 22, True),
+    ])
+    def test_gamma_moments_match_the_spectral_null(self, n, seed, dependent):
+        # the Gamma law has the mean and variance of (1/n) sum_k lam_k z_k^2
+        # over every eigenvalue lam of the symmetrised A o B
+        class RecordingRng:
+            def gamma(self, shape, scale, size):
+                self.shape, self.scale = shape, scale
+                return np.zeros(size)
+
+        ab = _kci_parts(make_paired(n=n, seed=seed, dependent=dependent), CFG)[1]
+        rng = RecordingRng()
+        _kci_null_draws(ab, 5, rng)
+        mean, var = spectral_moments(ab)
+        assert rng.shape * rng.scale == pytest.approx(mean, rel=1e-10)
+        assert rng.shape * rng.scale**2 == pytest.approx(var, rel=1e-10)
+
+    @pytest.mark.parametrize("n,seed,dependent", [(20, 0, False), (64, 22, True)])
+    def test_gamma_level_near_the_spectral_null(self, n, seed, dependent):
+        # the 0.95 quantiles of the Gamma law and of the spectral law it
+        # replaces, each from 20,000 draws, agree to within 5%
+        ab = _kci_parts(make_paired(n=n, seed=seed, dependent=dependent), CFG)[1]
+        gamma = _kci_null_draws(ab, 20000, np.random.default_rng(25))
+        spectral = spectral_null_draws(ab, 20000, np.random.default_rng(26))
+        assert np.quantile(gamma, 0.95) == pytest.approx(
+            np.quantile(spectral, 0.95), rel=0.05)
+
+    def test_degenerate_null_gives_p_one_without_a_warning(self):
+        # a constant Z makes B = 0, so A o B = 0 and every null draw is 0
+        data = make_paired(n=12, seed=23)
+        data = replace(data, Z=np.ones_like(data.Z))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = kci_test_data(data, CFG, rng=np.random.default_rng(24))
+        assert res.p_value == 1.0
+        assert not res.null_stats.any()
+
     def test_mean_matches_hadamard_trace(self):
-        # E T_b = (1/n) Tr(A o B) since E z^2 = 1
+        # the limit's mean (1/n) Tr(A o B), since E z^2 = 1, is the Gamma's
         data = make_paired(n=10, seed=9)
         a, b = _kci_matrices(data, CFG)
         expect = np.trace(a * b) / 10.0
