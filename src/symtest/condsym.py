@@ -117,11 +117,7 @@ def _kci_matrices(data, config):
 
 
 def _kci_parts(data, config):
-    """The KCI statistic and the product A o B, from one build of A and B.
-
-    The statistic is (1/n) sum(A o B), the trace of AB, and the null law is
-    read from two moments of A o B.
-    """
+    """The statistic (1/n) sum(A o B), the trace of AB, and A o B, from one build."""
     a, b = _kci_matrices(data, config)
     ab = a * b
     return float(np.sum(ab) / ab.shape[0]), ab
@@ -130,9 +126,7 @@ def _kci_parts(data, config):
 def _kci_null_draws(ab, null_samples, rng):
     """``null_samples`` Gamma draws with the null limit's mean and variance.
 
-    The limit (1/n) sum_k g_k z_k^2, g the spectrum of the symmetrised A o B,
-    has mean tr(A o B)/n and variance 2 |A o B|_F^2 / n^2; a degenerate
-    product, with no positive mean or variance, gives zeros.
+    Zeros when A o B gives no positive mean or variance (a degenerate null).
     """
     n = ab.shape[0]
     sym = (ab + ab.T) / 2.0
@@ -156,13 +150,11 @@ def kci_statistic(data, config):
 def kci_null_samples(data, config, rng):
     """Gamma draws approximating the null law of the statistic.
 
-    With A and B the two conditioned matrices, under conditional
-    independence the statistic is asymptotically (1/n) sum_k g_k z_k^2, with
-    g the eigenvalues of A o B and z_k i.i.d. standard normal (Zhang, Peters,
-    Janzing & Schoelkopf 2011, Prop. 5).  That law is replaced by the Gamma
-    law with its mean tr(A o B)/n and variance 2 |A o B|_F^2 / n^2 (ibid.,
-    Sec. 4), so no eigendecomposition is taken; each of the
-    ``config.null_samples`` draws is one Gamma variable.
+    Under conditional independence the statistic is asymptotically
+    (1/n) sum_k g_k z_k^2, g the eigenvalues of A o B and z_k i.i.d. standard
+    normal (Zhang, Peters, Janzing & Schoelkopf 2011, Prop. 5).  Each of the
+    ``config.null_samples`` draws is one variable of the Gamma law with that
+    limit's mean tr(A o B)/n and variance 2 |A o B|_F^2 / n^2 (ibid., Sec. 4).
     """
     _require_rng(rng)
     return _kci_null_draws(_kci_parts(data, config)[1], config.null_samples, rng)

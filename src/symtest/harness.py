@@ -163,13 +163,11 @@ class SimulationReport:
 
 
 def pvalue_uniformity_check(pvalues, null_count):
-    """Kolmogorov-Smirnov distance of Monte Carlo p-values from their null law.
+    """KS distance of p-values from the uniform law on {1, ..., N+1}/(N+1).
 
-    A p-value ranked among ``null_count`` = N null copies lies on the grid
-    {1, ..., N+1}/(N+1), on which it is uniform under the null.  The
-    distance to that discrete uniform law is read at its atoms, and its tail
-    from the continuous Kolmogorov law, which is conservative for a discrete
-    null (Noether 1963).
+    That is the null law of a p-value ranked among N = ``null_count`` nulls;
+    the distance is read at its atoms and its tail from the continuous
+    Kolmogorov law, which is conservative for a discrete null (Noether 1963).
     """
     p = np.sort(np.asarray(pvalues, dtype=float))
     if p.size < 5:
@@ -254,8 +252,7 @@ def run_simulation(config):
     for rep in range(config.reps):
         t0 = time.perf_counter()
         res = run_replication(config, rep, dataset)
-        seconds[rep] = time.perf_counter() - t0
-        pvalues[rep] = res.p_value
+        pvalues[rep], seconds[rep] = res.p_value, time.perf_counter() - t0
     rate = float(np.mean(pvalues <= config.alpha))
     se = float(np.sqrt(rate * (1.0 - rate) / config.reps))
     if config.reps >= 5:

@@ -168,13 +168,6 @@ class TestUniformityCheck:
         grid = np.arange(1, 101) / 100.0
         assert pvalue_uniformity_check(grid, 99) == (0.0, 1.0)
 
-    def test_coarse_grid_is_not_flagged(self):
-        # 1,000 p-values on the 20-point grid of B = 19: against the
-        # continuous uniform law the steps alone give a distance of 1/20
-        p = np.random.default_rng(1).integers(1, 21, size=1000) / 20.0
-        stat, pv = pvalue_uniformity_check(p, 19)
-        assert stat < 0.05 and pv > 0.01
-
     def test_bad_null_count(self):
         with pytest.raises(BadMonteCarloBudget):
             pvalue_uniformity_check(np.full(10, 0.5), 0)
